@@ -257,6 +257,13 @@ def cmd_grid(args) -> int:
     return report["exit_code"]
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oldsets",
@@ -281,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--kind", choices=("old", "redold"), required=True)
     p.add_argument("--enumerate", action="store_true", help="list every optimum")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
+    p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET,
+                   help="search node budget")
     add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -292,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="solve the instance and cross-check against the SAT oracle")
     p.add_argument("--validate-gadgets", action="store_true",
                    help="run the gadget forcing validation (small instances)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
     add_common(p)
     p.set_defaults(func=cmd_reduce)
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -84,16 +85,30 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of edges as (u, v) with u < v."""
-        out = []
+        adj = self.adj
+        return [(u, v) for u in range(self.n) for v in vertices_of(adj[u] >> (u + 1) << (u + 1))]
+
+    def meeting_pairs(self) -> Iterator[tuple[int, int]]:
+        """Pairs u < v with N(u) ∩ N(v) ≠ ∅, in lexicographic order.
+
+        Only these pairs need a separation check: for any other pair
+        N(u) △ N(v) = N(u) ∪ N(v), so it has as many separators as u and v
+        have dominators together.  The partners of u are the bits above u
+        in the union of N(w) over w in N(u).
+        """
         for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            v = u + 1
-            while rest:
-                if rest & 1:
-                    out.append((u, v))
-                rest >>= 1
-                v += 1
-        return out
+            reach = 0
+            for w in vertices_of(self.adj[u]):
+                reach |= self.adj[w]
+            for v in vertices_of(reach >> (u + 1) << (u + 1)):
+                yield u, v
+
+    @cached_property
+    def constraint_masks(self) -> tuple[int, ...]:
+        """The masks a detector set must hit k times: N(v) for every v in
+        index order, then N(u) △ N(v) for every meeting pair in
+        :meth:`meeting_pairs` order.  Built once per graph."""
+        return self.adj + tuple(self.adj[u] ^ self.adj[v] for u, v in self.meeting_pairs())
 
     def num_edges(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2

@@ -1,4 +1,4 @@
-"""Polynomial-time reduction from 3-SAT to the minimum RED:OLD problem.
+r"""Polynomial-time reduction from 3-SAT to the minimum RED:OLD problem.
 
 Every variable becomes an 18-vertex gadget, every clause a 4-vertex gadget,
 and the built graph has a RED:OLD set of size 16N + 3M exactly when the
@@ -269,8 +269,10 @@ def decide_sat_via_redold(cnf: CnfInstance, budget: int = DEFAULT_BUDGET) -> boo
     16N + 3M threshold."""
     out = build_reduction(cnf)
     result = min_set(out.graph, Kind.RED_OLD, budget=budget)
-    assert result.feasible, "reduction graphs always admit a RED:OLD set"
-    assert result.value >= out.threshold, "minimum fell below the forced-set bound"
+    if not result.feasible:
+        raise AssertionError("reduction graphs always admit a RED:OLD set")
+    if result.value < out.threshold:
+        raise AssertionError("minimum fell below the forced-set bound")
     return result.value == out.threshold
 
 

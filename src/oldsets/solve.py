@@ -22,6 +22,10 @@ over a partial assignment (forced_in / forced_out):
 Anything a rule forces belongs to *every* acceptable set consistent with
 the branch, which is what makes the forced set reusable as a lower bound
 and as a certificate that a vertex lies in every optimal set.
+
+The constraints are the graph's ``constraint_masks``: separation is kept
+only for meeting pairs, as a pair with disjoint neighborhoods can never
+fire a rule, nor be the tightest constraint, while domination holds.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "SolveResult",
     "feasibility_check",
     "propagate",
-    "lower_bound",
     "min_set",
     "min_set_bruteforce",
     "is_in_every_optimal_set",
@@ -89,36 +92,20 @@ def feasibility_check(g: Graph, kind: Kind) -> bool:
 
 
 def propagate(g: Graph, kind: Kind, state: SearchState) -> SearchState | None:
-    """Close rules R1/R2 to a fixpoint; None signals conflict (R3)."""
+    """Close rules R1/R2 to a fixpoint; None signals conflict (R3).  The
+    rules read only forced_out, which never grows here, so one pass does."""
     k = kind.fold
     fin, fout = state.forced_in, state.forced_out
     if fin & fout:
         return None
-    n = g.n
-    adj = g.adj
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            avail = adj[v] & ~fout
-            c = avail.bit_count()
+    keep = ~fout
+    for need in g.constraint_masks:
+        avail = need & keep
+        c = avail.bit_count()
+        if c <= k:
             if c < k:
                 return None
-            if c == k and avail & ~fin:
-                fin |= avail
-                changed = True
-        for u in range(n):
-            au = adj[u]
-            for v in range(u + 1, n):
-                avail = (au ^ adj[v]) & ~fout
-                c = avail.bit_count()
-                if c < k:
-                    return None
-                if c == k and avail & ~fin:
-                    fin |= avail
-                    changed = True
-        if fin & fout:
-            return None
+            fin |= avail
     return SearchState(fin, fout, _bound(g, k, fin))
 
 
@@ -131,10 +118,6 @@ def _bound(g: Graph, k: int, fin: int) -> int:
         if d > deficit:
             deficit = d
     return fin.bit_count() + deficit
-
-
-def lower_bound(g: Graph, kind: Kind, state: SearchState) -> int:
-    return _bound(g, kind.fold, state.forced_in)
 
 
 class _Search:
@@ -153,32 +136,24 @@ class _Search:
     def _branch_vertex(self, fin: int, fout: int) -> int | None:
         """Lowest-index undecided vertex in the tightest unsatisfied
         constraint; None when every constraint is already satisfied."""
-        g, k = self.g, self.k
-        adj = g.adj
-        best_cnt = g.n + 1
-        best_v = None
+        k = self.k
+        keep = ~fout
         undecided = ~(fin | fout)
-
-        def consider(need: int) -> None:
-            nonlocal best_cnt, best_v
+        best_cnt = self.g.n + 1
+        best_v = None
+        for need in self.g.constraint_masks:
             if (need & fin).bit_count() >= k:
-                return
-            cnt = (need & ~fout).bit_count()
+                continue
+            cnt = (need & keep).bit_count()
             if cnt > best_cnt:
-                return
+                continue
             cand = need & undecided
             if not cand:
-                return
+                continue
             bv = (cand & -cand).bit_length() - 1
-            if cnt < best_cnt or best_v is None or bv < best_v:
+            # best_v is None only while best_cnt = n + 1 > cnt
+            if cnt < best_cnt or bv < best_v:
                 best_cnt, best_v = cnt, bv
-
-        for v in range(g.n):
-            consider(adj[v])
-        for u in range(g.n):
-            au = adj[u]
-            for v in range(u + 1, g.n):
-                consider(au ^ adj[v])
         if best_v is None and not self._satisfied(fin):
             # Unsatisfied constraints but no undecided candidates can only
             # happen pre-conflict; propagation should have caught it.
@@ -186,7 +161,11 @@ class _Search:
         return best_v
 
     def _satisfied(self, fin: int) -> bool:
-        return verify_set(self.g, fin, self.k).holds
+        k = self.k
+        for need in self.g.constraint_masks:
+            if (need & fin).bit_count() < k:
+                return False
+        return True
 
     def find_value(self, root: SearchState, ub: int) -> int:
         """Best-first depth search for the minimum size; ``ub`` must be the
@@ -228,7 +207,8 @@ class _Search:
                 return False
             fin, fout = state.forced_in, state.forced_out
             if self._satisfied(fin):
-                assert fin.bit_count() == target, "solution below proven optimum"
+                if fin.bit_count() != target:
+                    raise AssertionError("solution below proven optimum")
                 out.append(fin)
                 return stop_first
             undecided = ~(fin | fout) & self.g.all_mask()
@@ -263,10 +243,12 @@ def min_set(
         return SolveResult(None, None, None, nodes=0)
     search = _Search(g, kind, budget)
     root = propagate(g, kind, SearchState(0, forced_out))
-    assert root is not None, "propagation conflict on a feasible instance"
+    if root is None:
+        raise AssertionError("propagation conflict on a feasible instance")
     value = search.find_value(root, top.bit_count())
     sets = search.collect(root, value, stop_first=not enumerate_all)
-    assert sets, "no optimum found at the proven optimal value"
+    if not sets:
+        raise AssertionError("no optimum found at the proven optimal value")
     return SolveResult(
         value,
         sets[0],

@@ -67,8 +67,8 @@ class VerificationReport:
     count: int | None = None
 
     def __post_init__(self):
-        if not self.holds:
-            assert (self.vertex is None) != (self.pair is None)
+        if not self.holds and (self.vertex is None) == (self.pair is None):
+            raise ValueError("a failing report names exactly one vertex or one pair")
 
 
 _OK = VerificationReport(True)
@@ -116,18 +116,16 @@ def verify_set(g: Graph, s: int, fold: int) -> VerificationReport:
 
     fold=1 characterizes OLD sets; fold=2 characterizes RED:OLD sets.
     Domination is checked first (witness: first failing vertex), then pairs
-    in lexicographic (u, v) order (witness: first failing pair).
+    in lexicographic (u, v) order (witness: first failing pair).  Once
+    domination holds only meeting pairs can fail, so only they are walked.
     """
-    _check_set(g, s)
-    rep = is_open_dominating(g, s, fold)
+    rep = is_open_dominating(g, s, fold)  # also checks fold and s
     if not rep.holds:
         return rep
-    for u in range(g.n):
-        au = g.adj[u]
-        for v in range(u + 1, g.n):
-            c = ((au ^ g.adj[v]) & s).bit_count()
-            if c < fold:
-                return VerificationReport(False, pair=(u, v), count=c)
+    for u, v in g.meeting_pairs():
+        c = ((g.adj[u] ^ g.adj[v]) & s).bit_count()
+        if c < fold:
+            return VerificationReport(False, pair=(u, v), count=c)
     return _OK
 
 

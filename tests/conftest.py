@@ -14,6 +14,24 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return build_graph(n, edges)
 
 
+def random_graph_with_twins(
+    rng: random.Random, n: int, p: float, isolated: bool = True
+) -> Graph:
+    """G(n, p) plus an open twin (same N, not adjacent) and a closed twin
+    (adjacent, same other neighbors) of random vertices, and optionally an
+    isolated vertex, with the vertex order shuffled."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    g = build_graph(n, edges)
+    a, b = rng.randrange(n), rng.randrange(n)
+    open_twin, closed_twin = n, n + 1
+    edges += [(open_twin, w) for w in range(n) if g.adj[a] >> w & 1]
+    edges += [(closed_twin, w) for w in range(n) if g.adj[b] >> w & 1]
+    edges.append((closed_twin, b))
+    order = list(range(n + 2 + isolated))
+    rng.shuffle(order)
+    return build_graph(len(order), [(order[u], order[v]) for u, v in edges])
+
+
 @st.composite
 def graphs(draw, min_n: int = 1, max_n: int = 8):
     n = draw(st.integers(min_n, max_n))

@@ -191,6 +191,16 @@ def test_reduce_budget_exceeded(capsys, tmp_path):
     assert code == 3 and "error" in rep
 
 
+@pytest.mark.parametrize("command", ["solve", "reduce"])
+def test_negative_budget_is_input_error(capsys, tmp_path, command):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(TWO_CLAUSE_DIMACS)
+    target = ["builtin:g11", "--kind", "old"] if command == "solve" else [str(cnf), "--decide"]
+    code = main([command, *target, "--budget", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2 and "--budget" in err and "must be >= 0" in err
+
+
 def test_module_entry_point_subprocess(tmp_path):
     import subprocess
     import sys

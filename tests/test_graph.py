@@ -1,9 +1,11 @@
 """Graph construction, neighborhoods, and serialization."""
 
+import random
+
 import pytest
 from hypothesis import given
 
-from conftest import graphs
+from conftest import graphs, random_graph_with_twins
 from oldsets.errors import InputError
 from oldsets.fixtures import builtin_graph, g11
 from oldsets.graph import (
@@ -147,3 +149,20 @@ def test_label_validation():
 
 def test_vertices_of_mask_round_trip():
     assert vertices_of(mask_of([5, 1, 3])) == [1, 3, 5]
+
+
+@given(graphs(max_n=9))
+def test_meeting_pairs_are_the_pairs_with_a_common_neighbor(g):
+    expected = [
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] & g.adj[v]
+    ]
+    assert list(g.meeting_pairs()) == expected
+
+
+def test_constraint_masks_layout():
+    rng = random.Random(5)
+    for _ in range(20):
+        g = random_graph_with_twins(rng, rng.randint(1, 12), 0.3)
+        pairs = list(g.meeting_pairs())
+        assert g.constraint_masks == g.adj + tuple(g.adj[u] ^ g.adj[v] for u, v in pairs)
+        assert g.constraint_masks is g.constraint_masks  # built once per graph

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from conftest import random_graph, set_of
+from conftest import random_graph, random_graph_with_twins, set_of
 from oldsets.errors import BudgetExceededError, InputError
 from oldsets.fixtures import g11
 from oldsets.graph import build_graph, complete_graph, cycle_graph, mask_of, path_graph, vertices_of
 from oldsets.solve import (
     SearchState,
+    _Search,
     feasibility_check,
     is_in_every_optimal_set,
     min_set,
@@ -179,3 +180,85 @@ def test_forced_out_solving():
 def test_nodes_are_reported():
     res = min_set(g11(), Kind.RED_OLD)
     assert res.nodes >= 1
+
+
+def _all_pair_masks(g):
+    # every constraint, pairs with disjoint neighborhoods included
+    return list(g.adj) + [
+        g.adj[u] ^ g.adj[v] for u in range(g.n) for v in range(u + 1, g.n)
+    ]
+
+
+def _propagate_all_pairs(g, kind, fin, fout):
+    # reference: close R1/R2 over every constraint until nothing changes
+    k = kind.fold
+    if fin & fout:
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for need in _all_pair_masks(g):
+            avail = need & ~fout
+            if avail.bit_count() < k:
+                return None
+            if avail.bit_count() == k and avail & ~fin:
+                fin |= avail
+                changed = True
+        if fin & fout:
+            return None
+    return fin
+
+
+def _branch_vertex_all_pairs(g, k, fin, fout):
+    # reference: lowest undecided vertex of the tightest unsatisfied
+    # constraint, domination first, then every pair in (u, v) order
+    best = None
+    for need in _all_pair_masks(g):
+        cand = need & ~(fin | fout)
+        if (need & fin).bit_count() >= k or not cand:
+            continue
+        key = ((need & ~fout).bit_count(), (cand & -cand).bit_length() - 1)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[1]
+
+
+def _random_partial_states(rng, g, count):
+    for _ in range(count):
+        fin = rng.getrandbits(g.n) & rng.getrandbits(g.n)
+        fout = rng.getrandbits(g.n) & rng.getrandbits(g.n) & ~fin
+        yield fin, fout
+
+
+def test_propagate_matches_all_pairs_reference():
+    rng = random.Random(41)
+    outcomes = {"conflict": 0, "forced": 0}
+    for i in range(150):
+        g = random_graph_with_twins(
+            rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]), isolated=i % 4 == 0
+        )
+        for kind in Kind:
+            for fin, fout in _random_partial_states(rng, g, 6):
+                got = propagate(g, kind, SearchState(fin, fout))
+                want = _propagate_all_pairs(g, kind, fin, fout)
+                assert (got and got.forced_in) == want
+                outcomes["conflict" if want is None else "forced"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_branch_vertex_matches_all_pairs_reference():
+    rng = random.Random(43)
+    chosen = 0
+    for i in range(150):
+        g = random_graph_with_twins(
+            rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]), isolated=i % 4 == 0
+        )
+        for kind in Kind:
+            search = _Search(g, kind, budget=1)
+            for fin, fout in _random_partial_states(rng, g, 6):
+                want = _branch_vertex_all_pairs(g, kind.fold, fin, fout)
+                if want is None:
+                    continue  # satisfied or stuck: covered by the solver tests
+                assert search._branch_vertex(fin, fout) == want
+                chosen += 1
+    assert chosen > 500

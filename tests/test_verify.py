@@ -3,16 +3,18 @@ equivalences (checked here on small scales; the full sweep lives in the
 acceptance module)."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_labeled_graphs, graph_and_subset, set_of
+from conftest import all_labeled_graphs, graph_and_subset, random_graph_with_twins, set_of
 from oldsets.errors import InputError
 from oldsets.fixtures import g11
 from oldsets.graph import complete_graph, cycle_graph, mask_of, path_graph, vertices_of
 from oldsets.verify import (
+    VerificationReport,
     distinguishing_count,
     domination_count,
     is_distinguishing_collection,
@@ -24,6 +26,7 @@ from oldsets.verify import (
     is_open_dominating,
     is_red_old,
     is_red_old_definitional,
+    verify_set,
 )
 
 G11_OLD6 = ("v2", "v3", "v6", "v7", "v9", "v10")
@@ -225,3 +228,42 @@ def test_out_of_range_set_rejected():
         is_old(c5, 1 << 5)
     with pytest.raises(InputError):
         domination_count(c5, -1, 0)
+
+
+def _verify_set_all_pairs(g, s, fold):
+    # reference: every vertex, then every pair u < v, meeting or not
+    for v in range(g.n):
+        c = (g.adj[v] & s).bit_count()
+        if c < fold:
+            return VerificationReport(False, vertex=v, count=c)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            c = ((g.adj[u] ^ g.adj[v]) & s).bit_count()
+            if c < fold:
+                return VerificationReport(False, pair=(u, v), count=c)
+    return VerificationReport(True)
+
+
+def test_verify_set_matches_all_pairs_reference():
+    rng = random.Random(11)
+    witnesses = {"vertex": 0, "pair": 0, "none": 0}
+    for i in range(200):
+        # an isolated vertex fails domination at once; without one, dense
+        # sets get through to the pair checks
+        g = random_graph_with_twins(
+            rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]), isolated=i % 4 == 0
+        )
+        for s in (g.all_mask(), rng.getrandbits(g.n) | rng.getrandbits(g.n), rng.getrandbits(g.n)):
+            for fold in (1, 2, 3):
+                rep = verify_set(g, s, fold)
+                assert rep == _verify_set_all_pairs(g, s, fold)
+                key = "vertex" if rep.vertex is not None else "pair" if rep.pair else "none"
+                witnesses[key] += 1
+    assert min(witnesses.values()) > 50, witnesses
+
+
+def test_failing_report_needs_exactly_one_witness():
+    with pytest.raises(ValueError):
+        VerificationReport(False)
+    with pytest.raises(ValueError):
+        VerificationReport(False, vertex=0, pair=(0, 1), count=0)
