@@ -21,7 +21,6 @@ from .grids import (
     PeriodicPattern,
     build_torus,
     builtin_pattern,
-    density,
     pattern_from_json,
     pattern_to_json,
     restrict_pattern_to_torus,

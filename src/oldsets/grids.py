@@ -12,10 +12,13 @@ patterns and finite tori are exact:
 A pattern with rectangular period (px, py) defines an infinite vertex set;
 :func:`verify_pattern` checks the OLD / RED:OLD conditions for the whole
 infinite graph with a finite amount of work: domination is checked for one
-fundamental domain, and separation only for pairs at graph distance <= 2,
-because more distant pairs have disjoint open neighborhoods and are then
-separated by their dominators alone.  Densities are exact rationals
-throughout; no floating point.
+fundamental domain, and separation only for pairs whose open neighborhoods
+meet (one pair per translation class), because any other pair is separated
+by its dominators alone.  The constraints depend only on the lattice and
+the period, so they are residue-mask tables built once per (lattice,
+period) and cached; a pattern is checked by masking its cells against them.
+Witnesses are the first failure in domain order, as a vertex-by-vertex scan
+would find it.  Densities are exact rationals throughout; no floating point.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError
 from .graph import Graph, build_graph
@@ -38,7 +42,6 @@ __all__ = [
     "neighbors",
     "lattice_degree",
     "verify_pattern",
-    "density",
     "build_torus",
     "restrict_pattern_to_torus",
     "search_patterns",
@@ -77,14 +80,6 @@ def lattice_degree(lattice: Lattice) -> int:
     return 3 if lattice is Lattice.HEX else len(_FIXED_OFFSETS[lattice])
 
 
-def _ball2(lattice: Lattice, x: int, y: int) -> tuple[Coord, ...]:
-    """Vertices at graph distance 1 or 2 from (x, y), sorted."""
-    first = set(neighbors(lattice, x, y))
-    second = {w for nb in first for w in neighbors(lattice, *nb)}
-    out = (first | second) - {(x, y)}
-    return tuple(sorted(out))
-
-
 @dataclass(frozen=True)
 class PeriodicPattern:
     """A lattice, a rectangular period, and the in-pattern offsets of one
@@ -97,12 +92,24 @@ class PeriodicPattern:
     name: str | None = None
 
     def __post_init__(self):
-        px, py = self.period
+        # type(...) is int rejects bool; this one check guards the JSON and
+        # the library paths, and the residue arithmetic assumes integers
+        if not isinstance(self.lattice, Lattice):
+            raise InputError(f"lattice must be a Lattice, got {self.lattice!r}")
+        period = self.period
+        if not (type(period) is tuple and len(period) == 2
+                and type(period[0]) is int and type(period[1]) is int):
+            raise InputError(f"period must be a pair of integers, got {period!r}")
+        px, py = period
         if px < 1 or py < 1:
-            raise InputError(f"period must be positive, got {self.period}")
+            raise InputError(f"period must be positive, got {period}")
         if self.lattice is Lattice.HEX and (px % 2 or py % 2):
             raise InputError("HEX patterns need even periods in both directions")
-        for cx, cy in self.cells:
+        for cell in self.cells:
+            if not (type(cell) is tuple and len(cell) == 2
+                    and type(cell[0]) is int and type(cell[1]) is int):
+                raise InputError(f"cells must be pairs of integers, got {cell!r}")
+            cx, cy = cell
             if not (0 <= cx < px and 0 <= cy < py):
                 raise InputError(f"cell ({cx},{cy}) outside fundamental domain {px}x{py}")
 
@@ -111,11 +118,6 @@ class PeriodicPattern:
 
     def density(self) -> Fraction:
         return Fraction(len(self.cells), self.period[0] * self.period[1])
-
-
-def density(pattern: PeriodicPattern) -> Fraction:
-    """|cells| / (px * py) in lowest terms."""
-    return pattern.density()
 
 
 @dataclass(frozen=True)
@@ -131,36 +133,162 @@ class DensityReport:
     count: int | None = None
 
 
-def _code(pattern: PeriodicPattern, v: Coord) -> frozenset[Coord]:
-    return frozenset(w for w in neighbors(pattern.lattice, *v) if pattern.contains(*w))
+# ---------------------------------------------------------------------------
+# Residue tables for the local check.
+#
+# Every constraint is a set of lattice vertices (N(u), or N(u) △ N(v)) whose
+# members in the pattern are counted.  Members count once per lattice vertex,
+# so on a small period two of them can share a residue: a constraint is the
+# multiset of its residues, stored as layer masks over the px*py residues
+# (residue (x, y) is bit x*py + y), layer i holding the residues that occur
+# more than i times.  The layers are packed into one int at stride px*py,
+# and multiplying the cell mask by the table's ``spread`` copies it into
+# every layer, so a count is one ``(mask & cells * spread).bit_count()``.
+# None of this depends on the cells: the tables are built once per
+# (lattice, period).
+
+# Tables kept per cache: room for every period of a few searches up to 6x6.
+_TABLE_CACHE_SIZE = 128
+
+
+class _Geometry(NamedTuple):
+    """The lattice around a vertex u, as offsets from u."""
+
+    neighbors: tuple[Coord, ...]  # N(u)
+    meeting: tuple[Coord, ...]  # each w != u with N(u) ∩ N(w) != ∅, sorted
+    separators: tuple[tuple[Coord, ...], ...]  # N(u) △ N(w), per meeting w
+
+
+@lru_cache(maxsize=None)
+def _geometry(lattice: Lattice, parity: int) -> _Geometry:
+    """Geometry of a vertex with x+y = parity (mod 2); only HEX depends on
+    the parity, so other lattices are asked for parity 0."""
+    u = (parity, 0)
+    nu = set(neighbors(lattice, *u))
+    meeting = sorted({w for a in nu for w in neighbors(lattice, *a)} - {u})
+
+    def rel(vs) -> tuple[Coord, ...]:
+        return tuple((x - u[0], y - u[1]) for x, y in sorted(vs))
+
+    return _Geometry(
+        rel(nu), rel(meeting), tuple(rel(nu ^ set(neighbors(lattice, *w))) for w in meeting)
+    )
+
+
+def _geometry_at(lattice: Lattice, x: int, y: int) -> _Geometry:
+    return _geometry(lattice, (x + y) % 2 if lattice is Lattice.HEX else 0)
+
+
+def _residue_mask(px: int, py: int, x: int, y: int, offsets: tuple[Coord, ...]) -> int:
+    """The residues of (x, y) + offsets as packed layer masks."""
+    area = px * py
+    mask = 0
+    for dx, dy in offsets:
+        bit = 1 << ((x + dx) % px * py + (y + dy) % py)
+        while mask & bit:
+            bit <<= area
+        mask |= bit
+    return mask
+
+
+def _spread(masks: tuple[int, ...], area: int) -> int:
+    """One set bit at the start of each layer the masks use."""
+    depth = (max(masks).bit_length() - 1) // area + 1
+    return sum(1 << (i * area) for i in range(depth))
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _domination_table(lattice: Lattice, px: int, py: int) -> tuple[int, tuple[int, ...]]:
+    """(spread, masks): N(u) for each fundamental-domain vertex u, in domain
+    order, so mask i belongs to u = divmod(i, py)."""
+    masks = tuple(
+        _residue_mask(px, py, x, y, _geometry_at(lattice, x, y).neighbors)
+        for x in range(px)
+        for y in range(py)
+    )
+    return _spread(masks, px * py), masks
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _separation_table(
+    lattice: Lattice, px: int, py: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(spread, masks, codes): N(u) △ N(v) for u in domain order and v
+    meeting u in sorted order, keeping only the first pair of each
+    translation class {u, v}; a later pair of the class has the same count,
+    so it can never be the first to fail.
+
+    The pair of u = divmod(i, py) with its j-th meeting vertex has code
+    i * stride + j (stride: the number of meeting vertices, the same for
+    both HEX parities, which mirror each other), so codes grow in scan
+    order.  The class's other pair with
+    its first vertex in the domain starts from v mod the period and goes
+    back by the same offset; the pair with the smaller code comes first.
+    """
+    stride = len(_geometry(lattice, 0).meeting)
+    masks: list[int] = []
+    codes: list[int] = []
+    for x in range(px):
+        for y in range(py):
+            geometry = _geometry_at(lattice, x, y)
+            for j, ((dx, dy), sym) in enumerate(zip(geometry.meeting, geometry.separators)):
+                vx, vy = (x + dx) % px, (y + dy) % py
+                back = _geometry_at(lattice, vx, vy).meeting.index((-dx, -dy))
+                code = (x * py + y) * stride + j
+                if code < (vx * py + vy) * stride + back:
+                    masks.append(_residue_mask(px, py, x, y, sym))
+                    codes.append(code)
+    return _spread(tuple(masks), px * py), tuple(masks), tuple(codes)
+
+
+def _pair_of(lattice: Lattice, py: int, code: int) -> tuple[Coord, Coord]:
+    """The pair a separation-table code stands for."""
+    i, j = divmod(code, len(_geometry(lattice, 0).meeting))
+    x, y = divmod(i, py)
+    dx, dy = _geometry_at(lattice, x, y).meeting[j]
+    return (x, y), (x + dx, y + dy)
+
+
+def _first_short(
+    spread: int, masks: tuple[int, ...], cells: int, k: int
+) -> tuple[int, int] | None:
+    """(index, count) of the first mask counting fewer than k cells, else None."""
+    pat = cells * spread
+    for i, mask in enumerate(masks):
+        c = (mask & pat).bit_count()
+        if c < k:
+            return i, c
+    return None
 
 
 def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> DensityReport:
     """Check the kind's conditions over the whole infinite lattice.
 
-    Finite procedure: every fundamental-domain vertex needs >= k dominators;
-    every fundamental-domain vertex paired with anything at graph distance
-    <= 2 needs >= k separators.  Pairs at distance >= 3 have disjoint open
-    neighborhoods, so their separation count is the sum of two domination
-    counts and passes automatically once domination does.
+    Finite procedure: every fundamental-domain vertex u needs >= k
+    dominators, and every pair of u with a vertex v whose open neighborhood
+    meets N(u) needs >= k separators (one pair per translation class).
+    Other pairs have disjoint open neighborhoods, so their separation count
+    is the sum of two domination counts and passes once domination does.
+    The witness is the first failing vertex in domain order, else the first
+    failing pair (u in domain order, then v sorted).  A pattern that fails
+    domination never builds the separation table.
     """
     k = kind.fold
+    lattice = pattern.lattice
     px, py = pattern.period
     dens = pattern.density()
-    domain = [(x, y) for x in range(px) for y in range(py)]
-    codes: dict[Coord, frozenset[Coord]] = {}
-    for u in domain:
-        code = _code(pattern, u)
-        codes[u] = code
-        if len(code) < k:
-            return DensityReport(False, kind, dens, vertex=u, count=len(code))
-    for u in domain:
-        cu = codes[u]
-        for v in _ball2(pattern.lattice, *u):
-            cv = _code(pattern, v)
-            c = len(cu ^ cv)
-            if c < k:
-                return DensityReport(False, kind, dens, pair=(u, v), count=c)
+    cells = 0
+    for x, y in pattern.cells:
+        cells |= 1 << (x * py + y)
+    short = _first_short(*_domination_table(lattice, px, py), cells, k)
+    if short is not None:
+        return DensityReport(False, kind, dens, vertex=divmod(short[0], py), count=short[1])
+    spread, masks, codes = _separation_table(lattice, px, py)
+    short = _first_short(spread, masks, cells, k)
+    if short is not None:
+        return DensityReport(
+            False, kind, dens, pair=_pair_of(lattice, py, codes[short[0]]), count=short[1]
+        )
     return DensityReport(True, kind, dens)
 
 
@@ -266,6 +394,7 @@ def _residue_cells(px: int, py: int, rule) -> frozenset[Coord]:
     return frozenset((x, y) for x in range(px) for y in range(py) if rule(x, y))
 
 
+@lru_cache(maxsize=1)
 def _builtin_specs() -> dict[str, tuple[Kind, PeriodicPattern, Fraction]]:
     """All cell tables below were produced by exhaustive search (residue-rule
     families for the striped patterns, raw subset search for the rest) and
@@ -332,16 +461,20 @@ BUILTIN_PATTERN_NAMES = (
 )
 
 
-@lru_cache(maxsize=None)
-def builtin_pattern(name: str) -> PeriodicPattern:
-    """Fetch a builtin pattern, re-verifying it (and its exact density) on
-    first access; a failing table raises rather than returning bad data."""
+def _builtin_spec(name: str) -> tuple[Kind, PeriodicPattern, Fraction]:
     specs = _builtin_specs()
     if name not in specs:
         raise InputError(
             f"unknown builtin pattern {name!r}; choices: {', '.join(BUILTIN_PATTERN_NAMES)}"
         )
-    kind, pattern, expected_density = specs[name]
+    return specs[name]
+
+
+@lru_cache(maxsize=None)
+def builtin_pattern(name: str) -> PeriodicPattern:
+    """Fetch a builtin pattern, re-verifying it (and its exact density) on
+    first access; a failing table raises rather than returning bad data."""
+    kind, pattern, expected_density = _builtin_spec(name)
     if pattern.density() != expected_density:
         raise RuntimeError(f"builtin pattern {name} has density {pattern.density()}, "
                            f"expected {expected_density}")
@@ -352,7 +485,8 @@ def builtin_pattern(name: str) -> PeriodicPattern:
 
 
 def builtin_pattern_kind(name: str) -> Kind:
-    return Kind.RED_OLD if name.endswith("redold") else Kind.OLD
+    """The kind a builtin pattern is verified for."""
+    return _builtin_spec(name)[0]
 
 
 def pattern_to_json(pattern: PeriodicPattern) -> str:
@@ -379,6 +513,4 @@ def pattern_from_json(text: str) -> PeriodicPattern:
         cells = frozenset(tuple(c) for c in d["cells"])
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"invalid pattern JSON: {exc}") from None
-    if len(period) != 2 or any(len(c) != 2 for c in cells):
-        raise InputError("pattern period and cells must be coordinate pairs")
     return PeriodicPattern(lattice, period, cells, d.get("name"))

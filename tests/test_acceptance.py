@@ -18,7 +18,6 @@ from oldsets.grids import (
     builtin_pattern,
     builtin_pattern_kind,
     cross_check_dims,
-    density,
     restrict_pattern_to_torus,
     search_patterns,
     verify_pattern,
@@ -221,7 +220,7 @@ def test_criterion_6_grid_densities():
     }
     failures = []
     searched = search_patterns(Lattice.KING, Kind.RED_OLD, (6, 6), Fraction(1, 3))
-    if searched is None or density(searched) != Fraction(1, 3):
+    if searched is None or searched.density() != Fraction(1, 3):
         failures.append("king search")
     else:
         builtin = builtin_pattern("king-redold")
@@ -229,7 +228,7 @@ def test_criterion_6_grid_densities():
             failures.append("king search != frozen builtin")
     for name in BUILTIN_PATTERN_NAMES:
         p = builtin_pattern(name)
-        if density(p) != expected[name]:
+        if p.density() != expected[name]:
             failures.append(f"{name} density")
         if not verify_pattern(p, builtin_pattern_kind(name)).holds:
             failures.append(f"{name} verification")

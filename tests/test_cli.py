@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON schema stability."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,40 @@ def test_grid_bad_pattern_fails(capsys, tmp_path):
     f.write_text('{"lattice": "sq", "period": [2, 2], "cells": []}')
     code, rep = run_json(capsys, "grid", "sq", str(f), "--kind", "old")
     assert code == 1 and rep["witness"]["type"] == "vertex"
+
+
+@pytest.mark.parametrize("pattern, message", [
+    ('{"lattice": "sq", "period": [2.0, 2], "cells": []}', "period must be a pair of integers"),
+    ('{"lattice": "sq", "period": "ab", "cells": []}', "period must be a pair of integers"),
+    ('{"lattice": "sq", "period": [true, 2], "cells": []}', "period must be a pair of integers"),
+    ('{"lattice": "sq", "period": [2, 2], "cells": [["0", 0]]}', "cells must be pairs of integers"),
+    ('{"lattice": "sq", "period": [2, 2], "cells": [[1, true]]}', "cells must be pairs of integers"),
+    ('{"lattice": "sq", "period": [2, 2], "cells": [[0, 0, 0]]}', "cells must be pairs of integers"),
+])
+def test_grid_malformed_pattern_is_input_error(capsys, tmp_path, pattern, message):
+    f = tmp_path / "p.json"
+    f.write_text(pattern)
+    code, rep = run_json(capsys, "grid", "sq", str(f), "--kind", "old")
+    assert code == 2 and rep["exit_code"] == 2 and message in rep["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+GOLDEN_GRID = Path(__file__).with_name("grid_golden.json")
+
+
+def test_grid_json_matches_golden_outputs(capsys, tmp_path, monkeypatch):
+    # grid --density --cross-check --format json for every builtin and for
+    # seeded failing patterns (vertex and pair witnesses on all four
+    # lattices), recorded before the check moved to residue tables; the
+    # pattern files are written under the relative names the outputs echo
+    monkeypatch.chdir(tmp_path)
+    cases = json.loads(GOLDEN_GRID.read_text())
+    assert len(cases) == 28
+    for case in cases:
+        if case["pattern"] is not None:
+            Path(case["argv"][2]).write_text(json.dumps(case["pattern"]))
+        code, out = run(capsys, *case["argv"])
+        assert (code, out) == (case["exit_code"], case["stdout"]), case["argv"]
 
 
 def test_grid_lattice_mismatch(capsys):

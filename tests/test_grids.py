@@ -1,13 +1,16 @@
 """Lattices, periodic patterns, the infinite-grid local check, tori, and
 pattern search."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from oldsets import grids
 from oldsets.errors import InputError
 from oldsets.grids import (
+    DensityReport,
     BUILTIN_PATTERN_NAMES,
     Lattice,
     PeriodicPattern,
@@ -15,7 +18,6 @@ from oldsets.grids import (
     builtin_pattern,
     builtin_pattern_kind,
     cross_check_dims,
-    density,
     lattice_degree,
     neighbors,
     pattern_from_json,
@@ -67,9 +69,42 @@ def test_pattern_validation():
         PeriodicPattern(Lattice.SQ, (0, 1), frozenset())
 
 
+@pytest.mark.parametrize("period, cells", [
+    ((2.0, 2), frozenset()),
+    ((True, 2), frozenset()),
+    (("a", "b"), frozenset()),
+    ((2,), frozenset()),
+    ((2, 2, 2), frozenset()),
+    ([2, 2], frozenset()),
+    ((2, 2), frozenset({("0", 0)})),
+    ((2, 2), frozenset({(0, False)})),
+    ((2, 2), frozenset({(1.0, 0)})),
+    ((2, 2), frozenset({(0, 0, 0)})),
+    ((2, 2), frozenset({"ab"})),
+])
+def test_pattern_rejects_non_integer_period_and_cells(period, cells):
+    with pytest.raises(InputError):
+        PeriodicPattern(Lattice.SQ, period, cells)
+
+
+def test_pattern_rejects_non_lattice():
+    with pytest.raises(InputError):
+        PeriodicPattern("sq", (1, 1), frozenset())
+
+
 def test_builtin_densities_exact():
     for name in BUILTIN_PATTERN_NAMES:
-        assert density(builtin_pattern(name)) == EXPECTED_DENSITIES[name]
+        assert builtin_pattern(name).density() == EXPECTED_DENSITIES[name]
+
+
+def test_builtin_pattern_kind_reads_the_table():
+    for name in BUILTIN_PATTERN_NAMES:
+        assert builtin_pattern_kind(name) is grids._builtin_specs()[name][0]
+    assert builtin_pattern_kind("sq-redold") is Kind.RED_OLD
+    assert builtin_pattern_kind("tri-old") is Kind.OLD
+    for name in ("nope", "sq-redold ", "redold", ""):
+        with pytest.raises(InputError):
+            builtin_pattern_kind(name)
 
 
 def test_builtin_patterns_verify():
@@ -100,7 +135,7 @@ def test_empty_pattern_fails_with_vertex_witness():
 
 
 def test_density_trivial():
-    assert density(PeriodicPattern(Lattice.SQ, (1, 1), frozenset({(0, 0)}))) == 1
+    assert PeriodicPattern(Lattice.SQ, (1, 1), frozenset({(0, 0)})).density() == 1
 
 
 def test_build_torus_shapes():
@@ -173,7 +208,7 @@ def test_random_pattern_torus_cross_check():
 def test_search_finds_sq_redold_half():
     p = search_patterns(Lattice.SQ, Kind.RED_OLD, (4, 4), Fraction(1, 2))
     assert p is not None
-    assert density(p) == Fraction(1, 2)
+    assert p.density() == Fraction(1, 2)
     assert verify_pattern(p, Kind.RED_OLD).holds
 
 
@@ -185,7 +220,7 @@ def test_search_none_below_optimal_sq_redold():
 def test_search_reproduces_king_redold_builtin():
     p = search_patterns(Lattice.KING, Kind.RED_OLD, (6, 6), Fraction(1, 3))
     assert p is not None
-    assert density(p) == Fraction(1, 3)
+    assert p.density() == Fraction(1, 3)
     builtin = builtin_pattern("king-redold")
     assert p.period == builtin.period and p.cells == builtin.cells
 
@@ -227,4 +262,103 @@ def test_pattern_json_errors():
 def test_search_hex_respects_parity():
     p = search_patterns(Lattice.HEX, Kind.OLD, (2, 2), Fraction(1, 2))
     assert p is not None and p.period == (2, 2)
-    assert density(p) == Fraction(1, 2)
+    assert p.density() == Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# The residue-table check against the from-scratch one: rebuild the ball of
+# radius 2 around every fundamental-domain vertex, compute each vertex's
+# code as a frozenset of absolute coordinates, and check every pair from
+# both ends.  Reports must be equal field by field, witnesses included.
+
+def _reference_ball2(lattice, x, y):
+    first = set(neighbors(lattice, x, y))
+    second = {w for nb in first for w in neighbors(lattice, *nb)}
+    return tuple(sorted((first | second) - {(x, y)}))
+
+
+def _reference_code(pattern, v):
+    return frozenset(w for w in neighbors(pattern.lattice, *v) if pattern.contains(*w))
+
+
+def reference_verify_pattern(pattern, kind):
+    k = kind.fold
+    px, py = pattern.period
+    dens = pattern.density()
+    domain = [(x, y) for x in range(px) for y in range(py)]
+    codes = {}
+    for u in domain:
+        code = _reference_code(pattern, u)
+        codes[u] = code
+        if len(code) < k:
+            return DensityReport(False, kind, dens, vertex=u, count=len(code))
+    for u in domain:
+        for v in _reference_ball2(pattern.lattice, *u):
+            c = len(codes[u] ^ _reference_code(pattern, v))
+            if c < k:
+                return DensityReport(False, kind, dens, pair=(u, v), count=c)
+    return DensityReport(True, kind, dens)
+
+
+def _assert_matches_reference(pattern):
+    for kind in Kind:
+        assert verify_pattern(pattern, kind) == reference_verify_pattern(pattern, kind), (
+            pattern, kind)
+
+
+def _lattice_periods(lattice, largest):
+    """Every period up to largest x largest that the lattice allows."""
+    sizes = range(2, largest + 1, 2) if lattice is Lattice.HEX else range(1, largest + 1)
+    return [(px, py) for px in sizes for py in sizes]
+
+
+def test_verify_pattern_matches_reference_on_random_patterns():
+    rng = random.Random(2024)
+    witnesses = {"vertex": 0, "pair": 0}
+    for _ in range(250):
+        lattice = rng.choice(list(Lattice))
+        px, py = rng.choice(_lattice_periods(lattice, 7))
+        p = rng.choice([0.4, 0.5, 0.6, 0.7])
+        cells = frozenset((x, y) for x in range(px) for y in range(py) if rng.random() < p)
+        pattern = PeriodicPattern(lattice, (px, py), cells)
+        _assert_matches_reference(pattern)
+        for kind in Kind:
+            rep = verify_pattern(pattern, kind)
+            if not rep.holds:
+                witnesses["vertex" if rep.vertex is not None else "pair"] += 1
+    assert min(witnesses.values()) >= 30, witnesses  # both witness kinds occur
+
+
+def test_verify_pattern_matches_reference_on_every_small_period():
+    # periods 1..7 in each direction, thin ones (1 x n, n x 1) included:
+    # there residues repeat inside one neighborhood
+    rng = random.Random(7)
+    for lattice in Lattice:
+        for px, py in _lattice_periods(lattice, 7):
+            domain = [(x, y) for x in range(px) for y in range(py)]
+            for size in {len(domain) // 2, len(domain) - 1}:
+                _assert_matches_reference(
+                    PeriodicPattern(lattice, (px, py), frozenset(rng.sample(domain, size))))
+
+
+@pytest.mark.parametrize("lattice, period", [
+    (Lattice.SQ, (1, 5)), (Lattice.SQ, (3, 3)), (Lattice.SQ, (2, 1)),
+    (Lattice.HEX, (2, 2)), (Lattice.HEX, (2, 4)),
+    (Lattice.TRI, (3, 2)), (Lattice.TRI, (1, 7)),
+    (Lattice.KING, (3, 1)), (Lattice.KING, (2, 3)),
+])
+def test_verify_pattern_matches_reference_exhaustively(lattice, period):
+    px, py = period
+    domain = [(x, y) for x in range(px) for y in range(py)]
+    for size in range(len(domain) + 1):
+        for cells in itertools.combinations(domain, size):
+            _assert_matches_reference(PeriodicPattern(lattice, period, frozenset(cells)))
+
+
+def test_domination_failure_builds_no_separation_table():
+    pattern = PeriodicPattern(Lattice.SQ, (13, 11), frozenset())
+    info = grids._separation_table.cache_info
+    before = info().hits + info().misses
+    rep = verify_pattern(pattern, Kind.OLD)
+    assert rep.vertex == (0, 0) and rep.count == 0
+    assert info().hits + info().misses == before  # the table was not even asked for
