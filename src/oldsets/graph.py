@@ -110,6 +110,17 @@ class Graph:
         :meth:`meeting_pairs` order.  Built once per graph."""
         return self.adj + tuple(self.adj[u] ^ self.adj[v] for u, v in self.meeting_pairs())
 
+    @cached_property
+    def constraint_watch(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex v, the masks of :attr:`constraint_masks` that contain
+        v, in table order: the only constraints that excluding v can
+        change."""
+        watch: list[list[int]] = [[] for _ in range(self.n)]
+        for need in self.constraint_masks:
+            for v in vertices_of(need):
+                watch[v].append(need)
+        return tuple(map(tuple, watch))
+
     def num_edges(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 
@@ -186,11 +197,20 @@ def graph_from_json(text: str) -> Graph:
         raise InputError(f"invalid graph JSON: {exc}") from None
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise InputError('graph JSON must be an object with "n" and "edges"')
-    edges = [tuple(e) for e in d["edges"]]
+    # type(x) is int: a JSON true or false is a bool, which isinstance accepts
+    n, edges, labels = d["n"], d["edges"], d.get("labels")
+    if type(n) is not int:
+        raise InputError(f'graph "n" must be an integer, got {n!r}')
+    if not isinstance(edges, list):
+        raise InputError(f'graph "edges" must be a list of vertex pairs, got {edges!r}')
     for e in edges:
-        if len(e) != 2:
-            raise InputError(f"bad edge entry {list(e)!r}")
-    return build_graph(d["n"], edges, d.get("labels"))
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+            raise InputError(f"bad edge entry {e!r}: expected a pair of integers")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+    ):
+        raise InputError(f'graph "labels" must be a list of strings, got {labels!r}')
+    return build_graph(n, [tuple(e) for e in edges], labels)
 
 
 def graph_from_edge_list(text: str) -> Graph:

@@ -111,12 +111,18 @@ class CnfInstance:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    """Parse DIMACS CNF; every clause must have exactly three literals."""
+    """Parse DIMACS CNF; every clause must have exactly three literals.
+
+    Reading stops at a line that is exactly ``%``: SATLIB files end with
+    that line and a stray ``0``.
+    """
     num_vars = num_clauses = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
+        if line == "%":
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):

@@ -26,6 +26,15 @@ and as a certificate that a vertex lies in every optimal set.
 The constraints are the graph's ``constraint_masks``: separation is kept
 only for meeting pairs, as a pair with disjoint neighborhoods can never
 fire a rule, nor be the tightest constraint, while domination holds.
+
+Every search state is a propagation fixpoint: each constraint keeps >= k
+candidates, and where it keeps exactly k they are all in forced_in.  The
+rules read only forced_out, so the include child (forced_in | {v}) of a
+fixpoint is itself one and needs no pass; the exclude child
+(forced_out | {v}) can only change the constraints that contain v, so its
+pass covers ``constraint_watch[v]`` alone.  Only the root takes a full
+``propagate``.  The search is an explicit-stack loop, so its depth is not
+limited by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -94,12 +103,18 @@ def feasibility_check(g: Graph, kind: Kind) -> bool:
 def propagate(g: Graph, kind: Kind, state: SearchState) -> SearchState | None:
     """Close rules R1/R2 to a fixpoint; None signals conflict (R3).  The
     rules read only forced_out, which never grows here, so one pass does."""
-    k = kind.fold
     fin, fout = state.forced_in, state.forced_out
     if fin & fout:
         return None
+    return _close(g, kind.fold, fin, fout, g.constraint_masks)
+
+
+def _close(
+    g: Graph, k: int, fin: int, fout: int, masks: tuple[int, ...]
+) -> SearchState | None:
+    # one R1/R3 pass over ``masks``
     keep = ~fout
-    for need in g.constraint_masks:
+    for need in masks:
         avail = need & keep
         c = avail.bit_count()
         if c <= k:
@@ -107,6 +122,24 @@ def propagate(g: Graph, kind: Kind, state: SearchState) -> SearchState | None:
                 return None
             fin |= avail
     return SearchState(fin, fout, _bound(g, k, fin))
+
+
+def _include_child(g: Graph, k: int, state: SearchState, v: int) -> SearchState:
+    """``propagate`` on (forced_in | {v}, forced_out), for a fixpoint
+    ``state`` and an undecided v.  No pass is needed: every avail is the
+    parent's, so each forced one is already in forced_in and none is short."""
+    fin = state.forced_in | 1 << v
+    return SearchState(fin, state.forced_out, _bound(g, k, fin))
+
+
+def _exclude_child(g: Graph, k: int, state: SearchState, v: int) -> SearchState | None:
+    """``propagate`` on (forced_in, forced_out | {v}), for a fixpoint
+    ``state`` and an undecided v: only the constraints that contain v lose a
+    candidate, so only ``constraint_watch[v]`` is passed over.  Never None
+    there: in a fixpoint a constraint with exactly k candidates has them all
+    in forced_in, so one that contains the undecided v has at least k + 1
+    and keeps k without v."""
+    return _close(g, k, state.forced_in, state.forced_out | 1 << v, g.constraint_watch[v])
 
 
 def _bound(g: Graph, k: int, fin: int) -> int:
@@ -124,7 +157,6 @@ class _Search:
     def __init__(self, g: Graph, kind: Kind, budget: int):
         self.g = g
         self.k = kind.fold
-        self.kind = kind
         self.budget = budget
         self.nodes = 0
 
@@ -170,25 +202,25 @@ class _Search:
     def find_value(self, root: SearchState, ub: int) -> int:
         """Best-first depth search for the minimum size; ``ub`` must be the
         size of some known-feasible set."""
-
-        def dfs(state: SearchState, ub: int) -> int:
+        g, k = self.g, self.k
+        # (state, None) is a state to visit; (parent, v) stands for the
+        # exclude child of parent on v, built only when popped, so a search
+        # that stops early never builds the rest
+        stack: list[tuple[SearchState, int | None]] = [(root, None)]
+        while stack:
+            state, v = stack.pop()
+            if v is not None:
+                state = _exclude_child(g, k, state, v)
             self._tick()
             if state.lower_bound >= ub:
-                return ub
+                continue
             v = self._branch_vertex(state.forced_in, state.forced_out)
             if v is None:
-                return min(ub, state.forced_in.bit_count())
-            bit = 1 << v
-            for fin, fout in (
-                (state.forced_in | bit, state.forced_out),
-                (state.forced_in, state.forced_out | bit),
-            ):
-                child = propagate(self.g, self.kind, SearchState(fin, fout))
-                if child is not None:
-                    ub = dfs(child, ub)
-            return ub
-
-        return dfs(root, ub)
+                ub = min(ub, state.forced_in.bit_count())
+                continue
+            stack.append((state, v))
+            stack.append((_include_child(g, k, state, v), None))
+        return ub
 
     def collect(self, root: SearchState, target: int, stop_first: bool) -> list[int]:
         """All accepted sets of size exactly ``target`` (the optimum), in
@@ -199,29 +231,30 @@ class _Search:
         so ``stop_first`` short-circuits enumeration when only the witness
         is wanted.
         """
+        g, k = self.g, self.k
         out: list[int] = []
-
-        def dfs(state: SearchState) -> bool:
+        stack: list[tuple[SearchState, int | None]] = [(root, None)]
+        while stack:
+            state, v = stack.pop()
+            if v is not None:
+                state = _exclude_child(g, k, state, v)
             self._tick()
             if state.lower_bound > target:
-                return False
+                continue
             fin, fout = state.forced_in, state.forced_out
             if self._satisfied(fin):
                 if fin.bit_count() != target:
                     raise AssertionError("solution below proven optimum")
                 out.append(fin)
-                return stop_first
-            undecided = ~(fin | fout) & self.g.all_mask()
+                if stop_first:
+                    break
+                continue
+            undecided = ~(fin | fout) & g.all_mask()
             if not undecided:
-                return False
-            bit = undecided & -undecided
-            for nfin, nfout in ((fin | bit, fout), (fin, fout | bit)):
-                child = propagate(self.g, self.kind, SearchState(nfin, nfout))
-                if child is not None and dfs(child):
-                    return True
-            return False
-
-        dfs(root)
+                continue
+            v = (undecided & -undecided).bit_length() - 1
+            stack.append((state, v))
+            stack.append((_include_child(g, k, state, v), None))
         return out
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from oldsets.cli import main
+from oldsets.graph import graph_to_json, path_graph
 
 TWO_CLAUSE_DIMACS = "p cnf 4 2\n1 2 -3 0\n-1 2 -4 0\n"
 
@@ -76,6 +77,48 @@ def test_solve_infeasible_is_data(capsys):
 def test_solve_budget_exceeded(capsys):
     code, rep = run_json(capsys, "solve", "builtin:g11", "--kind", "old", "--budget", "1")
     assert code == 3 and "error" in rep
+
+
+def test_solve_deep_search_exceeds_budget(capsys, tmp_path):
+    # P_1200 branches more than 1000 levels deep within its first 1200 nodes
+    f = tmp_path / "p1200.json"
+    f.write_text(graph_to_json(path_graph(1200)))
+    code, rep = run_json(capsys, "solve", str(f), "--kind", "old", "--budget", "1200")
+    assert code == 3 and rep["exit_code"] == 3 and "budget exceeded" in rep["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph, message", [
+    ('{"n": "3", "edges": []}', '"n" must be an integer'),
+    ('{"n": true, "edges": []}', '"n" must be an integer'),
+    ('{"n": 3, "edges": 5}', '"edges" must be a list of vertex pairs'),
+    ('{"n": 3, "edges": [["0", 1]]}', "expected a pair of integers"),
+    ('{"n": 3, "edges": [[0.0, 1]]}', "expected a pair of integers"),
+    ('{"n": 2, "edges": [[0, 1]], "labels": [1, 2]}', '"labels" must be a list of strings'),
+])
+def test_solve_malformed_graph_json_is_input_error(capsys, tmp_path, graph, message):
+    f = tmp_path / "g.json"
+    f.write_text(graph)
+    code, rep = run_json(capsys, "solve", str(f), "--kind", "old")
+    assert code == 2 and rep["exit_code"] == 2 and message in rep["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+GOLDEN_SOLVE = Path(__file__).with_name("solve_golden.json")
+
+
+def test_solve_json_matches_golden_outputs(capsys, tmp_path, monkeypatch):
+    # solve --format json, node counts included, for g11 and 40 seeded
+    # G(n, 0.3) graphs (n = 10..16, both kinds, --enumerate), recorded
+    # before the search became incremental and iterative
+    monkeypatch.chdir(tmp_path)
+    cases = json.loads(GOLDEN_SOLVE.read_text())
+    assert len(cases) == 84
+    for case in cases:
+        if case["graph"] is not None:
+            Path(case["argv"][1]).write_text(json.dumps(case["graph"]))
+        code, out = run(capsys, *case["argv"])
+        assert (code, out) == (case["exit_code"], case["stdout"]), case["argv"]
 
 
 def test_solve_graph_from_file(capsys, tmp_path):

@@ -53,6 +53,11 @@ def test_parse_comments_and_multiline_clauses():
     assert cnf.clauses == ((1, 2, -1),)
 
 
+def test_parse_stops_at_satlib_trailer():
+    # SATLIB uf*.cnf files end with a "%" line and then "0"
+    assert parse_dimacs(TWO_CLAUSE_DIMACS + "%\n0\n\n") == parse_dimacs(TWO_CLAUSE_DIMACS)
+
+
 def test_parse_errors():
     for text in (
         "1 2 3 0\n",                      # clause before header

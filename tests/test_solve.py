@@ -10,6 +10,8 @@ from oldsets.fixtures import g11
 from oldsets.graph import build_graph, complete_graph, cycle_graph, mask_of, path_graph, vertices_of
 from oldsets.solve import (
     SearchState,
+    _exclude_child,
+    _include_child,
     _Search,
     feasibility_check,
     is_in_every_optimal_set,
@@ -160,6 +162,12 @@ def test_budget_exceeded_raises():
         min_set(g11(), Kind.OLD, budget=1)
 
 
+def test_deep_search_exceeds_budget_without_recursion_error():
+    # P_1200 branches more than 1000 levels deep within its first 1200 nodes
+    with pytest.raises(BudgetExceededError):
+        min_set(path_graph(1200), Kind.OLD, budget=1200)
+
+
 def test_budget_error_carries_counts():
     try:
         min_set(g11(), Kind.OLD, budget=2)
@@ -262,3 +270,33 @@ def test_branch_vertex_matches_all_pairs_reference():
                 assert search._branch_vertex(fin, fout) == want
                 chosen += 1
     assert chosen > 500
+
+
+def test_child_steps_match_propagate():
+    # the search's include and exclude child steps, from propagation
+    # fixpoints on every undecided vertex, against a full propagate pass
+    rng = random.Random(47)
+    outcomes = {"forced": 0, "unchanged": 0}
+    for i in range(150):
+        g = random_graph_with_twins(
+            rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]), isolated=i % 4 == 0
+        )
+        for kind in Kind:
+            for _ in range(6):
+                # sparse partial states: denser ones mostly conflict
+                fin = rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n)
+                fout = rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n) & ~fin
+                state = propagate(g, kind, SearchState(fin, fout))
+                if state is None:
+                    continue
+                fin, fout = state.forced_in, state.forced_out
+                for v in vertices_of(g.all_mask() & ~(fin | fout)):
+                    bit = 1 << v
+                    include = _include_child(g, kind.fold, state, v)
+                    assert include == propagate(g, kind, SearchState(fin | bit, fout))
+                    exclude = _exclude_child(g, kind.fold, state, v)
+                    assert exclude == propagate(g, kind, SearchState(fin, fout | bit))
+                    # excluding an undecided vertex from a fixpoint never conflicts
+                    assert exclude is not None
+                    outcomes["forced" if exclude.forced_in != fin else "unchanged"] += 1
+    assert min(outcomes.values()) > 150, outcomes
