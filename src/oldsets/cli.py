@@ -13,6 +13,7 @@ oracle (a correctness alarm; never expected).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -264,7 +265,11 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call rather
+    than at import, and reused: parsing keeps no state in the parser, and
+    each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="oldsets",
         description="Verify and solve open-locating-dominating set problems.",

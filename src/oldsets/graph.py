@@ -17,6 +17,7 @@ from .errors import InputError
 
 __all__ = [
     "Graph",
+    "MAX_VERTICES",
     "build_graph",
     "mask_of",
     "vertices_of",
@@ -140,6 +141,13 @@ class Graph:
         return v
 
 
+# The largest vertex count build_graph accepts.  Checked before the
+# adjacency list is allocated, so a huge "n" in an input file is an input
+# error rather than a MemoryError; the exact solver and the all-pairs
+# checks are far out of reach long before this size anyway.
+MAX_VERTICES = 10**6
+
+
 def build_graph(
     n: int,
     edges: Iterable[tuple[int, int]],
@@ -147,11 +155,14 @@ def build_graph(
 ) -> Graph:
     """Build a graph from an edge list, deduplicating repeated edges.
 
-    Raises :class:`InputError` for self-loops, out-of-range endpoints, or a
-    label list that does not match ``n`` (or has duplicates).
+    Raises :class:`InputError` for a vertex count outside 0..MAX_VERTICES,
+    self-loops, out-of-range endpoints, or a label list that does not match
+    ``n`` (or has duplicates).
     """
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
+    if n > MAX_VERTICES:
+        raise InputError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
         if u == v:

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InputError
-from .graph import Graph, build_graph
+from .graph import MAX_VERTICES, Graph, build_graph
 from .verify import Kind
 
 __all__ = [
@@ -80,6 +80,23 @@ def lattice_degree(lattice: Lattice) -> int:
     return 3 if lattice is Lattice.HEX else len(_FIXED_OFFSETS[lattice])
 
 
+def _check_lattice(lattice) -> None:
+    if not isinstance(lattice, Lattice):
+        raise InputError(f"lattice must be a Lattice, got {lattice!r}")
+
+
+def _positive_pair(value, what: str) -> tuple[int, int]:
+    """``value`` if it is a tuple of two ints >= 1, else InputError.  The
+    check is type(...) is int, which rejects bool; the residue arithmetic
+    assumes integers."""
+    if not (type(value) is tuple and len(value) == 2
+            and type(value[0]) is int and type(value[1]) is int):
+        raise InputError(f"{what} must be a pair of integers, got {value!r}")
+    if value[0] < 1 or value[1] < 1:
+        raise InputError(f"{what} must be positive, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class PeriodicPattern:
     """A lattice, a rectangular period, and the in-pattern offsets of one
@@ -92,17 +109,10 @@ class PeriodicPattern:
     name: str | None = None
 
     def __post_init__(self):
-        # type(...) is int rejects bool; this one check guards the JSON and
-        # the library paths, and the residue arithmetic assumes integers
-        if not isinstance(self.lattice, Lattice):
-            raise InputError(f"lattice must be a Lattice, got {self.lattice!r}")
-        period = self.period
-        if not (type(period) is tuple and len(period) == 2
-                and type(period[0]) is int and type(period[1]) is int):
-            raise InputError(f"period must be a pair of integers, got {period!r}")
-        px, py = period
-        if px < 1 or py < 1:
-            raise InputError(f"period must be positive, got {period}")
+        # one check for the JSON and the library paths; type(...) is int
+        # rejects bool, as in _positive_pair
+        _check_lattice(self.lattice)
+        px, py = _positive_pair(self.period, "period")
         if self.lattice is Lattice.HEX and (px % 2 or py % 2):
             raise InputError("HEX patterns need even periods in both directions")
         for cell in self.cells:
@@ -261,6 +271,29 @@ def _first_short(
     return None
 
 
+def _first_failure(
+    lattice: Lattice, px: int, py: int, cells: int, k: int
+) -> tuple[bool, int, int] | None:
+    """The first constraint that the cells (bit x*py + y for the cell
+    (x, y)) meet fewer than k times, else None.
+
+    The failure is (False, i, count) for the domination constraint of the
+    domain vertex divmod(i, py), or (True, code, count) for the separation
+    constraint of the pair ``_pair_of(lattice, py, code)``.  The
+    separation table is fetched only once domination holds.  This is the
+    one table check: :func:`verify_pattern` reports it and
+    :func:`search_patterns` tests it for None.
+    """
+    short = _first_short(*_domination_table(lattice, px, py), cells, k)
+    if short is not None:
+        return False, short[0], short[1]
+    spread, masks, codes = _separation_table(lattice, px, py)
+    short = _first_short(spread, masks, cells, k)
+    if short is not None:
+        return True, codes[short[0]], short[1]
+    return None
+
+
 def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> DensityReport:
     """Check the kind's conditions over the whole infinite lattice.
 
@@ -273,23 +306,19 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> DensityReport:
     failing pair (u in domain order, then v sorted).  A pattern that fails
     domination never builds the separation table.
     """
-    k = kind.fold
-    lattice = pattern.lattice
     px, py = pattern.period
     dens = pattern.density()
     cells = 0
     for x, y in pattern.cells:
         cells |= 1 << (x * py + y)
-    short = _first_short(*_domination_table(lattice, px, py), cells, k)
-    if short is not None:
-        return DensityReport(False, kind, dens, vertex=divmod(short[0], py), count=short[1])
-    spread, masks, codes = _separation_table(lattice, px, py)
-    short = _first_short(spread, masks, cells, k)
-    if short is not None:
-        return DensityReport(
-            False, kind, dens, pair=_pair_of(lattice, py, codes[short[0]]), count=short[1]
-        )
-    return DensityReport(True, kind, dens)
+    failure = _first_failure(pattern.lattice, px, py, cells, kind.fold)
+    if failure is None:
+        return DensityReport(True, kind, dens)
+    is_pair, at, count = failure
+    if is_pair:
+        pair = _pair_of(pattern.lattice, py, at)
+        return DensityReport(False, kind, dens, pair=pair, count=count)
+    return DensityReport(False, kind, dens, vertex=divmod(at, py), count=count)
 
 
 def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
@@ -297,10 +326,13 @@ def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
 
     Dimensions below 5 (and odd dimensions for HEX) are rejected: the wrap
     would identify distance-<=2 neighbors or break the parity rule, which
-    defeats the cross-check this graph exists for.
+    defeats the cross-check this graph exists for.  So is a torus above
+    MAX_VERTICES vertices, before its edges are built.
     """
     if width < 5 or height < 5:
         raise InputError(f"torus dimensions must be >= 5, got {width}x{height}")
+    if width * height > MAX_VERTICES:
+        raise InputError(f"torus {width}x{height} is above the limit of {MAX_VERTICES} vertices")
     if lattice is Lattice.HEX and (width % 2 or height % 2):
         raise InputError("HEX tori need even dimensions")
     edges = set()
@@ -348,20 +380,36 @@ def search_patterns(
     lattice: Lattice,
     kind: Kind,
     max_period: tuple[int, int] = (6, 6),
-    target_density: Fraction | None = None,
+    target_density: int | Fraction | None = None,
 ) -> PeriodicPattern | None:
     """Exhaustive deterministic search for a verifying pattern with density
     <= target over all periods within ``max_period``.
 
     Periods are tried by increasing area (ties by px then py), cell counts
-    ascending, cell subsets in lexicographic order; the first verifying
-    pattern is returned, or None when the bound is exhausted.
+    ascending, cell subsets in lexicographic domain order; the first
+    verifying pattern is returned, or None when the bound is exhausted.
+
+    A candidate is only a cell mask: the subsets are walked as
+    ``itertools.combinations`` of the residue bits 1 << (x*py + y), which
+    is domain order, and each is checked against the cached residue tables
+    by the same check as :func:`verify_pattern`, so the first pattern found
+    is the one that verifying every subset in order would find.  The one
+    :class:`PeriodicPattern` built is the one returned.
+
+    Raises :class:`InputError` unless ``lattice`` is a :class:`Lattice`,
+    ``kind`` a :class:`Kind`, ``max_period`` a tuple of two ints >= 1 and
+    ``target_density`` a positive int or Fraction (a float could floor the
+    cell count wrongly: 0.29 * 100 == 28.999...).
     """
-    if target_density is None or target_density <= 0:
-        raise InputError("a positive target density is required")
-    mx, my = max_period
-    if mx < 1 or my < 1:
-        raise InputError(f"max_period must be positive, got {max_period}")
+    _check_lattice(lattice)
+    if not isinstance(kind, Kind):
+        raise InputError(f"kind must be a Kind, got {kind!r}")
+    mx, my = _positive_pair(max_period, "max_period")
+    target = target_density
+    if (type(target) is not int and not isinstance(target, Fraction)) or target <= 0:
+        raise InputError(
+            f"target density must be a positive int or Fraction, got {target!r}")
+    k = kind.fold
     periods = sorted(
         (
             (px, py)
@@ -373,13 +421,14 @@ def search_patterns(
     )
     for px, py in periods:
         area = px * py
-        max_cells = int(target_density * area)  # floor; density stays <= target
-        domain = [(x, y) for x in range(px) for y in range(py)]
+        bits = [1 << r for r in range(area)]
+        max_cells = int(target * area)  # exact floor; density stays <= target
         for count in range(1, max_cells + 1):
-            for combo in itertools.combinations(domain, count):
-                pattern = PeriodicPattern(lattice, (px, py), frozenset(combo))
-                if verify_pattern(pattern, kind).holds:
-                    return pattern
+            for combo in itertools.combinations(bits, count):
+                # distinct bits, so their sum is the cell mask
+                if _first_failure(lattice, px, py, sum(combo), k) is None:
+                    cells = frozenset(divmod(b.bit_length() - 1, py) for b in combo)
+                    return PeriodicPattern(lattice, (px, py), cells)
     return None
 
 

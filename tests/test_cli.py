@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from oldsets.cli import main
-from oldsets.graph import graph_to_json, path_graph
+from oldsets.cli import _build_parser, main
+from oldsets.graph import MAX_VERTICES, graph_to_json, path_graph
 
 TWO_CLAUSE_DIMACS = "p cnf 4 2\n1 2 -3 0\n-1 2 -4 0\n"
 
@@ -102,6 +102,39 @@ def test_solve_malformed_graph_json_is_input_error(capsys, tmp_path, graph, mess
     code, rep = run_json(capsys, "solve", str(f), "--kind", "old")
     assert code == 2 and rep["exit_code"] == 2 and message in rep["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("g.json", '{"n": 1000000000000, "edges": []}'),
+    ("g.txt", "1000000000000 0\n"),
+    ("g.json", '{"n": %d, "edges": []}' % (MAX_VERTICES + 1)),
+])
+def test_vertex_count_above_limit_is_input_error(capsys, tmp_path, name, text):
+    # the count is checked before the adjacency list is allocated, so this
+    # is an input error rather than a MemoryError with a traceback
+    f = tmp_path / name
+    f.write_text(text)
+    code, rep = run_json(capsys, "solve", str(f), "--kind", "old")
+    assert code == 2 and rep["exit_code"] == 2 and "above the limit" in rep["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cross_check_torus_above_limit_is_input_error(capsys):
+    code, rep = run_json(capsys, "grid", "sq", "builtin:sq-redold", "--kind", "redold",
+                         "--cross-check", "1000000x1000000")
+    assert code == 2 and "above the limit" in rep["error"]
+
+
+def test_main_calls_share_no_parser_state(capsys):
+    # the parser is built once per process; every call still parses afresh
+    code, rep = run_json(capsys, "solve", "builtin:g11", "--kind", "redold", "--enumerate")
+    assert code == 0 and rep["optima_count"] == 1
+    code, rep = run_json(capsys, "solve", "builtin:g11", "--kind", "redold")
+    assert code == 0 and rep["value"] == 9 and "optima" not in rep
+    assert main(["solve", "builtin:g11", "--kind", "old", "--frobnicate"]) == 2
+    code, rep = run_json(capsys, "solve", "builtin:g11", "--kind", "old")
+    assert code == 0 and rep["value"] == 6
+    assert _build_parser() is _build_parser()
 
 
 GOLDEN_SOLVE = Path(__file__).with_name("solve_golden.json")

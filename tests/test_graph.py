@@ -9,6 +9,7 @@ from conftest import graphs, random_graph_with_twins
 from oldsets.errors import InputError
 from oldsets.fixtures import builtin_graph, g11
 from oldsets.graph import (
+    MAX_VERTICES,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -46,6 +47,13 @@ def test_self_loop_rejected():
 def test_out_of_range_endpoint_rejected():
     with pytest.raises(InputError):
         build_graph(3, [(0, 3)])
+
+
+def test_vertex_count_limit():
+    assert build_graph(MAX_VERTICES, [(0, MAX_VERTICES - 1)]).n == MAX_VERTICES
+    for n in (MAX_VERTICES + 1, 10**12):
+        with pytest.raises(InputError, match="above the limit"):
+            build_graph(n, [])
 
 
 def test_bad_vertex_query_rejected():

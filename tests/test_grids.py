@@ -236,6 +236,38 @@ def test_search_rejects_bad_target():
         search_patterns(Lattice.SQ, Kind.OLD, (3, 3), None)
 
 
+@pytest.mark.parametrize("lattice, kind, max_period, target", [
+    ("sq", Kind.OLD, (3, 3), Fraction(1, 2)),
+    (Lattice.SQ, "old", (3, 3), Fraction(1, 2)),
+    (Lattice.SQ, Kind.OLD, (2.0, 2), Fraction(1, 2)),
+    (Lattice.SQ, Kind.OLD, (True, 3), Fraction(1, 2)),
+    (Lattice.SQ, Kind.OLD, (3, 0), Fraction(1, 2)),
+    (Lattice.SQ, Kind.OLD, (3,), Fraction(1, 2)),
+    (Lattice.SQ, Kind.OLD, (3, 3), 0.5),
+    (Lattice.SQ, Kind.OLD, (3, 3), True),
+    (Lattice.SQ, Kind.OLD, (3, 3), Fraction(-1, 2)),
+], ids=["str-lattice", "str-kind", "float-period", "bool-period",
+        "zero-period", "short-period", "float-target", "bool-target", "negative-target"])
+def test_search_rejects_bad_arguments(lattice, kind, max_period, target):
+    with pytest.raises(InputError):
+        search_patterns(lattice, kind, max_period, target)
+
+
+def test_search_accepts_int_target():
+    p = search_patterns(Lattice.SQ, Kind.RED_OLD, (2, 2), 1)
+    assert p == PeriodicPattern(Lattice.SQ, (1, 1), frozenset({(0, 0)}))
+
+
+@pytest.mark.parametrize("name, max_period", [
+    ("tri-redold", (4, 4)), ("king-old", (4, 4)), ("hex-redold", (6, 2)),
+])
+def test_search_reproduces_builtin_first_pattern(name, max_period):
+    builtin = builtin_pattern(name)
+    p = search_patterns(builtin.lattice, builtin_pattern_kind(name), max_period,
+                        builtin.density())
+    assert p.period == builtin.period and p.cells == builtin.cells
+
+
 def test_monotone_densities_across_kinds():
     for lattice in Lattice:
         old = EXPECTED_DENSITIES[f"{lattice.value}-old"]
@@ -362,3 +394,40 @@ def test_domination_failure_builds_no_separation_table():
     rep = verify_pattern(pattern, Kind.OLD)
     assert rep.vertex == (0, 0) and rep.count == 0
     assert info().hits + info().misses == before  # the table was not even asked for
+
+
+# ---------------------------------------------------------------------------
+# The cell-mask search against the per-candidate one it replaced: build and
+# verify a PeriodicPattern for every subset, in the same order.
+
+def reference_search_patterns(lattice, kind, max_period, target):
+    mx, my = max_period
+    periods = sorted(
+        ((px, py) for px in range(1, mx + 1) for py in range(1, my + 1)
+         if lattice is not Lattice.HEX or (px % 2 == 0 and py % 2 == 0)),
+        key=lambda p: (p[0] * p[1], p[0], p[1]),
+    )
+    for px, py in periods:
+        domain = [(x, y) for x in range(px) for y in range(py)]
+        for count in range(1, int(target * px * py) + 1):
+            for combo in itertools.combinations(domain, count):
+                pattern = PeriodicPattern(lattice, (px, py), frozenset(combo))
+                if verify_pattern(pattern, kind).holds:
+                    return pattern
+    return None
+
+
+SWEEP_TARGETS = tuple(Fraction(t) for t in ("1/5", "1/4", "1/3", "2/5", "1/2", "2/3", "3/4"))
+
+
+@pytest.mark.parametrize("lattice", list(Lattice))
+@pytest.mark.parametrize("kind", list(Kind))
+def test_search_matches_reference(lattice, kind):
+    max_period = (4, 4) if lattice is Lattice.HEX else (3, 4)
+    found = 0
+    for target in SWEEP_TARGETS:
+        p = search_patterns(lattice, kind, max_period, target)
+        assert p == reference_search_patterns(lattice, kind, max_period, target), target
+        found += p is not None
+    # the sweep must reach the patterns, not only run out of candidates
+    assert found > 0
