@@ -37,19 +37,30 @@ EXIT_BUDGET = 3
 EXIT_DISAGREE = 4
 
 
+def _read_text(spec: str, what: str) -> str:
+    """The UTF-8 text of the file ``spec``; a missing file or one that is not
+    UTF-8 is an input error, named as the ``what`` file."""
+    path = Path(spec)
+    if not path.exists():
+        raise InputError(f"{what} file {spec!r} not found")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{what} file {spec!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def _load_graph(spec: str) -> Graph:
     if spec.startswith("builtin:"):
         return builtin_graph(spec[len("builtin:"):])
-    path = Path(spec)
-    if not path.exists():
-        raise InputError(f"graph file {spec!r} not found")
-    return graph_from_text(path.read_text())
+    return graph_from_text(_read_text(spec, "graph"))
 
 
 def _load_set(spec: str, g: Graph) -> int:
     if Path(spec).is_file():
         try:
-            items = json.loads(Path(spec).read_text())
+            items = json.loads(_read_text(spec, "set"))
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid set JSON: {exc}") from None
         if not isinstance(items, list):
@@ -62,10 +73,7 @@ def _load_set(spec: str, g: Graph) -> int:
 def _load_pattern(spec: str) -> grids.PeriodicPattern:
     if spec.startswith("builtin:"):
         return grids.builtin_pattern(spec[len("builtin:"):])
-    path = Path(spec)
-    if not path.exists():
-        raise InputError(f"pattern file {spec!r} not found")
-    return grids.pattern_from_json(path.read_text())
+    return grids.pattern_from_json(_read_text(spec, "pattern"))
 
 
 def _witness_json(g: Graph, report) -> dict | None:
@@ -159,7 +167,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    cnf = sat_reduction.parse_dimacs(Path(args.cnf).read_text())
+    cnf = sat_reduction.parse_dimacs(_read_text(args.cnf, "CNF"))
     out = sat_reduction.build_reduction(cnf)
     report: dict = {
         "command": "reduce",
@@ -188,8 +196,10 @@ def cmd_reduce(args) -> int:
         if not ok:
             exit_code = EXIT_FAILS
     if args.decide:
-        via_graph = sat_reduction.decide_sat_via_redold(cnf, budget=args.budget)
+        # the oracle first: it refuses large N at once, where the solve
+        # could take minutes only to end in that refusal
         via_sat, _ = sat_reduction.satisfiable_bruteforce(cnf)
+        via_graph = sat_reduction.decide_sat_via_redold(cnf, budget=args.budget)
         agree = via_graph == via_sat
         report["decide"] = {
             "sat_via_redold": via_graph,

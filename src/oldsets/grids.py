@@ -47,6 +47,7 @@ __all__ = [
     "search_patterns",
     "builtin_pattern",
     "BUILTIN_PATTERN_NAMES",
+    "MAX_PERIOD_AREA",
     "pattern_to_json",
     "pattern_from_json",
 ]
@@ -97,6 +98,13 @@ def _positive_pair(value, what: str) -> tuple[int, int]:
     return value
 
 
+# The largest period area px*py a pattern may have.  The residue tables are
+# O(area**2) bits: a TRI 64x64 check keeps 14 MiB of them and a 100x100
+# check 74 MiB, so a huge period in an input file is an input error rather
+# than a MemoryError.  Published optimal patterns have periods up to 13x13.
+MAX_PERIOD_AREA = 4096
+
+
 @dataclass(frozen=True)
 class PeriodicPattern:
     """A lattice, a rectangular period, and the in-pattern offsets of one
@@ -113,6 +121,9 @@ class PeriodicPattern:
         # rejects bool, as in _positive_pair
         _check_lattice(self.lattice)
         px, py = _positive_pair(self.period, "period")
+        if px * py > MAX_PERIOD_AREA:
+            raise InputError(
+                f"period {px}x{py} has area {px * py}, above the limit of {MAX_PERIOD_AREA}")
         if self.lattice is Lattice.HEX and (px % 2 or py % 2):
             raise InputError("HEX patterns need even periods in both directions")
         for cell in self.cells:

@@ -27,14 +27,17 @@ The constraints are the graph's ``constraint_masks``: separation is kept
 only for meeting pairs, as a pair with disjoint neighborhoods can never
 fire a rule, nor be the tightest constraint, while domination holds.
 
-Every search state is a propagation fixpoint: each constraint keeps >= k
-candidates, and where it keeps exactly k they are all in forced_in.  The
-rules read only forced_out, so the include child (forced_in | {v}) of a
-fixpoint is itself one and needs no pass; the exclude child
-(forced_out | {v}) can only change the constraints that contain v, so its
-pass covers ``constraint_watch[v]`` alone.  Only the root takes a full
-``propagate``.  The search is an explicit-stack loop, so its depth is not
-limited by Python's recursion limit.
+A search state is a plain (forced_in, forced_out) mask pair, and every
+one is a propagation fixpoint: each constraint keeps >= k candidates, and
+where it keeps exactly k they are all in forced_in.  The rules read only
+forced_out, so the include child (forced_in | {v}) of a fixpoint is itself
+one and needs no pass; the exclude child (forced_out | {v}) can only change
+the constraints that contain v, so its pass covers ``constraint_watch[v]``
+alone and, since v was undecided, never conflicts.  Only the root takes a
+full ``propagate``; a test checks both child steps against it.  The lower
+bound is computed when a state is visited, just before its prune test.
+The search is an explicit-stack loop, so its depth is not limited by
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -106,13 +109,16 @@ def propagate(g: Graph, kind: Kind, state: SearchState) -> SearchState | None:
     fin, fout = state.forced_in, state.forced_out
     if fin & fout:
         return None
-    return _close(g, kind.fold, fin, fout, g.constraint_masks)
+    k = kind.fold
+    fin = _close(k, fin, fout, g.constraint_masks)
+    if fin is None:
+        return None
+    return SearchState(fin, fout, _bound(g, k, fin))
 
 
-def _close(
-    g: Graph, k: int, fin: int, fout: int, masks: tuple[int, ...]
-) -> SearchState | None:
-    # one R1/R3 pass over ``masks``
+def _close(k: int, fin: int, fout: int, masks: tuple[int, ...]) -> int | None:
+    """One R1/R3 pass over ``masks``: the closed forced_in, or None on a
+    conflict."""
     keep = ~fout
     for need in masks:
         avail = need & keep
@@ -121,25 +127,7 @@ def _close(
             if c < k:
                 return None
             fin |= avail
-    return SearchState(fin, fout, _bound(g, k, fin))
-
-
-def _include_child(g: Graph, k: int, state: SearchState, v: int) -> SearchState:
-    """``propagate`` on (forced_in | {v}, forced_out), for a fixpoint
-    ``state`` and an undecided v.  No pass is needed: every avail is the
-    parent's, so each forced one is already in forced_in and none is short."""
-    fin = state.forced_in | 1 << v
-    return SearchState(fin, state.forced_out, _bound(g, k, fin))
-
-
-def _exclude_child(g: Graph, k: int, state: SearchState, v: int) -> SearchState | None:
-    """``propagate`` on (forced_in, forced_out | {v}), for a fixpoint
-    ``state`` and an undecided v: only the constraints that contain v lose a
-    candidate, so only ``constraint_watch[v]`` is passed over.  Never None
-    there: in a fixpoint a constraint with exactly k candidates has them all
-    in forced_in, so one that contains the undecided v has at least k + 1
-    and keeps k without v."""
-    return _close(g, k, state.forced_in, state.forced_out | 1 << v, g.constraint_watch[v])
+    return fin
 
 
 def _bound(g: Graph, k: int, fin: int) -> int:
@@ -202,24 +190,24 @@ class _Search:
     def find_value(self, root: SearchState, ub: int) -> int:
         """Best-first depth search for the minimum size; ``ub`` must be the
         size of some known-feasible set."""
-        g, k = self.g, self.k
-        # (state, None) is a state to visit; (parent, v) stands for the
-        # exclude child of parent on v, built only when popped, so a search
-        # that stops early never builds the rest
-        stack: list[tuple[SearchState, int | None]] = [(root, None)]
+        g, k, watch = self.g, self.k, self.g.constraint_watch
+        # (fin, fout, -1) is a state to visit; with v >= 0, fout already
+        # excludes v and fin is the parent's, closed over watch[v] only when
+        # popped, so a search that stops early never closes the rest
+        stack = [(root.forced_in, root.forced_out, -1)]
         while stack:
-            state, v = stack.pop()
-            if v is not None:
-                state = _exclude_child(g, k, state, v)
+            fin, fout, v = stack.pop()
+            if v >= 0:
+                fin = _close(k, fin, fout, watch[v])
             self._tick()
-            if state.lower_bound >= ub:
+            if _bound(g, k, fin) >= ub:
                 continue
-            v = self._branch_vertex(state.forced_in, state.forced_out)
+            v = self._branch_vertex(fin, fout)
             if v is None:
-                ub = min(ub, state.forced_in.bit_count())
+                ub = min(ub, fin.bit_count())
                 continue
-            stack.append((state, v))
-            stack.append((_include_child(g, k, state, v), None))
+            stack.append((fin, fout | 1 << v, v))
+            stack.append((fin | 1 << v, fout, -1))
         return ub
 
     def collect(self, root: SearchState, target: int, stop_first: bool) -> list[int]:
@@ -229,19 +217,19 @@ class _Search:
         Branches on the lowest undecided index, include before exclude; with
         that rule the first full solution is the lexicographically smallest,
         so ``stop_first`` short-circuits enumeration when only the witness
-        is wanted.
+        is wanted.  States are (forced_in, forced_out) mask pairs, pushed
+        and bounded as in ``find_value``.
         """
-        g, k = self.g, self.k
+        g, k, watch = self.g, self.k, self.g.constraint_watch
         out: list[int] = []
-        stack: list[tuple[SearchState, int | None]] = [(root, None)]
+        stack = [(root.forced_in, root.forced_out, -1)]
         while stack:
-            state, v = stack.pop()
-            if v is not None:
-                state = _exclude_child(g, k, state, v)
+            fin, fout, v = stack.pop()
+            if v >= 0:
+                fin = _close(k, fin, fout, watch[v])
             self._tick()
-            if state.lower_bound > target:
+            if _bound(g, k, fin) > target:
                 continue
-            fin, fout = state.forced_in, state.forced_out
             if self._satisfied(fin):
                 if fin.bit_count() != target:
                     raise AssertionError("solution below proven optimum")
@@ -253,8 +241,8 @@ class _Search:
             if not undecided:
                 continue
             v = (undecided & -undecided).bit_length() - 1
-            stack.append((state, v))
-            stack.append((_include_child(g, k, state, v), None))
+            stack.append((fin, fout | 1 << v, v))
+            stack.append((fin | 1 << v, fout, -1))
         return out
 
 

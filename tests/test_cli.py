@@ -1,10 +1,13 @@
 """CLI surface: subcommands, exit codes, JSON schema stability."""
 
 import json
+import random
+import time
 from pathlib import Path
 
 import pytest
 
+from oldsets import grids
 from oldsets.cli import _build_parser, main
 from oldsets.graph import MAX_VERTICES, graph_to_json, path_graph
 
@@ -203,6 +206,20 @@ def test_reduce_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_reduce_decide_checks_oracle_limit_before_solving(capsys, tmp_path):
+    # the SAT oracle refuses N > 24; the solve must not run first
+    rng = random.Random(25)
+    lines = ["p cnf 25 100"]
+    for _ in range(100):
+        lines.append(" ".join(str(rng.choice((1, -1)) * v) for v in rng.sample(range(1, 26), 3)) + " 0")
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, rep = run_json(capsys, "reduce", str(cnf), "--decide")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "limited to N <= 24" in rep["error"]
+
+
 def test_grid_tri_old_density(capsys):
     code, rep = run_json(capsys, "grid", "tri", "builtin:tri-old", "--kind", "old", "--density")
     assert code == 0 and rep["holds"] and rep["density"] == "4/13"
@@ -234,6 +251,16 @@ def test_grid_malformed_pattern_is_input_error(capsys, tmp_path, pattern, messag
     code, rep = run_json(capsys, "grid", "sq", str(f), "--kind", "old")
     assert code == 2 and rep["exit_code"] == 2 and message in rep["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_grid_period_above_area_limit_is_input_error(capsys, tmp_path):
+    # rejected when the pattern is loaded, before any residue table is built
+    f = tmp_path / "p.json"
+    f.write_text('{"lattice": "sq", "period": [65, 64], "cells": []}')
+    before = grids._domination_table.cache_info()
+    code, rep = run_json(capsys, "grid", "sq", str(f), "--kind", "old")
+    assert code == 2 and "above the limit of 4096" in rep["error"]
+    assert grids._domination_table.cache_info() == before
 
 
 GOLDEN_GRID = Path(__file__).with_name("grid_golden.json")
@@ -284,6 +311,23 @@ def test_json_output_is_byte_deterministic(capsys):
 def test_missing_graph_file(capsys):
     code, rep = run_json(capsys, "verify", "/nonexistent/g.json", "0", "--kind", "old")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "{bad}", "0", "--kind", "old"),
+    ("verify", "builtin:g11", "{bad}", "--kind", "old"),
+    ("solve", "{bad}", "--kind", "old"),
+    ("grid", "sq", "{bad}", "--kind", "old"),
+    ("reduce", "{bad}"),
+], ids=["verify-graph", "verify-set", "solve", "grid", "reduce"])
+def test_non_utf8_file_is_input_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"n": 1, \xff}')
+    code = main([arg.format(bad=bad) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out.startswith("error: ") and "is not UTF-8 text" in out
+    assert "Traceback" not in out + err
 
 
 def test_unknown_flag_rejected(capsys):

@@ -12,6 +12,7 @@ from oldsets.errors import InputError
 from oldsets.grids import (
     DensityReport,
     BUILTIN_PATTERN_NAMES,
+    MAX_PERIOD_AREA,
     Lattice,
     PeriodicPattern,
     build_torus,
@@ -90,6 +91,19 @@ def test_pattern_rejects_non_integer_period_and_cells(period, cells):
 def test_pattern_rejects_non_lattice():
     with pytest.raises(InputError):
         PeriodicPattern("sq", (1, 1), frozenset())
+
+
+def test_pattern_period_area_limit():
+    # one check for the library and the JSON path, made before any residue
+    # table is built; every golden pattern loads in the CLI golden test
+    before = grids._domination_table.cache_info()
+    with pytest.raises(InputError, match="above the limit"):
+        PeriodicPattern(Lattice.SQ, (MAX_PERIOD_AREA + 1, 1), frozenset())
+    with pytest.raises(InputError, match="above the limit"):
+        pattern_from_json('{"lattice": "sq", "period": [3000, 3000], "cells": []}')
+    assert grids._domination_table.cache_info() == before
+    assert PeriodicPattern(Lattice.TRI, (64, 64), frozenset()).period == (64, 64)
+    assert pattern_from_json(pattern_to_json(builtin_pattern("tri-old"))).period == (13, 13)
 
 
 def test_builtin_densities_exact():

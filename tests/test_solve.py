@@ -10,8 +10,8 @@ from oldsets.fixtures import g11
 from oldsets.graph import build_graph, complete_graph, cycle_graph, mask_of, path_graph, vertices_of
 from oldsets.solve import (
     SearchState,
-    _exclude_child,
-    _include_child,
+    _bound,
+    _close,
     _Search,
     feasibility_check,
     is_in_every_optimal_set,
@@ -282,6 +282,7 @@ def test_child_steps_match_propagate():
             rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]), isolated=i % 4 == 0
         )
         for kind in Kind:
+            k = kind.fold
             for _ in range(6):
                 # sparse partial states: denser ones mostly conflict
                 fin = rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n)
@@ -292,11 +293,14 @@ def test_child_steps_match_propagate():
                 fin, fout = state.forced_in, state.forced_out
                 for v in vertices_of(g.all_mask() & ~(fin | fout)):
                     bit = 1 << v
-                    include = _include_child(g, kind.fold, state, v)
-                    assert include == propagate(g, kind, SearchState(fin | bit, fout))
-                    exclude = _exclude_child(g, kind.fold, state, v)
-                    assert exclude == propagate(g, kind, SearchState(fin, fout | bit))
-                    # excluding an undecided vertex from a fixpoint never conflicts
+                    # the include child fin | bit is already a fixpoint
+                    include = propagate(g, kind, SearchState(fin | bit, fout))
+                    assert include == SearchState(fin | bit, fout, _bound(g, k, fin | bit))
+                    # excluding an undecided vertex from a fixpoint never
+                    # conflicts, and its watch list alone closes it
+                    exclude = _close(k, fin, fout | bit, g.constraint_watch[v])
                     assert exclude is not None
-                    outcomes["forced" if exclude.forced_in != fin else "unchanged"] += 1
+                    full = propagate(g, kind, SearchState(fin, fout | bit))
+                    assert full == SearchState(exclude, fout | bit, _bound(g, k, exclude))
+                    outcomes["forced" if exclude != fin else "unchanged"] += 1
     assert min(outcomes.values()) > 150, outcomes
