@@ -36,8 +36,14 @@ the constraints that contain v, so its pass covers ``constraint_watch[v]``
 alone and, since v was undecided, never conflicts.  Only the root takes a
 full ``propagate``; a test checks both child steps against it.  The lower
 bound is computed when a state is visited, just before its prune test.
-The search is an explicit-stack loop, so its depth is not limited by
-Python's recursion limit.
+
+One pass finds the optimum and its optima.  A state is pruned only when
+its bound exceeds the best size so far, so ties are kept and every
+optimum is reached, each at exactly one leaf; the witness is the first
+optimum in sorted order.  A witness-only solve also prunes a tie when no
+set below it can come before the best set so far.  The search is an
+explicit-stack loop, so its depth is not limited by Python's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InputError
-from .graph import Graph, mask_of
+from .graph import Graph, mask_of, vertices_of
 from .verify import Kind, verify_kind, verify_set
 
 __all__ = [
@@ -141,6 +147,19 @@ def _bound(g: Graph, k: int, fin: int) -> int:
     return fin.bit_count() + deficit
 
 
+def _can_precede(n: int, fout: int, w: int) -> bool:
+    """Can some set that avoids ``fout`` come before ``w`` in sorted-tuple
+    order, that is, contain the lowest vertex of its difference with ``w``?
+
+    Such a set agrees with ``w`` below some vertex x outside ``w | fout``,
+    so x must lie below every vertex of ``w & fout``.  Forced_in never
+    changes the answer: its vertices outside ``w`` are such an x already.
+    """
+    clash = w & fout
+    below = (clash & -clash) - 1 if clash else (1 << n) - 1
+    return bool(below & ~(w | fout))
+
+
 class _Search:
     def __init__(self, g: Graph, kind: Kind, budget: int):
         self.g = g
@@ -161,9 +180,11 @@ class _Search:
         undecided = ~(fin | fout)
         best_cnt = self.g.n + 1
         best_v = None
+        unsatisfied = False
         for need in self.g.constraint_masks:
             if (need & fin).bit_count() >= k:
                 continue
+            unsatisfied = True
             cnt = (need & keep).bit_count()
             if cnt > best_cnt:
                 continue
@@ -174,76 +195,53 @@ class _Search:
             # best_v is None only while best_cnt = n + 1 > cnt
             if cnt < best_cnt or bv < best_v:
                 best_cnt, best_v = cnt, bv
-        if best_v is None and not self._satisfied(fin):
+        if best_v is None and unsatisfied:
             # Unsatisfied constraints but no undecided candidates can only
             # happen pre-conflict; propagation should have caught it.
             raise AssertionError("unsatisfied constraint with no candidates")
         return best_v
 
-    def _satisfied(self, fin: int) -> bool:
-        k = self.k
-        for need in self.g.constraint_masks:
-            if (need & fin).bit_count() < k:
-                return False
-        return True
+    def optima(self, root: SearchState, ub: int, enumerate_all: bool) -> tuple[int, list[int]]:
+        """The minimum size and its optima in sorted-tuple order: all of
+        them with ``enumerate_all``, else only the first.  ``ub`` must be
+        the size of some known-feasible set.
 
-    def find_value(self, root: SearchState, ub: int) -> int:
-        """Best-first depth search for the minimum size; ``ub`` must be the
-        size of some known-feasible set."""
+        Branches on ``_branch_vertex``, include before exclude; a state
+        with no branch vertex is a leaf whose forced_in is accepted.  The
+        path that follows an optimum's membership ends at a leaf inside
+        it, which is no larger, so each optimum is that one leaf.
+        """
         g, k, watch = self.g, self.k, self.g.constraint_watch
+        sets: list[int] = []
         # (fin, fout, -1) is a state to visit; with v >= 0, fout already
         # excludes v and fin is the parent's, closed over watch[v] only when
-        # popped, so a search that stops early never closes the rest
+        # popped
         stack = [(root.forced_in, root.forced_out, -1)]
         while stack:
             fin, fout, v = stack.pop()
             if v >= 0:
                 fin = _close(k, fin, fout, watch[v])
             self._tick()
-            if _bound(g, k, fin) >= ub:
+            bound = _bound(g, k, fin)
+            if bound > ub or (
+                bound == ub and sets and not enumerate_all
+                and not _can_precede(g.n, fout, sets[0])
+            ):
                 continue
             v = self._branch_vertex(fin, fout)
             if v is None:
-                ub = min(ub, fin.bit_count())
+                size = fin.bit_count()
+                if size < ub:
+                    ub, sets = size, [fin]
+                elif enumerate_all or not sets:
+                    sets.append(fin)
+                elif vertices_of(fin) < vertices_of(sets[0]):
+                    sets[0] = fin
                 continue
             stack.append((fin, fout | 1 << v, v))
             stack.append((fin | 1 << v, fout, -1))
-        return ub
-
-    def collect(self, root: SearchState, target: int, stop_first: bool) -> list[int]:
-        """All accepted sets of size exactly ``target`` (the optimum), in
-        lexicographic order of their sorted index tuples.
-
-        Branches on the lowest undecided index, include before exclude; with
-        that rule the first full solution is the lexicographically smallest,
-        so ``stop_first`` short-circuits enumeration when only the witness
-        is wanted.  States are (forced_in, forced_out) mask pairs, pushed
-        and bounded as in ``find_value``.
-        """
-        g, k, watch = self.g, self.k, self.g.constraint_watch
-        out: list[int] = []
-        stack = [(root.forced_in, root.forced_out, -1)]
-        while stack:
-            fin, fout, v = stack.pop()
-            if v >= 0:
-                fin = _close(k, fin, fout, watch[v])
-            self._tick()
-            if _bound(g, k, fin) > target:
-                continue
-            if self._satisfied(fin):
-                if fin.bit_count() != target:
-                    raise AssertionError("solution below proven optimum")
-                out.append(fin)
-                if stop_first:
-                    break
-                continue
-            undecided = ~(fin | fout) & g.all_mask()
-            if not undecided:
-                continue
-            v = (undecided & -undecided).bit_length() - 1
-            stack.append((fin, fout | 1 << v, v))
-            stack.append((fin | 1 << v, fout, -1))
-        return out
+        sets.sort(key=vertices_of)
+        return ub, sets
 
 
 def min_set(
@@ -266,10 +264,7 @@ def min_set(
     root = propagate(g, kind, SearchState(0, forced_out))
     if root is None:
         raise AssertionError("propagation conflict on a feasible instance")
-    value = search.find_value(root, top.bit_count())
-    sets = search.collect(root, value, stop_first=not enumerate_all)
-    if not sets:
-        raise AssertionError("no optimum found at the proven optimal value")
+    value, sets = search.optima(root, top.bit_count(), enumerate_all)
     return SolveResult(
         value,
         sets[0],

@@ -1,5 +1,6 @@
 """Solver behavior: oracle agreement, propagation, forced-vertex queries."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from oldsets.graph import build_graph, complete_graph, cycle_graph, mask_of, pat
 from oldsets.solve import (
     SearchState,
     _bound,
+    _can_precede,
     _close,
     _Search,
     feasibility_check,
@@ -19,7 +21,7 @@ from oldsets.solve import (
     min_set_bruteforce,
     propagate,
 )
-from oldsets.verify import Kind, verify_kind
+from oldsets.verify import Kind, verify_kind, verify_set
 
 
 def test_feasibility_examples():
@@ -74,14 +76,41 @@ def test_witness_is_lexicographically_smallest():
             assert a.witness == b.witness
 
 
+def _optima_avoiding(g, kind, forced_out):
+    # reference: every accepted subset of the vertices outside forced_out,
+    # smallest size first, each size in sorted-tuple order
+    allowed = vertices_of(g.all_mask() & ~forced_out)
+    for size in range(len(allowed) + 1):
+        found = [
+            s for s in map(mask_of, itertools.combinations(allowed, size))
+            if verify_kind(g, s, kind).holds
+        ]
+        if found:
+            return size, tuple(found)
+    return None, None
+
+
 def test_enumeration_matches_bruteforce():
+    # value, witness and every optimum; on half of the graphs one or two
+    # vertices are excluded up front
     rng = random.Random(11)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(1, 8), 0.6)
+    counts = {"tied": 0, "forced_out": 0}
+    for i in range(160):
+        g = random_graph(rng, rng.randint(5, 10), 0.7)
+        forced_out = (1 << rng.randrange(g.n) | 1 << rng.randrange(g.n)) if i % 2 else 0
         for kind in Kind:
-            a = min_set(g, kind, enumerate_all=True)
-            b = min_set_bruteforce(g, kind, enumerate_all=True)
-            assert a.all_minimum_sets == b.all_minimum_sets
+            value, optima = _optima_avoiding(g, kind, forced_out)
+            a = min_set(g, kind, enumerate_all=True, forced_out=forced_out)
+            first = min_set(g, kind, forced_out=forced_out)
+            assert a.value == first.value == value
+            assert a.all_minimum_sets == optima
+            assert a.witness == first.witness == (optima and optima[0])
+            if not forced_out:
+                assert optima == min_set_bruteforce(g, kind, True).all_minimum_sets
+            elif optima:
+                counts["forced_out"] += 1
+            counts["tied"] += optima is not None and len(optima) > 1
+    assert counts["tied"] > 60 and counts["forced_out"] > 30, counts
 
 
 def test_propagate_g11_triangle_forcing():
@@ -273,16 +302,19 @@ def test_branch_vertex_matches_all_pairs_reference():
 
 
 def test_child_steps_match_propagate():
-    # the search's include and exclude child steps, from propagation
-    # fixpoints on every undecided vertex, against a full propagate pass
+    # the search's leaf test on propagation fixpoints against the verifier,
+    # and its include and exclude child steps on every undecided vertex
+    # against a full propagate pass
     rng = random.Random(47)
     outcomes = {"forced": 0, "unchanged": 0}
+    fixpoints = {"leaf": 0, "inner": 0}
     for i in range(150):
         g = random_graph_with_twins(
             rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]), isolated=i % 4 == 0
         )
         for kind in Kind:
             k = kind.fold
+            search = _Search(g, kind, budget=1)
             for _ in range(6):
                 # sparse partial states: denser ones mostly conflict
                 fin = rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n)
@@ -291,6 +323,10 @@ def test_child_steps_match_propagate():
                 if state is None:
                     continue
                 fin, fout = state.forced_in, state.forced_out
+                # a fixpoint is a leaf exactly when forced_in is accepted
+                leaf = search._branch_vertex(fin, fout) is None
+                assert leaf == verify_set(g, fin, k).holds
+                fixpoints["leaf" if leaf else "inner"] += 1
                 for v in vertices_of(g.all_mask() & ~(fin | fout)):
                     bit = 1 << v
                     # the include child fin | bit is already a fixpoint
@@ -304,3 +340,21 @@ def test_child_steps_match_propagate():
                     assert full == SearchState(exclude, fout | bit, _bound(g, k, exclude))
                     outcomes["forced" if exclude != fin else "unchanged"] += 1
     assert min(outcomes.values()) > 150, outcomes
+    assert min(fixpoints.values()) > 60, fixpoints
+
+
+def test_can_precede_matches_definition():
+    # some S with fin <= S, S & fout == 0 has the lowest vertex of S ^ w
+    # in S, over every disjoint (fin, fout) and every w for n <= 6
+    answers = {True: 0, False: 0}
+    for n in range(7):
+        for fin in range(1 << n):
+            for fout in range(1 << n):
+                if fin & fout:
+                    continue
+                below = [s for s in range(1 << n) if s & fin == fin and not s & fout]
+                for w in range(1 << n):
+                    want = any(s & (s ^ w) & -(s ^ w) for s in below)
+                    assert _can_precede(n, fout, w) == want, (n, fin, fout, w)
+                    answers[want] += 1
+    assert min(answers.values()) > 15000, answers
