@@ -291,9 +291,9 @@ def _first_failure(
     The failure is (False, i, count) for the domination constraint of the
     domain vertex divmod(i, py), or (True, code, count) for the separation
     constraint of the pair ``_pair_of(lattice, py, code)``.  The
-    separation table is fetched only once domination holds.  This is the
-    one table check: :func:`verify_pattern` reports it and
-    :func:`search_patterns` tests it for None.
+    separation table is fetched only once domination holds.
+    :func:`verify_pattern` reports this failure; :func:`search_patterns`
+    makes the same two tests with each period's tables fetched once.
     """
     short = _first_short(*_domination_table(lattice, px, py), cells, k)
     if short is not None:
@@ -402,9 +402,11 @@ def search_patterns(
 
     A candidate is only a cell mask: the subsets are walked as
     ``itertools.combinations`` of the residue bits 1 << (x*py + y), which
-    is domain order, and each is checked against the cached residue tables
-    by the same check as :func:`verify_pattern`, so the first pattern found
-    is the one that verifying every subset in order would find.  The one
+    is domain order, and each is checked against the residue tables by the
+    same two ``_first_short`` tests as :func:`verify_pattern`, so the first
+    pattern found is the one that verifying every subset in order would
+    find.  Each period fetches its domination table once, and its
+    separation table once a candidate first passes domination.  The one
     :class:`PeriodicPattern` built is the one returned.
 
     Raises :class:`InputError` unless ``lattice`` is a :class:`Lattice`,
@@ -434,12 +436,21 @@ def search_patterns(
         area = px * py
         bits = [1 << r for r in range(area)]
         max_cells = int(target * area)  # exact floor; density stays <= target
+        if max_cells < 1:
+            continue
+        dom_spread, dom_masks = _domination_table(lattice, px, py)
+        sep = None  # fetched when a candidate first passes domination
         for count in range(1, max_cells + 1):
             for combo in itertools.combinations(bits, count):
                 # distinct bits, so their sum is the cell mask
-                if _first_failure(lattice, px, py, sum(combo), k) is None:
-                    cells = frozenset(divmod(b.bit_length() - 1, py) for b in combo)
-                    return PeriodicPattern(lattice, (px, py), cells)
+                cells = sum(combo)
+                if _first_short(dom_spread, dom_masks, cells, k) is not None:
+                    continue
+                if sep is None:
+                    sep = _separation_table(lattice, px, py)
+                if _first_short(sep[0], sep[1], cells, k) is None:
+                    found = frozenset(divmod(b.bit_length() - 1, py) for b in combo)
+                    return PeriodicPattern(lattice, (px, py), found)
     return None
 
 

@@ -31,11 +31,16 @@ A search state is a plain (forced_in, forced_out) mask pair, and every
 one is a propagation fixpoint: each constraint keeps >= k candidates, and
 where it keeps exactly k they are all in forced_in.  The rules read only
 forced_out, so the include child (forced_in | {v}) of a fixpoint is itself
-one and needs no pass; the exclude child (forced_out | {v}) can only change
-the constraints that contain v, so its pass covers ``constraint_watch[v]``
-alone and, since v was undecided, never conflicts.  Only the root takes a
-full ``propagate``; a test checks both child steps against it.  The lower
-bound is computed when a state is visited, just before its prune test.
+one; the exclude child (forced_out | {v}) can only change the constraints
+containing v, so only ``constraint_watch[v]`` is closed again, without
+conflict since v was undecided.  Only the root takes a full ``propagate``.
+
+Each visited state takes one ``_scan`` of its parent's live constraints
+(forced_in only grows down the tree, so the rest stay satisfied) for its
+bound, branch vertex and own live list.  The bound packs the deficits of
+constraints with disjoint undecided candidates: on the 3-SAT reduction
+graphs this is the paper's counting argument, and the root bound is the
+16N + 3M threshold.
 
 One pass finds the optimum and its optima.  A state is pruned only when
 its bound exceeds the best size so far, so ties are kept and every
@@ -119,7 +124,7 @@ def propagate(g: Graph, kind: Kind, state: SearchState) -> SearchState | None:
     fin = _close(k, fin, fout, g.constraint_masks)
     if fin is None:
         return None
-    return SearchState(fin, fout, _bound(g, k, fin))
+    return SearchState(fin, fout, _scan(g.n, k, g.constraint_masks, fin, fout)[0])
 
 
 def _close(k: int, fin: int, fout: int, masks: tuple[int, ...]) -> int | None:
@@ -136,15 +141,39 @@ def _close(k: int, fin: int, fout: int, masks: tuple[int, ...]) -> int | None:
     return fin
 
 
-def _bound(g: Graph, k: int, fin: int) -> int:
-    # |forced_in| plus the worst single-vertex domination deficit: filling
-    # any vertex's deficit takes that many vertices outside forced_in.
-    deficit = 0
-    for v in range(g.n):
-        d = k - (g.adj[v] & fin).bit_count()
-        if d > deficit:
-            deficit = d
-    return fin.bit_count() + deficit
+def _scan(
+    n: int, k: int, masks: tuple[int, ...], fin: int, fout: int
+) -> tuple[int, int | None, tuple[int, ...]]:
+    """(bound, branch vertex, live) of a propagation fixpoint, in one pass
+    over ``masks``.  ``live``: the masks with deficit d = k - |need ∩ fin|
+    > 0, in order.  Branch vertex: the lowest undecided one of the tightest
+    live mask (fewest vertices not excluded), None if none is live.  Bound:
+    |fin| plus the larger of the worst d and the d summed, greedily in
+    order, over masks whose undecided candidates are pairwise disjoint."""
+    keep, undecided = ~fout, ~(fin | fout)
+    live = []
+    best_cnt, best_v = n + 1, None
+    taken = packed = worst = 0
+    for need in masks:
+        d = k - (need & fin).bit_count()
+        if d <= 0:
+            continue
+        live.append(need)
+        cand = need & undecided
+        if not cand & taken:
+            taken |= cand
+            packed += d
+        if d > worst:
+            worst = d
+        cnt = (need & keep).bit_count()
+        if cnt <= best_cnt and cand:
+            bv = (cand & -cand).bit_length() - 1
+            # best_v is None only while best_cnt = n + 1 > cnt
+            if cnt < best_cnt or bv < best_v:
+                best_cnt, best_v = cnt, bv
+    if live and best_v is None:
+        raise AssertionError("live constraint with no candidates at a fixpoint")
+    return fin.bit_count() + max(packed, worst), best_v, tuple(live)
 
 
 def _can_precede(n: int, fout: int, w: int) -> bool:
@@ -172,63 +201,34 @@ class _Search:
         if self.nodes > self.budget:
             raise BudgetExceededError(self.budget, self.nodes)
 
-    def _branch_vertex(self, fin: int, fout: int) -> int | None:
-        """Lowest-index undecided vertex in the tightest unsatisfied
-        constraint; None when every constraint is already satisfied."""
-        k = self.k
-        keep = ~fout
-        undecided = ~(fin | fout)
-        best_cnt = self.g.n + 1
-        best_v = None
-        unsatisfied = False
-        for need in self.g.constraint_masks:
-            if (need & fin).bit_count() >= k:
-                continue
-            unsatisfied = True
-            cnt = (need & keep).bit_count()
-            if cnt > best_cnt:
-                continue
-            cand = need & undecided
-            if not cand:
-                continue
-            bv = (cand & -cand).bit_length() - 1
-            # best_v is None only while best_cnt = n + 1 > cnt
-            if cnt < best_cnt or bv < best_v:
-                best_cnt, best_v = cnt, bv
-        if best_v is None and unsatisfied:
-            # Unsatisfied constraints but no undecided candidates can only
-            # happen pre-conflict; propagation should have caught it.
-            raise AssertionError("unsatisfied constraint with no candidates")
-        return best_v
-
     def optima(self, root: SearchState, ub: int, enumerate_all: bool) -> tuple[int, list[int]]:
         """The minimum size and its optima in sorted-tuple order: all of
         them with ``enumerate_all``, else only the first.  ``ub`` must be
         the size of some known-feasible set.
 
-        Branches on ``_branch_vertex``, include before exclude; a state
-        with no branch vertex is a leaf whose forced_in is accepted.  The
-        path that follows an optimum's membership ends at a leaf inside
-        it, which is no larger, so each optimum is that one leaf.
+        Each visited state takes one ``_scan``: its bound prunes, and the
+        search branches on its vertex, include before exclude; a state
+        with no live constraint is a leaf whose forced_in is accepted.
+        The path that follows an optimum's membership ends at a leaf
+        inside it, which is no larger, so each optimum is that one leaf.
         """
         g, k, watch = self.g, self.k, self.g.constraint_watch
         sets: list[int] = []
-        # (fin, fout, -1) is a state to visit; with v >= 0, fout already
-        # excludes v and fin is the parent's, closed over watch[v] only when
-        # popped
-        stack = [(root.forced_in, root.forced_out, -1)]
+        # (fin, fout, -1, live) is a state to visit; with v >= 0, fout
+        # already excludes v and fin is the parent's, closed over watch[v]
+        # only when popped; live is the parent's
+        stack = [(root.forced_in, root.forced_out, -1, g.constraint_masks)]
         while stack:
-            fin, fout, v = stack.pop()
+            fin, fout, v, live = stack.pop()
             if v >= 0:
                 fin = _close(k, fin, fout, watch[v])
             self._tick()
-            bound = _bound(g, k, fin)
+            bound, v, live = _scan(g.n, k, live, fin, fout)
             if bound > ub or (
                 bound == ub and sets and not enumerate_all
                 and not _can_precede(g.n, fout, sets[0])
             ):
                 continue
-            v = self._branch_vertex(fin, fout)
             if v is None:
                 size = fin.bit_count()
                 if size < ub:
@@ -238,8 +238,8 @@ class _Search:
                 elif vertices_of(fin) < vertices_of(sets[0]):
                     sets[0] = fin
                 continue
-            stack.append((fin, fout | 1 << v, v))
-            stack.append((fin | 1 << v, fout, -1))
+            stack.append((fin, fout | 1 << v, v, live))
+            stack.append((fin | 1 << v, fout, -1, live))
         sets.sort(key=vertices_of)
         return ub, sets
 

@@ -130,21 +130,31 @@ def _reduction_instances():
     for _ in range(20):
         clauses = tuple(tuple(rng.choice(lits3) for _ in range(3)) for _ in range(2))
         yield CnfInstance(3, clauses)
+    # 40 seeded random instances each for N=4 and N=5, M from N to 7N, so
+    # that unsatisfiable formulas occur too
+    rng = random.Random(20261018)
+    for n in (4, 5):
+        lits = [v for v in range(1, n + 1)] + [-v for v in range(1, n + 1)]
+        for _ in range(40):
+            m = rng.randint(n, 7 * n)
+            yield CnfInstance(n, tuple(tuple(rng.choice(lits) for _ in range(3)) for _ in range(m)))
 
 
 def test_criterion_4_reduction_iff_at_desk_scale():
     """decide_sat_via_redold == satisfiable_bruteforce, minimum >= 16N+3M,
-    |V| = 18N+4M, over the exhaustive N=2 family and random N=3 instances;
-    < 30 min."""
+    |V| = 18N+4M, over the exhaustive N=2 family and random N=3, N=4 and
+    N=5 instances; < 30 min."""
     start = time.monotonic()
     failures = 0
     count = 0
+    unsat = 0
     for cnf in _reduction_instances():
         out = build_reduction(cnf)
         n_expected = 18 * cnf.num_vars + 4 * cnf.num_clauses
         res = min_set(out.graph, Kind.RED_OLD)
         sat, _ = satisfiable_bruteforce(cnf)
         count += 1
+        unsat += not sat
         if out.graph.n != n_expected:
             failures += 1
         elif not res.feasible or res.value < out.threshold:
@@ -152,11 +162,11 @@ def test_criterion_4_reduction_iff_at_desk_scale():
         elif (res.value == out.threshold) != sat:
             failures += 1
     elapsed = time.monotonic() - start
-    ok = failures == 0 and count == 20 + 210 + 20 and elapsed < 1800.0
+    ok = failures == 0 and count == 20 + 210 + 20 + 40 + 40 and unsat > 10 and elapsed < 1800.0
     _report(
-        "criterion 4: reduction iff (exhaustive N=2 M<=2 + random N=3 M=2)",
+        "criterion 4: reduction iff (exhaustive N=2 M<=2 + random N=3 M=2, N=4-5 M<=7N)",
         ok,
-        f"{count} instances, {failures} failures, {elapsed:.1f}s",
+        f"{count} instances ({unsat} unsatisfiable), {failures} failures, {elapsed:.1f}s",
     )
 
 

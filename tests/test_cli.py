@@ -158,6 +158,29 @@ def test_solve_json_matches_golden_outputs(capsys, tmp_path, monkeypatch):
         assert (code, out) == (case["exit_code"], case["stdout"]), case["argv"]
 
 
+# Each golden case's node count before the packing bound (None: the case
+# prints no count).  A tighter valid bound prunes only states that hold no
+# optimum, so re-recording "nodes" may lower a count but never raise one.
+GOLDEN_SOLVE_NODE_CEILINGS = (
+    35, 45, 1, 1, 2081, 441, None, None, 1211, 59, None, None, 105, None, 335,
+    None, None, None, 91, None, None, None, 381, 43, 75, None, 189, None, 15,
+    None, None, None, 7, None, 13, None, 79, None, 215, 1, 25, None, 213, 13,
+    347, None, None, None, 83, None, 233, None, 219, None, 63, None, 257, None,
+    357, 63, 11, None, 205, None, 181, None, 97, 5, None, None, None, None,
+    167, None, None, None, 117, None, None, None, None, None, None, None,
+)
+
+
+def test_solve_golden_node_counts_stay_within_ceilings():
+    cases = json.loads(GOLDEN_SOLVE.read_text())
+    counts = [json.loads(case["stdout"]).get("nodes") for case in cases]
+    assert len(counts) == len(GOLDEN_SOLVE_NODE_CEILINGS)
+    for count, ceiling in zip(counts, GOLDEN_SOLVE_NODE_CEILINGS):
+        assert (count is None) == (ceiling is None)
+        assert count is None or count <= ceiling
+    assert sum(filter(None, counts)) < sum(filter(None, GOLDEN_SOLVE_NODE_CEILINGS))
+
+
 def test_solve_graph_from_file(capsys, tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")

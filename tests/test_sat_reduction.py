@@ -1,6 +1,8 @@
 """The 3-SAT reduction: parsing, construction, forcing, and the threshold
 equivalence (spot checks here; the sweep lives in the acceptance module)."""
 
+import random
+
 import pytest
 
 from oldsets.errors import InputError
@@ -156,6 +158,31 @@ def test_unsat_chain_across_variables():
     assert decide_sat_via_redold(cnf) is False
     out = build_reduction(cnf)
     assert min_set(out.graph, Kind.RED_OLD).value > out.threshold
+
+
+def _random_cnf(rng, n, m):
+    # m clauses of three literals drawn over n variables, repeats allowed
+    lits = [v for v in range(1, n + 1)] + [-v for v in range(1, n + 1)]
+    return CnfInstance(n, tuple(tuple(rng.choice(lits) for _ in range(3)) for _ in range(m)))
+
+
+def test_root_bound_is_the_threshold():
+    # the paper's counting argument, found by the solver's packing bound:
+    # on top of the forced set, every variable gadget needs u or not-u, and
+    # these candidate sets are disjoint across variables
+    rng = random.Random(808)
+    for n in range(3, 13):
+        for _ in range(3):
+            out = build_reduction(_random_cnf(rng, n, rng.randint(1, 5 * n)))
+            root = propagate(out.graph, Kind.RED_OLD, SearchState())
+            assert root.lower_bound == out.threshold
+
+
+def test_decide_within_node_budget():
+    # N = 12, M = 40 (312 vertices): deciding this draw took 2,123 nodes
+    # with the domination-only bound
+    cnf = _random_cnf(random.Random(0), 12, 40)
+    assert decide_sat_via_redold(cnf, budget=1000) == satisfiable_bruteforce(cnf)[0]
 
 
 def test_single_clause_value():

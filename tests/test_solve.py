@@ -11,10 +11,9 @@ from oldsets.fixtures import g11
 from oldsets.graph import build_graph, complete_graph, cycle_graph, mask_of, path_graph, vertices_of
 from oldsets.solve import (
     SearchState,
-    _bound,
     _can_precede,
     _close,
-    _Search,
+    _scan,
     feasibility_check,
     is_in_every_optimal_set,
     min_set,
@@ -291,20 +290,75 @@ def test_branch_vertex_matches_all_pairs_reference():
             rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]), isolated=i % 4 == 0
         )
         for kind in Kind:
-            search = _Search(g, kind, budget=1)
             for fin, fout in _random_partial_states(rng, g, 6):
                 want = _branch_vertex_all_pairs(g, kind.fold, fin, fout)
                 if want is None:
                     continue  # satisfied or stuck: covered by the solver tests
-                assert search._branch_vertex(fin, fout) == want
+                assert _scan(g.n, kind.fold, g.constraint_masks, fin, fout)[1] == want
                 chosen += 1
     assert chosen > 500
+
+
+def _bound_domination(g, k, fin):
+    # the solver's earlier bound, kept as a reference: |forced_in| plus the
+    # worst single-vertex domination deficit
+    return fin.bit_count() + max([k - (a & fin).bit_count() for a in g.adj] + [0])
+
+
+def _min_accepted_superset(g, k, fin, fout):
+    # smallest |S| over accepted S with fin <= S and S & fout == 0, by
+    # increasing size; None when there is none
+    masks = _all_pair_masks(g)
+    free = vertices_of(g.all_mask() & ~(fin | fout))
+    for size in range(len(free) + 1):
+        for combo in itertools.combinations(free, size):
+            s = fin | mask_of(combo)
+            if all((m & s).bit_count() >= k for m in masks):
+                return s.bit_count()
+    return None
+
+
+def _random_fixpoints(rng, g, kind, count):
+    # sparse partial states closed by propagate: denser ones mostly conflict
+    for _ in range(count):
+        fin = rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n)
+        fout = rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n) & ~fin
+        state = propagate(g, kind, SearchState(fin, fout))
+        if state is not None:
+            yield state.forced_in, state.forced_out
+
+
+def test_scan_bound_is_valid_and_tighter_than_domination():
+    # on propagation fixpoints: the domination bound <= the scan's bound <=
+    # the smallest accepted set below the state, and the scan branches on
+    # the all-pairs reference's vertex
+    rng = random.Random(53)
+    counts = {"tighter": 0, "exact": 0, "inner": 0}
+    for i in range(600):
+        g = random_graph_with_twins(
+            rng, rng.randint(3, 7), rng.choice([0.2, 0.4, 0.7]), isolated=i % 4 == 0
+        )
+        for kind in Kind:
+            k = kind.fold
+            for fin, fout in _random_fixpoints(rng, g, kind, 6):
+                bound, v, live = _scan(g.n, k, g.constraint_masks, fin, fout)
+                old = _bound_domination(g, k, fin)
+                assert bound >= old
+                best = _min_accepted_superset(g, k, fin, fout)
+                if best is not None:
+                    assert bound <= best, (g.adj, kind, fin, fout)
+                    counts["exact"] += bound == best
+                counts["tighter"] += bound > old
+                assert v == _branch_vertex_all_pairs(g, k, fin, fout)
+                counts["inner"] += v is not None
+    assert min(counts.values()) > 100, counts
 
 
 def test_child_steps_match_propagate():
     # the search's leaf test on propagation fixpoints against the verifier,
     # and its include and exclude child steps on every undecided vertex
-    # against a full propagate pass
+    # against a full propagate pass, each child scanning only its parent's
+    # live constraints
     rng = random.Random(47)
     outcomes = {"forced": 0, "unchanged": 0}
     fixpoints = {"leaf": 0, "inner": 0}
@@ -314,30 +368,26 @@ def test_child_steps_match_propagate():
         )
         for kind in Kind:
             k = kind.fold
-            search = _Search(g, kind, budget=1)
-            for _ in range(6):
-                # sparse partial states: denser ones mostly conflict
-                fin = rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n)
-                fout = rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n) & ~fin
-                state = propagate(g, kind, SearchState(fin, fout))
-                if state is None:
-                    continue
-                fin, fout = state.forced_in, state.forced_out
+            for fin, fout in _random_fixpoints(rng, g, kind, 6):
+                _, branch, live = _scan(g.n, k, g.constraint_masks, fin, fout)
                 # a fixpoint is a leaf exactly when forced_in is accepted
-                leaf = search._branch_vertex(fin, fout) is None
-                assert leaf == verify_set(g, fin, k).holds
+                leaf = branch is None
+                assert leaf == (not live) == verify_set(g, fin, k).holds
                 fixpoints["leaf" if leaf else "inner"] += 1
                 for v in vertices_of(g.all_mask() & ~(fin | fout)):
                     bit = 1 << v
-                    # the include child fin | bit is already a fixpoint
-                    include = propagate(g, kind, SearchState(fin | bit, fout))
-                    assert include == SearchState(fin | bit, fout, _bound(g, k, fin | bit))
+                    # the include child fin | bit is already a fixpoint;
                     # excluding an undecided vertex from a fixpoint never
                     # conflicts, and its watch list alone closes it
                     exclude = _close(k, fin, fout | bit, g.constraint_watch[v])
                     assert exclude is not None
-                    full = propagate(g, kind, SearchState(fin, fout | bit))
-                    assert full == SearchState(exclude, fout | bit, _bound(g, k, exclude))
+                    for cfin, cfout in ((fin | bit, fout), (exclude, fout | bit)):
+                        scan = _scan(g.n, k, live, cfin, cfout)
+                        assert propagate(g, kind, SearchState(cfin, cfout)) == SearchState(
+                            cfin, cfout, scan[0])
+                        assert scan == _scan(g.n, k, g.constraint_masks, cfin, cfout)
+                        assert scan[2] == tuple(
+                            m for m in g.constraint_masks if (m & cfin).bit_count() < k)
                     outcomes["forced" if exclude != fin else "unchanged"] += 1
     assert min(outcomes.values()) > 150, outcomes
     assert min(fixpoints.values()) > 60, fixpoints
