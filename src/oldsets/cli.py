@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import grids, sat_reduction
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, decode_json
 from .fixtures import BUILTIN_GRAPH_NAMES, builtin_graph
 from .graph import Graph, graph_from_text, graph_to_json, mask_of, vertices_of
 from .solve import DEFAULT_BUDGET, min_set
@@ -59,10 +59,7 @@ def _load_graph(spec: str) -> Graph:
 
 def _load_set(spec: str, g: Graph) -> int:
     if Path(spec).is_file():
-        try:
-            items = json.loads(_read_text(spec, "set"))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid set JSON: {exc}") from None
+        items = decode_json(_read_text(spec, "set"), "set")
         if not isinstance(items, list):
             raise InputError("set JSON must be a list of labels or indices")
     else:
@@ -146,7 +143,8 @@ def cmd_solve(args) -> int:
         }
         _emit(report, args.format, [f"{args.kind}: infeasible"])
         return EXIT_OK
-    witness = [g.label(v) for v in vertices_of(result.witness)]
+    names = g.labels if g.labels is not None else tuple(map(str, range(g.n)))
+    witness = [names[v] for v in vertices_of(result.witness)]
     report = {
         "command": "solve",
         "kind": args.kind,
@@ -157,7 +155,7 @@ def cmd_solve(args) -> int:
     }
     lines = [f"{args.kind}: minimum size {result.value}", f"  witness: {' '.join(witness)}"]
     if args.enumerate:
-        optima = [[g.label(v) for v in vertices_of(s)] for s in result.all_minimum_sets]
+        optima = [[names[v] for v in vertices_of(s)] for s in result.all_minimum_sets]
         report["optima"] = optima
         report["optima_count"] = len(optima)
         lines.append(f"  optima: {len(optima)}")

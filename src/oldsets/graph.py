@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, decode_json
 
 __all__ = [
     "Graph",
@@ -111,17 +111,6 @@ class Graph:
         :meth:`meeting_pairs` order.  Built once per graph."""
         return self.adj + tuple(self.adj[u] ^ self.adj[v] for u, v in self.meeting_pairs())
 
-    @cached_property
-    def constraint_watch(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex v, the masks of :attr:`constraint_masks` that contain
-        v, in table order: the only constraints that excluding v can
-        change."""
-        watch: list[list[int]] = [[] for _ in range(self.n)]
-        for need in self.constraint_masks:
-            for v in vertices_of(need):
-                watch[v].append(need)
-        return tuple(map(tuple, watch))
-
     def num_edges(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 
@@ -202,10 +191,7 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid graph JSON: {exc}") from None
+    d = decode_json(text, "graph")
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise InputError('graph JSON must be an object with "n" and "edges"')
     # type(x) is int: a JSON true or false is a bool, which isinstance accepts

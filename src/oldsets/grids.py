@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, decode_json
 from .graph import MAX_VERTICES, Graph, build_graph
 from .verify import Kind
 
@@ -572,10 +572,7 @@ def pattern_to_json(pattern: PeriodicPattern) -> str:
 
 
 def pattern_from_json(text: str) -> PeriodicPattern:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid pattern JSON: {exc}") from None
+    d = decode_json(text, "pattern")
     if not isinstance(d, dict):
         raise InputError("pattern JSON must be an object")
     try:

@@ -285,15 +285,15 @@ def decide_sat_via_redold(cnf: CnfInstance, budget: int = DEFAULT_BUDGET) -> boo
 def validate_gadget_forcing(cnf: CnfInstance, budget: int = DEFAULT_BUDGET) -> bool:
     """Computational check that the gadget tables behave as designed.
 
-    For a small instance (up to N=4, M=2) this demands:
+    For a small instance (up to N=5, M=7N) this demands:
 
     a. every shaded internal and clause-triangle vertex is in every minimum
        RED:OLD set of the reduction graph;
     b. propagation from the empty state already forces all of them;
     c. every minimum set contains u_i or not_u_i for each variable i.
     """
-    if cnf.num_vars > 4 or cnf.num_clauses > 2:
-        raise InputError("gadget validation is intended for instances up to N=4, M=2")
+    if cnf.num_vars > 5 or cnf.num_clauses > 7 * cnf.num_vars:
+        raise InputError("gadget validation is intended for instances up to N=5, M=7N")
     out = build_reduction(cnf)
     g = out.graph
     required = out.forced_mask()

@@ -29,15 +29,20 @@ fire a rule, nor be the tightest constraint, while domination holds.
 
 A search state is a plain (forced_in, forced_out) mask pair, and every
 one is a propagation fixpoint: each constraint keeps >= k candidates, and
-where it keeps exactly k they are all in forced_in.  The rules read only
-forced_out, so the include child (forced_in | {v}) of a fixpoint is itself
-one; the exclude child (forced_out | {v}) can only change the constraints
-containing v, so only ``constraint_watch[v]`` is closed again, without
-conflict since v was undecided.  Only the root takes a full ``propagate``.
+where it keeps exactly k they are all in forced_in.  So every live
+constraint (one not yet met k times by forced_in) keeps >= k + 1.  The
+rules read only forced_out, so the include child (forced_in | {v}) of a
+fixpoint is itself one.  The exclude child (forced_out | {v}) can only
+change the live constraints containing v: those keeping exactly k + 1
+force their other candidates, and nothing conflicts.  Only the root takes
+a full ``propagate``.
 
 Each visited state takes one ``_scan`` of its parent's live constraints
 (forced_in only grows down the tree, so the rest stay satisfied) for its
-bound, branch vertex and own live list.  The bound packs the deficits of
+bound, branch vertex and own live list.  The same pass closes the
+exclude child: it collects the live constraints keeping exactly k + 1 and
+adds the candidates of those containing the branch vertex, so both
+children are pushed as fixpoints.  The bound packs the deficits of
 constraints with disjoint undecided candidates: on the 3-SAT reduction
 graphs this is the paper's counting argument, and the root bound is the
 16N + 3M threshold.
@@ -143,15 +148,23 @@ def _close(k: int, fin: int, fout: int, masks: tuple[int, ...]) -> int | None:
 
 def _scan(
     n: int, k: int, masks: tuple[int, ...], fin: int, fout: int
-) -> tuple[int, int | None, tuple[int, ...]]:
-    """(bound, branch vertex, live) of a propagation fixpoint, in one pass
-    over ``masks``.  ``live``: the masks with deficit d = k - |need ∩ fin|
-    > 0, in order.  Branch vertex: the lowest undecided one of the tightest
-    live mask (fewest vertices not excluded), None if none is live.  Bound:
-    |fin| plus the larger of the worst d and the d summed, greedily in
-    order, over masks whose undecided candidates are pairwise disjoint."""
+) -> tuple[int, int | None, tuple[int, ...], int]:
+    """(bound, branch vertex, live, exclude_fin) of a propagation fixpoint,
+    in one pass over ``masks``.  ``live``: the masks with deficit
+    d = k - |need ∩ fin| > 0, in order.  Branch vertex: the lowest undecided
+    one of the tightest live mask (fewest vertices not excluded), None if
+    none is live.  Bound: |fin| plus the larger of the worst d and the d
+    summed, greedily in order, over masks whose undecided candidates are
+    pairwise disjoint.  ``exclude_fin``: the forced_in of the branch
+    vertex's exclude child, fin plus the other candidates of every live
+    mask that keeps exactly k + 1 and contains the vertex (fin if none is
+    live)."""
     keep, undecided = ~fout, ~(fin | fout)
     live = []
+    # undecided candidates of the live masks keeping exactly k + 1, the
+    # fewest a live mask at a fixpoint keeps
+    tight = []
+    k1 = k + 1
     best_cnt, best_v = n + 1, None
     taken = packed = worst = 0
     for need in masks:
@@ -167,13 +180,24 @@ def _scan(
             worst = d
         cnt = (need & keep).bit_count()
         if cnt <= best_cnt and cand:
+            if cnt == k1:
+                tight.append(cand)
             bv = (cand & -cand).bit_length() - 1
             # best_v is None only while best_cnt = n + 1 > cnt
             if cnt < best_cnt or bv < best_v:
                 best_cnt, best_v = cnt, bv
-    if live and best_v is None:
-        raise AssertionError("live constraint with no candidates at a fixpoint")
-    return fin.bit_count() + max(packed, worst), best_v, tuple(live)
+    if best_v is None:
+        if live:
+            raise AssertionError("live constraint with no candidates at a fixpoint")
+        return fin.bit_count(), None, (), fin
+    # the branch vertex lies in a tightest mask, so tight is empty unless
+    # best_cnt == k + 1
+    bit = 1 << best_v
+    exclude_fin = fin
+    for cand in tight:
+        if cand & bit:
+            exclude_fin |= cand ^ bit
+    return fin.bit_count() + max(packed, worst), best_v, tuple(live), exclude_fin
 
 
 def _can_precede(n: int, fout: int, w: int) -> bool:
@@ -207,23 +231,21 @@ class _Search:
         the size of some known-feasible set.
 
         Each visited state takes one ``_scan``: its bound prunes, and the
-        search branches on its vertex, include before exclude; a state
-        with no live constraint is a leaf whose forced_in is accepted.
-        The path that follows an optimum's membership ends at a leaf
-        inside it, which is no larger, so each optimum is that one leaf.
+        search branches on its vertex, include before exclude; the scan
+        also gives the exclude child's closed forced_in, so both children
+        are pushed as fixpoints.  A state with no live constraint is a
+        leaf whose forced_in is accepted.  The path that follows an
+        optimum's membership ends at a leaf inside it, which is no larger,
+        so each optimum is that one leaf.
         """
-        g, k, watch = self.g, self.k, self.g.constraint_watch
+        g, k = self.g, self.k
         sets: list[int] = []
-        # (fin, fout, -1, live) is a state to visit; with v >= 0, fout
-        # already excludes v and fin is the parent's, closed over watch[v]
-        # only when popped; live is the parent's
-        stack = [(root.forced_in, root.forced_out, -1, g.constraint_masks)]
+        # (fin, fout, live): a fixpoint to visit, with its parent's live
+        stack = [(root.forced_in, root.forced_out, g.constraint_masks)]
         while stack:
-            fin, fout, v, live = stack.pop()
-            if v >= 0:
-                fin = _close(k, fin, fout, watch[v])
+            fin, fout, live = stack.pop()
             self._tick()
-            bound, v, live = _scan(g.n, k, live, fin, fout)
+            bound, v, live, exclude_fin = _scan(g.n, k, live, fin, fout)
             if bound > ub or (
                 bound == ub and sets and not enumerate_all
                 and not _can_precede(g.n, fout, sets[0])
@@ -238,8 +260,9 @@ class _Search:
                 elif vertices_of(fin) < vertices_of(sets[0]):
                     sets[0] = fin
                 continue
-            stack.append((fin, fout | 1 << v, v, live))
-            stack.append((fin | 1 << v, fout, -1, live))
+            bit = 1 << v
+            stack.append((exclude_fin, fout | bit, live))
+            stack.append((fin | bit, fout, live))
         sets.sort(key=vertices_of)
         return ub, sets
 

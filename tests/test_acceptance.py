@@ -171,10 +171,11 @@ def test_criterion_4_reduction_iff_at_desk_scale():
 
 
 def test_criterion_5_gadget_forcing():
-    """validate_gadget_forcing passes on N <= 2, M <= 2 instances;
-    propagation from the empty state forces exactly the shaded/triangle
-    role set when clauses have three distinct literals, and at least one
-    literal vertex per variable sits in every optimum."""
+    """validate_gadget_forcing passes on N <= 2, M <= 2 instances and on
+    seeded random N = 4 and N = 5 instances with M from N to 7N, some of
+    them unsatisfiable; propagation from the empty state forces exactly the
+    shaded/triangle role set when clauses have three distinct literals, and
+    at least one literal vertex per variable sits in every optimum."""
     instances = []
     clauses1 = all_clauses_over(1)
     instances += [CnfInstance(1, (c,)) for c in clauses1]
@@ -191,6 +192,15 @@ def test_criterion_5_gadget_forcing():
     picks += [CnfInstance(2, (rng.choice(clauses2), rng.choice(clauses2))) for _ in range(6)]
     instances += picks
     instances.append(CnfInstance(2, ((1, -2, 2),)))
+    # 20 seeded random formulas each at N = 4 and N = 5, M from N to 7N
+    rng = random.Random(4545)
+    for n in (4, 5):
+        lits = [v for v in range(1, n + 1)] + [-v for v in range(1, n + 1)]
+        for _ in range(20):
+            m = rng.randint(n, 7 * n)
+            instances.append(
+                CnfInstance(n, tuple(tuple(rng.choice(lits) for _ in range(3)) for _ in range(m))))
+    unsat = sum(not satisfiable_bruteforce(cnf)[0] for cnf in instances)
 
     failures = 0
     exact_checked = 0
@@ -209,11 +219,12 @@ def test_criterion_5_gadget_forcing():
             exact_checked += 1
             if state.forced_in != required:
                 failures += 1
-    ok = failures == 0 and exact_checked > 0
+    ok = failures == 0 and exact_checked > 0 and unsat > 0
     _report(
         "criterion 5: gadget forcing and propagation exactness",
         ok,
-        f"{len(instances)} instances, {exact_checked} exact-set checks, {failures} failures",
+        f"{len(instances)} instances ({unsat} unsatisfiable), {exact_checked} exact-set checks, "
+        f"{failures} failures",
     )
 
 

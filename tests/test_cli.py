@@ -390,3 +390,17 @@ def test_module_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "builtin:g11", "{deep}", "--kind", "old"),
+    ("solve", "{deep}", "--kind", "old"),
+    ("grid", "sq", "{deep}", "--kind", "old"),
+], ids=["verify-set", "solve", "grid"])
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, argv):
+    # deeper than the decoder's recursion limit: an input error, not a
+    # RecursionError traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a": ' * 100_000)
+    code, rep = run_json(capsys, *(arg.format(deep=deep) for arg in argv))
+    assert code == 2 and rep["exit_code"] == 2 and "nested too deeply" in rep["error"]

@@ -175,12 +175,3 @@ def test_constraint_masks_layout():
         assert g.constraint_masks == g.adj + tuple(g.adj[u] ^ g.adj[v] for u, v in pairs)
         assert g.constraint_masks is g.constraint_masks  # built once per graph
 
-
-def test_constraint_watch_lists():
-    rng = random.Random(6)
-    for i in range(20):
-        g = random_graph_with_twins(rng, rng.randint(1, 12), 0.3, isolated=i % 4 == 0)
-        assert g.constraint_watch == tuple(
-            tuple(need for need in g.constraint_masks if need >> v & 1) for v in range(g.n)
-        )
-        assert g.constraint_watch is g.constraint_watch

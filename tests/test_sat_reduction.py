@@ -200,8 +200,13 @@ def test_validate_gadget_forcing_four_variable_instance():
 
 
 def test_validate_gadget_forcing_guard():
+    # the cap is N <= 5 and M <= 7N
     with pytest.raises(InputError):
-        validate_gadget_forcing(CnfInstance(5, ()))
+        validate_gadget_forcing(CnfInstance(6, ()))
+    with pytest.raises(InputError):
+        validate_gadget_forcing(CnfInstance(2, ((1, -2, 2),) * 15))
+    assert validate_gadget_forcing(CnfInstance(5, ()))
+    assert validate_gadget_forcing(CnfInstance(2, ((1, -2, 2),) * 14))
 
 
 def test_assignment_from_set():

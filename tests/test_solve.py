@@ -12,7 +12,6 @@ from oldsets.graph import build_graph, complete_graph, cycle_graph, mask_of, pat
 from oldsets.solve import (
     SearchState,
     _can_precede,
-    _close,
     _scan,
     feasibility_check,
     is_in_every_optimal_set,
@@ -330,10 +329,12 @@ def _random_fixpoints(rng, g, kind, count):
 
 def test_scan_bound_is_valid_and_tighter_than_domination():
     # on propagation fixpoints: the domination bound <= the scan's bound <=
-    # the smallest accepted set below the state, and the scan branches on
-    # the all-pairs reference's vertex
+    # the smallest accepted set below the state, the scan branches on the
+    # all-pairs reference's vertex, and its exclude child's forced_in is
+    # what a full propagate pass gives
     rng = random.Random(53)
     counts = {"tighter": 0, "exact": 0, "inner": 0}
+    excludes = {"forced": 0, "unchanged": 0}
     for i in range(600):
         g = random_graph_with_twins(
             rng, rng.randint(3, 7), rng.choice([0.2, 0.4, 0.7]), isolated=i % 4 == 0
@@ -341,7 +342,7 @@ def test_scan_bound_is_valid_and_tighter_than_domination():
         for kind in Kind:
             k = kind.fold
             for fin, fout in _random_fixpoints(rng, g, kind, 6):
-                bound, v, live = _scan(g.n, k, g.constraint_masks, fin, fout)
+                bound, v, live, exclude_fin = _scan(g.n, k, g.constraint_masks, fin, fout)
                 old = _bound_domination(g, k, fin)
                 assert bound >= old
                 best = _min_accepted_superset(g, k, fin, fout)
@@ -351,14 +352,21 @@ def test_scan_bound_is_valid_and_tighter_than_domination():
                 counts["tighter"] += bound > old
                 assert v == _branch_vertex_all_pairs(g, k, fin, fout)
                 counts["inner"] += v is not None
+                if v is None:
+                    assert exclude_fin == fin
+                else:
+                    child = propagate(g, kind, SearchState(fin, fout | 1 << v))
+                    assert exclude_fin == child.forced_in, (g.adj, kind, fin, fout)
+                    excludes["forced" if exclude_fin != fin else "unchanged"] += 1
     assert min(counts.values()) > 100, counts
+    assert excludes["forced"] > 200 and excludes["unchanged"] > 20, excludes
 
 
 def test_child_steps_match_propagate():
     # the search's leaf test on propagation fixpoints against the verifier,
-    # and its include and exclude child steps on every undecided vertex
-    # against a full propagate pass, each child scanning only its parent's
-    # live constraints
+    # its exclude child on the branch vertex against a full propagate pass,
+    # and the include and exclude children of every undecided vertex,
+    # each scanning only its parent's live constraints
     rng = random.Random(47)
     outcomes = {"forced": 0, "unchanged": 0}
     fixpoints = {"leaf": 0, "inner": 0}
@@ -369,7 +377,7 @@ def test_child_steps_match_propagate():
         for kind in Kind:
             k = kind.fold
             for fin, fout in _random_fixpoints(rng, g, kind, 6):
-                _, branch, live = _scan(g.n, k, g.constraint_masks, fin, fout)
+                _, branch, live, exclude_fin = _scan(g.n, k, g.constraint_masks, fin, fout)
                 # a fixpoint is a leaf exactly when forced_in is accepted
                 leaf = branch is None
                 assert leaf == (not live) == verify_set(g, fin, k).holds
@@ -378,9 +386,12 @@ def test_child_steps_match_propagate():
                     bit = 1 << v
                     # the include child fin | bit is already a fixpoint;
                     # excluding an undecided vertex from a fixpoint never
-                    # conflicts, and its watch list alone closes it
-                    exclude = _close(k, fin, fout | bit, g.constraint_watch[v])
+                    # conflicts
+                    exclude = propagate(g, kind, SearchState(fin, fout | bit))
                     assert exclude is not None
+                    exclude = exclude.forced_in
+                    if v == branch:
+                        assert exclude_fin == exclude, (g.adj, kind, fin, fout)
                     for cfin, cfout in ((fin | bit, fout), (exclude, fout | bit)):
                         scan = _scan(g.n, k, live, cfin, cfout)
                         assert propagate(g, kind, SearchState(cfin, cfout)) == SearchState(
