@@ -39,7 +39,6 @@ from .sat_reduction import (
 )
 from .solve import (
     DEFAULT_BUDGET,
-    SearchState,
     SolveResult,
     feasibility_check,
     is_in_every_optimal_set,

@@ -188,7 +188,7 @@ def cmd_reduce(args) -> int:
         lines.append(f"  graph JSON written to {args.emit}")
     exit_code = EXIT_OK
     if args.validate_gadgets:
-        ok = sat_reduction.validate_gadget_forcing(cnf, budget=args.budget)
+        ok = sat_reduction.validate_gadget_forcing(out, budget=args.budget)
         report["gadget_validation"] = ok
         lines.append(f"  gadget forcing validation: {'pass' if ok else 'FAIL'}")
         if not ok:
@@ -197,7 +197,7 @@ def cmd_reduce(args) -> int:
         # the oracle first: it refuses large N at once, where the solve
         # could take minutes only to end in that refusal
         via_sat, _ = sat_reduction.satisfiable_bruteforce(cnf)
-        via_graph = sat_reduction.decide_sat_via_redold(cnf, budget=args.budget)
+        via_graph = sat_reduction.decide_sat_via_redold(out, budget=args.budget)
         agree = via_graph == via_sat
         report["decide"] = {
             "sat_via_redold": via_graph,

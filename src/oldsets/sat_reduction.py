@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .graph import Graph, build_graph, mask_of, vertices_of
-from .solve import DEFAULT_BUDGET, SearchState, min_set, propagate
+from .solve import DEFAULT_BUDGET, min_set, propagate
 from .verify import Kind, is_red_old
 
 __all__ = [
@@ -211,16 +211,12 @@ class ReductionOutput:
         var = abs(lit) - 1
         return self.pos_literal_index(var) if lit > 0 else self.neg_literal_index(var)
 
-    def shaded_mask(self) -> int:
-        return mask_of(v for v, r in enumerate(self.roles) if r == ROLE_SHADED)
-
-    def triangle_mask(self) -> int:
-        return mask_of(v for v, r in enumerate(self.roles) if r == ROLE_TRIANGLE)
-
     def forced_mask(self) -> int:
         """All vertices required in every acceptable set: shaded internals
         plus clause triangles."""
-        return self.shaded_mask() | self.triangle_mask()
+        return mask_of(
+            v for v, r in enumerate(self.roles) if r in (ROLE_SHADED, ROLE_TRIANGLE)
+        )
 
 
 def build_reduction(cnf: CnfInstance) -> ReductionOutput:
@@ -270,10 +266,9 @@ def _check_structure(out: ReductionOutput) -> None:
             raise AssertionError("clause vertex attached to the wrong literals")
 
 
-def decide_sat_via_redold(cnf: CnfInstance, budget: int = DEFAULT_BUDGET) -> bool:
-    """Satisfiable iff the reduction graph's minimum RED:OLD set hits the
-    16N + 3M threshold."""
-    out = build_reduction(cnf)
+def decide_sat_via_redold(out: ReductionOutput, budget: int = DEFAULT_BUDGET) -> bool:
+    """Is the reduced formula satisfiable?  Yes iff the reduction graph's
+    minimum RED:OLD set hits the 16N + 3M threshold."""
     result = min_set(out.graph, Kind.RED_OLD, budget=budget)
     if not result.feasible:
         raise AssertionError("reduction graphs always admit a RED:OLD set")
@@ -282,24 +277,23 @@ def decide_sat_via_redold(cnf: CnfInstance, budget: int = DEFAULT_BUDGET) -> boo
     return result.value == out.threshold
 
 
-def validate_gadget_forcing(cnf: CnfInstance, budget: int = DEFAULT_BUDGET) -> bool:
+def validate_gadget_forcing(out: ReductionOutput, budget: int = DEFAULT_BUDGET) -> bool:
     """Computational check that the gadget tables behave as designed.
 
-    For a small instance (up to N=5, M=7N) this demands:
+    For the reduction of a small instance (up to N=5, M=7N) this demands:
 
     a. every shaded internal and clause-triangle vertex is in every minimum
        RED:OLD set of the reduction graph;
     b. propagation from the empty state already forces all of them;
     c. every minimum set contains u_i or not_u_i for each variable i.
     """
-    if cnf.num_vars > 5 or cnf.num_clauses > 7 * cnf.num_vars:
+    if out.num_vars > 5 or out.num_clauses > 7 * out.num_vars:
         raise InputError("gadget validation is intended for instances up to N=5, M=7N")
-    out = build_reduction(cnf)
     g = out.graph
     required = out.forced_mask()
 
-    state = propagate(g, Kind.RED_OLD, SearchState())
-    if state is None or state.forced_in & required != required:
+    fin = propagate(g, Kind.RED_OLD)
+    if fin is None or fin & required != required:
         return False
 
     optima = min_set(g, Kind.RED_OLD, enumerate_all=True, budget=budget)
@@ -313,7 +307,7 @@ def validate_gadget_forcing(cnf: CnfInstance, budget: int = DEFAULT_BUDGET) -> b
             return False
 
     for s in optima.all_minimum_sets:
-        for i in range(cnf.num_vars):
+        for i in range(out.num_vars):
             pair = (1 << out.pos_literal_index(i)) | (1 << out.neg_literal_index(i))
             if not s & pair:
                 return False

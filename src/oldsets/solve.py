@@ -67,7 +67,6 @@ from .verify import Kind, verify_kind, verify_set
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "SearchState",
     "SolveResult",
     "feasibility_check",
     "propagate",
@@ -79,17 +78,6 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 
 _BRUTEFORCE_MAX_N = 20
-
-
-@dataclass(frozen=True)
-class SearchState:
-    """Partial decision: vertices known to be in / out of every solution
-    below this branch, plus the lower bound computed at the last propagation
-    fixpoint."""
-
-    forced_in: int = 0
-    forced_out: int = 0
-    lower_bound: int = 0
 
 
 @dataclass(frozen=True)
@@ -119,31 +107,22 @@ def feasibility_check(g: Graph, kind: Kind) -> bool:
     return verify_kind(g, g.all_mask(), kind).holds
 
 
-def propagate(g: Graph, kind: Kind, state: SearchState) -> SearchState | None:
-    """Close rules R1/R2 to a fixpoint; None signals conflict (R3).  The
-    rules read only forced_out, which never grows here, so one pass does."""
-    fin, fout = state.forced_in, state.forced_out
-    if fin & fout:
+def propagate(g: Graph, kind: Kind, forced_in: int = 0, forced_out: int = 0) -> int | None:
+    """Close rules R1/R2 to a fixpoint: the closed forced_in, or None on a
+    conflict (R3).  The rules read only forced_out, which never grows here,
+    so one pass over the constraints does."""
+    if forced_in & forced_out:
         return None
     k = kind.fold
-    fin = _close(k, fin, fout, g.constraint_masks)
-    if fin is None:
-        return None
-    return SearchState(fin, fout, _scan(g.n, k, g.constraint_masks, fin, fout)[0])
-
-
-def _close(k: int, fin: int, fout: int, masks: tuple[int, ...]) -> int | None:
-    """One R1/R3 pass over ``masks``: the closed forced_in, or None on a
-    conflict."""
-    keep = ~fout
-    for need in masks:
+    keep = ~forced_out
+    for need in g.constraint_masks:
         avail = need & keep
         c = avail.bit_count()
         if c <= k:
             if c < k:
                 return None
-            fin |= avail
-    return fin
+            forced_in |= avail
+    return forced_in
 
 
 def _scan(
@@ -213,58 +192,53 @@ def _can_precede(n: int, fout: int, w: int) -> bool:
     return bool(below & ~(w | fout))
 
 
-class _Search:
-    def __init__(self, g: Graph, kind: Kind, budget: int):
-        self.g = g
-        self.k = kind.fold
-        self.budget = budget
-        self.nodes = 0
+def _optima(
+    g: Graph, k: int, fin: int, fout: int, ub: int, enumerate_all: bool, budget: int
+) -> tuple[int, list[int], int]:
+    """The minimum size, its optima in sorted-tuple order and the nodes
+    visited, searching below the fixpoint (fin, fout): all optima with
+    ``enumerate_all``, else only the first.  ``ub`` must be the size of
+    some known-feasible set; visiting more than ``budget`` nodes raises
+    :class:`BudgetExceededError`.
 
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(self.budget, self.nodes)
-
-    def optima(self, root: SearchState, ub: int, enumerate_all: bool) -> tuple[int, list[int]]:
-        """The minimum size and its optima in sorted-tuple order: all of
-        them with ``enumerate_all``, else only the first.  ``ub`` must be
-        the size of some known-feasible set.
-
-        Each visited state takes one ``_scan``: its bound prunes, and the
-        search branches on its vertex, include before exclude; the scan
-        also gives the exclude child's closed forced_in, so both children
-        are pushed as fixpoints.  A state with no live constraint is a
-        leaf whose forced_in is accepted.  The path that follows an
-        optimum's membership ends at a leaf inside it, which is no larger,
-        so each optimum is that one leaf.
-        """
-        g, k = self.g, self.k
-        sets: list[int] = []
-        # (fin, fout, live): a fixpoint to visit, with its parent's live
-        stack = [(root.forced_in, root.forced_out, g.constraint_masks)]
-        while stack:
-            fin, fout, live = stack.pop()
-            self._tick()
-            bound, v, live, exclude_fin = _scan(g.n, k, live, fin, fout)
-            if bound > ub or (
-                bound == ub and sets and not enumerate_all
-                and not _can_precede(g.n, fout, sets[0])
-            ):
-                continue
-            if v is None:
-                size = fin.bit_count()
-                if size < ub:
-                    ub, sets = size, [fin]
-                elif enumerate_all or not sets:
-                    sets.append(fin)
-                elif vertices_of(fin) < vertices_of(sets[0]):
-                    sets[0] = fin
-                continue
-            bit = 1 << v
-            stack.append((exclude_fin, fout | bit, live))
-            stack.append((fin | bit, fout, live))
-        sets.sort(key=vertices_of)
-        return ub, sets
+    Each visited state takes one ``_scan``: its bound prunes, and the
+    search branches on its vertex, include before exclude; the scan also
+    gives the exclude child's closed forced_in, so both children are
+    pushed as fixpoints.  A state with no live constraint is a leaf whose
+    forced_in is accepted.  The path that follows an optimum's membership
+    ends at a leaf inside it, which is no larger, so each optimum is that
+    one leaf.
+    """
+    n = g.n
+    sets: list[int] = []
+    nodes = 0
+    # (fin, fout, live): a fixpoint to visit, with its parent's live
+    stack = [(fin, fout, g.constraint_masks)]
+    while stack:
+        fin, fout, live = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(budget, nodes)
+        bound, v, live, exclude_fin = _scan(n, k, live, fin, fout)
+        if bound > ub or (
+            bound == ub and sets and not enumerate_all
+            and not _can_precede(n, fout, sets[0])
+        ):
+            continue
+        if v is None:
+            size = fin.bit_count()
+            if size < ub:
+                ub, sets = size, [fin]
+            elif enumerate_all or not sets:
+                sets.append(fin)
+            elif vertices_of(fin) < vertices_of(sets[0]):
+                sets[0] = fin
+            continue
+        bit = 1 << v
+        stack.append((exclude_fin, fout | bit, live))
+        stack.append((fin | bit, fout, live))
+    sets.sort(key=vertices_of)
+    return ub, sets, nodes
 
 
 def min_set(
@@ -283,17 +257,13 @@ def min_set(
     top = g.all_mask() & ~forced_out
     if not verify_kind(g, top, kind).holds:
         return SolveResult(None, None, None, nodes=0)
-    search = _Search(g, kind, budget)
-    root = propagate(g, kind, SearchState(0, forced_out))
-    if root is None:
+    fin = propagate(g, kind, 0, forced_out)
+    if fin is None:
         raise AssertionError("propagation conflict on a feasible instance")
-    value, sets = search.optima(root, top.bit_count(), enumerate_all)
-    return SolveResult(
-        value,
-        sets[0],
-        tuple(sets) if enumerate_all else None,
-        nodes=search.nodes,
+    value, sets, nodes = _optima(
+        g, kind.fold, fin, forced_out, top.bit_count(), enumerate_all, budget
     )
+    return SolveResult(value, sets[0], tuple(sets) if enumerate_all else None, nodes=nodes)
 
 
 def min_set_bruteforce(g: Graph, kind: Kind, enumerate_all: bool = False) -> SolveResult:

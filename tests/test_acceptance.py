@@ -30,7 +30,7 @@ from oldsets.sat_reduction import (
     satisfiable_bruteforce,
     validate_gadget_forcing,
 )
-from oldsets.solve import SearchState, min_set, min_set_bruteforce, propagate
+from oldsets.solve import min_set, min_set_bruteforce, propagate
 from oldsets.verify import (
     Kind,
     is_old,
@@ -205,19 +205,19 @@ def test_criterion_5_gadget_forcing():
     failures = 0
     exact_checked = 0
     for cnf in instances:
-        if not validate_gadget_forcing(cnf):
+        out = build_reduction(cnf)
+        if not validate_gadget_forcing(out):
             failures += 1
             continue
-        out = build_reduction(cnf)
-        state = propagate(out.graph, Kind.RED_OLD, SearchState())
+        fin = propagate(out.graph, Kind.RED_OLD)
         required = out.forced_mask()
-        if state is None or state.forced_in & required != required:
+        if fin is None or fin & required != required:
             failures += 1
         elif all(len(set(c)) == 3 for c in cnf.clauses):
             # no degenerate clause: propagation must force nothing beyond
             # the shaded internals and clause triangles
             exact_checked += 1
-            if state.forced_in != required:
+            if fin != required:
                 failures += 1
     ok = failures == 0 and exact_checked > 0 and unsat > 0
     _report(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oldsets import grids
+from oldsets import grids, sat_reduction
 from oldsets.cli import _build_parser, main
 from oldsets.graph import MAX_VERTICES, graph_to_json, path_graph
 
@@ -221,6 +221,23 @@ def test_reduce_validate_gadgets(capsys, tmp_path):
     cnf.write_text("p cnf 1 1\n1 1 1 0\n")
     code, rep = run_json(capsys, "reduce", str(cnf), "--validate-gadgets")
     assert code == 0 and rep["gadget_validation"] is True
+
+
+def test_reduce_builds_the_reduction_once(capsys, tmp_path, monkeypatch):
+    # --decide and --validate-gadgets reuse the graph the command built
+    calls = []
+    build = sat_reduction.build_reduction
+
+    def counted(cnf):
+        calls.append(cnf)
+        return build(cnf)
+
+    monkeypatch.setattr(sat_reduction, "build_reduction", counted)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 1 1\n1 1 1 0\n")
+    code, rep = run_json(capsys, "reduce", str(cnf), "--decide", "--validate-gadgets")
+    assert code == 0 and rep["gadget_validation"] is True and rep["decide"]["agree"] is True
+    assert len(calls) == 1
 
 
 def test_reduce_parse_error(capsys, tmp_path):

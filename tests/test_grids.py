@@ -9,6 +9,7 @@ import pytest
 
 from oldsets import grids
 from oldsets.errors import InputError
+from oldsets.graph import vertices_of
 from oldsets.grids import (
     DensityReport,
     BUILTIN_PATTERN_NAMES,
@@ -161,6 +162,15 @@ def test_build_torus_shapes():
     assert all(hexa.degree(v) == 3 for v in range(36))
     tri = build_torus(Lattice.TRI, 5, 5)
     assert all(tri.degree(v) == 6 for v in range(25))
+    # the adjacency is the wrapped neighbor relation, edge for edge
+    for lattice, w, h in ((Lattice.SQ, 5, 7), (Lattice.KING, 6, 6),
+                          (Lattice.HEX, 6, 8), (Lattice.TRI, 7, 5)):
+        edges = {
+            frozenset((y * w + x, (ny % h) * w + nx % w))
+            for x in range(w) for y in range(h) for nx, ny in neighbors(lattice, x, y)
+        }
+        g = build_torus(lattice, w, h)
+        assert {frozenset((a, b)) for a in range(g.n) for b in vertices_of(g.adj[a])} == edges
 
 
 def test_build_torus_guards():

@@ -23,7 +23,7 @@ from oldsets.sat_reduction import (
     satisfiable_bruteforce,
     validate_gadget_forcing,
 )
-from oldsets.solve import SearchState, min_set, propagate
+from oldsets.solve import _scan, min_set, propagate
 from oldsets.verify import Kind
 
 TWO_CLAUSE_DIMACS = "p cnf 4 2\n1 2 -3 0\n-1 2 -4 0\n"
@@ -126,23 +126,26 @@ def test_repeated_literal_gets_single_edge():
 def test_propagation_forces_exactly_the_shaded_and_triangles():
     # all clauses have three distinct literals, so nothing else is forced
     out = build_reduction(parse_dimacs(TWO_CLAUSE_DIMACS))
-    state = propagate(out.graph, Kind.RED_OLD, SearchState())
-    assert state.forced_in == out.forced_mask()
-    assert state.forced_in.bit_count() == 15 * 4 + 3 * 2
+    fin = propagate(out.graph, Kind.RED_OLD)
+    assert fin == out.forced_mask()
+    assert fin.bit_count() == 15 * 4 + 3 * 2
 
 
 def test_degenerate_clause_forces_its_literal():
     # {u1,u1,u1} leaves the clause vertex with 2 candidate dominators only
     out = build_reduction(CnfInstance(1, ((1, 1, 1),)))
-    state = propagate(out.graph, Kind.RED_OLD, SearchState())
-    assert state.forced_in & (1 << out.pos_literal_index(0))
-    assert state.forced_in & out.forced_mask() == out.forced_mask()
+    fin = propagate(out.graph, Kind.RED_OLD)
+    assert fin & (1 << out.pos_literal_index(0))
+    assert fin & out.forced_mask() == out.forced_mask()
 
 
 def test_min_redold_meets_threshold_iff_satisfiable():
-    assert decide_sat_via_redold(parse_dimacs(TWO_CLAUSE_DIMACS)) is True
-    assert decide_sat_via_redold(CnfInstance(1, ((1, 1, 1), (-1, -1, -1)))) is False
-    assert decide_sat_via_redold(CnfInstance(1, ((1, 1, 1),))) is True
+    def decide(cnf):
+        return decide_sat_via_redold(build_reduction(cnf))
+
+    assert decide(parse_dimacs(TWO_CLAUSE_DIMACS)) is True
+    assert decide(CnfInstance(1, ((1, 1, 1), (-1, -1, -1)))) is False
+    assert decide(CnfInstance(1, ((1, 1, 1),))) is True
 
 
 def test_unsat_minimum_exceeds_threshold():
@@ -155,7 +158,7 @@ def test_unsat_chain_across_variables():
     # unit propagation chain x1=F, then x2 both ways: unsatisfiable
     cnf = CnfInstance(2, ((1, 1, 2), (1, 1, -2), (-1, -1, -1)))
     assert satisfiable_bruteforce(cnf)[0] is False
-    assert decide_sat_via_redold(cnf) is False
+    assert decide_sat_via_redold(build_reduction(cnf)) is False
     out = build_reduction(cnf)
     assert min_set(out.graph, Kind.RED_OLD).value > out.threshold
 
@@ -174,15 +177,17 @@ def test_root_bound_is_the_threshold():
     for n in range(3, 13):
         for _ in range(3):
             out = build_reduction(_random_cnf(rng, n, rng.randint(1, 5 * n)))
-            root = propagate(out.graph, Kind.RED_OLD, SearchState())
-            assert root.lower_bound == out.threshold
+            g = out.graph
+            fin = propagate(g, Kind.RED_OLD)
+            assert _scan(g.n, 2, g.constraint_masks, fin, 0)[0] == out.threshold
 
 
 def test_decide_within_node_budget():
     # N = 12, M = 40 (312 vertices): deciding this draw took 2,123 nodes
     # with the domination-only bound
     cnf = _random_cnf(random.Random(0), 12, 40)
-    assert decide_sat_via_redold(cnf, budget=1000) == satisfiable_bruteforce(cnf)[0]
+    out = build_reduction(cnf)
+    assert decide_sat_via_redold(out, budget=1000) == satisfiable_bruteforce(cnf)[0]
 
 
 def test_single_clause_value():
@@ -191,22 +196,22 @@ def test_single_clause_value():
 
 
 def test_validate_gadget_forcing_examples():
-    assert validate_gadget_forcing(CnfInstance(1, ((1, 1, 1),)))
-    assert validate_gadget_forcing(CnfInstance(2, ((1, -2, 2),)))
+    assert validate_gadget_forcing(build_reduction(CnfInstance(1, ((1, 1, 1),))))
+    assert validate_gadget_forcing(build_reduction(CnfInstance(2, ((1, -2, 2),))))
 
 
 def test_validate_gadget_forcing_four_variable_instance():
-    assert validate_gadget_forcing(parse_dimacs(TWO_CLAUSE_DIMACS))
+    assert validate_gadget_forcing(build_reduction(parse_dimacs(TWO_CLAUSE_DIMACS)))
 
 
 def test_validate_gadget_forcing_guard():
     # the cap is N <= 5 and M <= 7N
     with pytest.raises(InputError):
-        validate_gadget_forcing(CnfInstance(6, ()))
+        validate_gadget_forcing(build_reduction(CnfInstance(6, ())))
     with pytest.raises(InputError):
-        validate_gadget_forcing(CnfInstance(2, ((1, -2, 2),) * 15))
-    assert validate_gadget_forcing(CnfInstance(5, ()))
-    assert validate_gadget_forcing(CnfInstance(2, ((1, -2, 2),) * 14))
+        validate_gadget_forcing(build_reduction(CnfInstance(2, ((1, -2, 2),) * 15)))
+    assert validate_gadget_forcing(build_reduction(CnfInstance(5, ())))
+    assert validate_gadget_forcing(build_reduction(CnfInstance(2, ((1, -2, 2),) * 14)))
 
 
 def test_assignment_from_set():

@@ -10,7 +10,6 @@ from oldsets.errors import BudgetExceededError, InputError
 from oldsets.fixtures import g11
 from oldsets.graph import build_graph, complete_graph, cycle_graph, mask_of, path_graph, vertices_of
 from oldsets.solve import (
-    SearchState,
     _can_precede,
     _scan,
     feasibility_check,
@@ -113,20 +112,19 @@ def test_enumeration_matches_bruteforce():
 
 def test_propagate_g11_triangle_forcing():
     g = g11()
-    state = propagate(g, Kind.RED_OLD, SearchState())
+    fin = propagate(g, Kind.RED_OLD)
     tri = set_of(g, "v1", "v2", "v3")
-    assert state.forced_in & tri == tri
+    assert fin & tri == tri
 
 
 def test_propagate_conflict_on_c4_old():
-    assert propagate(cycle_graph(4), Kind.OLD, SearchState()) is None
+    assert propagate(cycle_graph(4), Kind.OLD) is None
 
 
 def test_propagate_respects_forced_out():
     g = g11()
     # excluding v2 starves the pair/vertex constraints inside the triangle
-    state = propagate(g, Kind.RED_OLD, SearchState(0, 1 << g.index_of("v2")))
-    assert state is None
+    assert propagate(g, Kind.RED_OLD, 0, 1 << g.index_of("v2")) is None
 
 
 def test_propagation_soundness_against_exhaustion():
@@ -139,18 +137,18 @@ def test_propagation_soundness_against_exhaustion():
         decided_in = rng.getrandbits(g.n) & rng.getrandbits(g.n)
         decided_out = rng.getrandbits(g.n) & rng.getrandbits(g.n) & ~decided_in
         for kind in Kind:
-            state = propagate(g, kind, SearchState(decided_in, decided_out))
+            fin = propagate(g, kind, decided_in, decided_out)
             consistent = [
                 s for s in range(1 << g.n)
                 if s & decided_in == decided_in and not s & decided_out
                 and verify_kind(g, s, kind).holds
             ]
-            if state is None:
+            if fin is None:
                 assert not consistent
                 conflict_checked += 1
                 continue
             for s in consistent:
-                assert s & state.forced_in == state.forced_in
+                assert s & fin == fin
                 forced_checked += 1
     assert forced_checked > 0 and conflict_checked > 0
 
@@ -274,9 +272,9 @@ def test_propagate_matches_all_pairs_reference():
         )
         for kind in Kind:
             for fin, fout in _random_partial_states(rng, g, 6):
-                got = propagate(g, kind, SearchState(fin, fout))
+                got = propagate(g, kind, fin, fout)
                 want = _propagate_all_pairs(g, kind, fin, fout)
-                assert (got and got.forced_in) == want
+                assert got == want
                 outcomes["conflict" if want is None else "forced"] += 1
     assert min(outcomes.values()) > 100, outcomes
 
@@ -322,9 +320,9 @@ def _random_fixpoints(rng, g, kind, count):
     for _ in range(count):
         fin = rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n)
         fout = rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n) & ~fin
-        state = propagate(g, kind, SearchState(fin, fout))
-        if state is not None:
-            yield state.forced_in, state.forced_out
+        fin = propagate(g, kind, fin, fout)
+        if fin is not None:
+            yield fin, fout
 
 
 def test_scan_bound_is_valid_and_tighter_than_domination():
@@ -355,8 +353,8 @@ def test_scan_bound_is_valid_and_tighter_than_domination():
                 if v is None:
                     assert exclude_fin == fin
                 else:
-                    child = propagate(g, kind, SearchState(fin, fout | 1 << v))
-                    assert exclude_fin == child.forced_in, (g.adj, kind, fin, fout)
+                    child = propagate(g, kind, fin, fout | 1 << v)
+                    assert exclude_fin == child, (g.adj, kind, fin, fout)
                     excludes["forced" if exclude_fin != fin else "unchanged"] += 1
     assert min(counts.values()) > 100, counts
     assert excludes["forced"] > 200 and excludes["unchanged"] > 20, excludes
@@ -387,15 +385,13 @@ def test_child_steps_match_propagate():
                     # the include child fin | bit is already a fixpoint;
                     # excluding an undecided vertex from a fixpoint never
                     # conflicts
-                    exclude = propagate(g, kind, SearchState(fin, fout | bit))
+                    exclude = propagate(g, kind, fin, fout | bit)
                     assert exclude is not None
-                    exclude = exclude.forced_in
                     if v == branch:
                         assert exclude_fin == exclude, (g.adj, kind, fin, fout)
                     for cfin, cfout in ((fin | bit, fout), (exclude, fout | bit)):
                         scan = _scan(g.n, k, live, cfin, cfout)
-                        assert propagate(g, kind, SearchState(cfin, cfout)) == SearchState(
-                            cfin, cfout, scan[0])
+                        assert propagate(g, kind, cfin, cfout) == cfin
                         assert scan == _scan(g.n, k, g.constraint_masks, cfin, cfout)
                         assert scan[2] == tuple(
                             m for m in g.constraint_masks if (m & cfin).bit_count() < k)

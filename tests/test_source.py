@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import oldsets
@@ -19,3 +20,16 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_exported_name_exists():
+    # a name removed from a module must leave its __all__ too
+    modules = [
+        importlib.import_module(f"oldsets.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if not path.stem.startswith("_")
+    ]
+    exporting = [m for m in modules if hasattr(m, "__all__")]
+    assert len(exporting) >= 6
+    stale = [f"{m.__name__}.{name}" for m in exporting for name in m.__all__ if not hasattr(m, name)]
+    assert stale == []
