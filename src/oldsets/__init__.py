@@ -51,13 +51,11 @@ from .verify import (
     VerificationReport,
     distinguishing_count,
     domination_count,
-    is_distinguishing_collection,
     is_identifying_code,
     is_locating_dominating,
     is_old,
     is_open_dominating,
     is_red_old,
-    is_red_old_definitional,
     verify_kind,
     verify_set,
 )

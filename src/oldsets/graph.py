@@ -21,6 +21,7 @@ __all__ = [
     "build_graph",
     "mask_of",
     "vertices_of",
+    "meeting_pairs",
     "path_graph",
     "cycle_graph",
     "complete_graph",
@@ -41,7 +42,10 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def vertices_of(mask: int) -> list[int]:
-    """Sorted list of the indices set in ``mask``."""
+    """Sorted list of the indices set in ``mask``; a negative mask (an
+    infinite set in two's complement) is an input error."""
+    if mask < 0:
+        raise InputError(f"vertex set {mask:#x} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -90,19 +94,14 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in vertices_of(adj[u] >> (u + 1) << (u + 1))]
 
     def meeting_pairs(self) -> Iterator[tuple[int, int]]:
-        """Pairs u < v with N(u) ∩ N(v) ≠ ∅, in lexicographic order.
+        """Pairs u < v with N(u) ∩ N(v) ≠ ∅: :func:`meeting_pairs` of the
+        open neighborhoods.
 
         Only these pairs need a separation check: for any other pair
         N(u) △ N(v) = N(u) ∪ N(v), so it has as many separators as u and v
-        have dominators together.  The partners of u are the bits above u
-        in the union of N(w) over w in N(u).
+        have dominators together.
         """
-        for u in range(self.n):
-            reach = 0
-            for w in vertices_of(self.adj[u]):
-                reach |= self.adj[w]
-            for v in vertices_of(reach >> (u + 1) << (u + 1)):
-                yield u, v
+        return meeting_pairs(self.adj)
 
     @cached_property
     def constraint_masks(self) -> tuple[int, ...]:
@@ -130,11 +129,28 @@ class Graph:
         return v
 
 
+def meeting_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Pairs u < v with masks[u] & masks[v] ≠ 0, in lexicographic order.
+
+    ``masks`` must be symmetric (bit w of masks[u] iff bit u of masks[w]),
+    as open neighborhoods N(v) and closed ones N[v] both are.  Then the
+    partners of u are the bits above u in the union of masks[w] over w in
+    masks[u].
+    """
+    for u, m in enumerate(masks):
+        reach = 0
+        for w in vertices_of(m):
+            reach |= masks[w]
+        for v in vertices_of(reach >> (u + 1) << (u + 1)):
+            yield u, v
+
+
 # The largest vertex count build_graph accepts.  Checked before the
 # adjacency list is allocated, so a huge "n" in an input file is an input
-# error rather than a MemoryError; the exact solver and the all-pairs
-# checks are far out of reach long before this size anyway.
-MAX_VERTICES = 10**6
+# error rather than a MemoryError.  Each adjacency mask takes up to n bits,
+# so a graph whose edges span the index range keeps Θ(n²) bits: about
+# 128 MiB at this limit, where 10**6 vertices would need about 125 GB.
+MAX_VERTICES = 2**15
 
 
 def build_graph(

@@ -338,7 +338,7 @@ def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
     Dimensions below 5 (and odd dimensions for HEX) are rejected: the wrap
     would identify distance-<=2 neighbors or break the parity rule, which
     defeats the cross-check this graph exists for.  So is a torus above
-    MAX_VERTICES vertices, before its edges are built.
+    MAX_VERTICES = 2**15 vertices, before its edges are built.
     """
     if width < 5 or height < 5:
         raise InputError(f"torus dimensions must be >= 5, got {width}x{height}")

@@ -34,7 +34,6 @@ The wiring is treated as untrusted and is validated computationally by
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -332,10 +331,3 @@ def assignment_from_set(output: ReductionOutput, s: int) -> tuple[bool, ...]:
         raise AssertionError("threshold-sized RED:OLD set decoded to a non-model")
     return assignment
 
-
-def all_clauses_over(num_vars: int) -> list[tuple[int, int, int]]:
-    """Every 3-literal clause (as a sorted multiset) over ``num_vars``
-    variables; handy for exhaustive desk-scale sweeps."""
-    lits = [v for v in range(1, num_vars + 1)] + [-v for v in range(1, num_vars + 1)]
-    lits.sort(key=lambda l: (abs(l), l < 0))
-    return list(itertools.combinations_with_replacement(lits, 3))

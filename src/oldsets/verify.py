@@ -1,25 +1,30 @@
 """Polynomial-time verifiers for distinguishing vertex sets.
 
-Everything here reduces to two primitive counters over a candidate set S:
+Every verifier here is one walk, ``_first_failure(inc, pairs, s, fold)``,
+where ``inc[v]`` is the mask of detectors that see vertex v.  Each vertex
+needs ``fold`` detectors in S, and each listed pair needs ``fold`` in
+(inc[u] △ inc[v]) ∩ S, those that see exactly one of the two.  Only pairs
+whose masks meet are listed: for any other pair the symmetric difference
+is the disjoint union, with at least 2·fold detectors once both vertices
+have fold.
 
-* ``domination_count``    — how many members of S are adjacent to a vertex;
-* ``distinguishing_count`` — how many members of S separate a pair, i.e. the
-  size of the symmetric difference of the pair's S-restricted neighborhoods.
-
-An open-locating-dominating (OLD) set needs both counters >= 1 everywhere;
-its fault-tolerant variant (RED:OLD, still correct after losing any single
-detector) needs both >= 2.  The fold is exposed generally so both checks are
-the same code path.
+* OLD sets (fold 1) and RED:OLD sets (fold 2, still correct after losing
+  any single detector): inc[v] = N(v), over the graph's meeting pairs.
+* Identifying codes: inc[v] = N[v], over the pairs whose closed
+  neighborhoods meet (distance <= 2).
+* Locating-dominating sets: inc[v] = N(v) plus the singleton {v} as bit
+  n + v, with the set S | S << n, over the open meeting pairs, since the
+  singletons never meet.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
-from .graph import Graph, vertices_of
+from .graph import Graph, meeting_pairs
 
 __all__ = [
     "Kind",
@@ -31,10 +36,6 @@ __all__ = [
     "verify_kind",
     "is_old",
     "is_red_old",
-    "is_red_old_definitional",
-    "is_old_definitional",
-    "is_old_via_collection",
-    "is_distinguishing_collection",
     "is_locating_dominating",
     "is_identifying_code",
 ]
@@ -79,6 +80,30 @@ def _check_set(g: Graph, s: int) -> None:
         raise InputError(f"vertex set {s:#x} has members outside 0..{g.n - 1}")
 
 
+def _check_fold_and_set(g: Graph, s: int, fold: int) -> None:
+    if fold < 1:
+        raise InputError(f"fold must be >= 1, got {fold}")
+    _check_set(g, s)
+
+
+def _first_failure(
+    inc: Sequence[int], pairs: Iterable[tuple[int, int]], s: int, fold: int
+) -> VerificationReport:
+    """The first vertex v with fewer than ``fold`` detectors of ``inc[v]``
+    in ``s``, else the first pair (u, v) of ``pairs`` with fewer than
+    ``fold`` in ``(inc[u] ^ inc[v]) & s``, else a holding report.  The
+    pairs are drawn only once every vertex passes."""
+    for v, m in enumerate(inc):
+        c = (m & s).bit_count()
+        if c < fold:
+            return VerificationReport(False, vertex=v, count=c)
+    for u, v in pairs:
+        c = ((inc[u] ^ inc[v]) & s).bit_count()
+        if c < fold:
+            return VerificationReport(False, pair=(u, v), count=c)
+    return _OK
+
+
 def domination_count(g: Graph, s: int, v: int) -> int:
     """|N(v) ∩ S|."""
     g.check_vertex(v)
@@ -101,14 +126,8 @@ def is_open_dominating(g: Graph, s: int, fold: int = 1) -> VerificationReport:
 
     The witness is the first failing vertex in index order.
     """
-    if fold < 1:
-        raise InputError(f"fold must be >= 1, got {fold}")
-    _check_set(g, s)
-    for v in range(g.n):
-        c = (g.adj[v] & s).bit_count()
-        if c < fold:
-            return VerificationReport(False, vertex=v, count=c)
-    return _OK
+    _check_fold_and_set(g, s, fold)
+    return _first_failure(g.adj, (), s, fold)
 
 
 def verify_set(g: Graph, s: int, fold: int) -> VerificationReport:
@@ -119,14 +138,8 @@ def verify_set(g: Graph, s: int, fold: int) -> VerificationReport:
     in lexicographic (u, v) order (witness: first failing pair).  Once
     domination holds only meeting pairs can fail, so only they are walked.
     """
-    rep = is_open_dominating(g, s, fold)  # also checks fold and s
-    if not rep.holds:
-        return rep
-    for u, v in g.meeting_pairs():
-        c = ((g.adj[u] ^ g.adj[v]) & s).bit_count()
-        if c < fold:
-            return VerificationReport(False, pair=(u, v), count=c)
-    return _OK
+    _check_fold_and_set(g, s, fold)
+    return _first_failure(g.adj, g.meeting_pairs(), s, fold)
 
 
 def is_old(g: Graph, s: int) -> VerificationReport:
@@ -141,67 +154,20 @@ def verify_kind(g: Graph, s: int, kind: Kind) -> VerificationReport:
     return verify_set(g, s, kind.fold)
 
 
-def is_red_old_definitional(g: Graph, s: int) -> VerificationReport:
-    """RED:OLD by its definition: S open-dominating and every single-detector
-    deletion S - {v} still an OLD set.
-
-    Equivalent to :func:`is_red_old`; kept separate so the equivalence can be
-    tested rather than assumed.
-    """
-    rep = is_open_dominating(g, s, 1)
-    if not rep.holds:
-        return rep
-    for v in vertices_of(s):
-        inner = is_old(g, s & ~(1 << v))
-        if not inner.holds:
-            return inner
-    return _OK
-
-
-def is_old_definitional(g: Graph, s: int) -> bool:
-    """OLD by the direct definition: S open-dominating and all S-restricted
-    open neighborhoods pairwise distinct."""
-    if not is_open_dominating(g, s, 1).holds:
-        return False
-    codes = [g.adj[v] & s for v in range(g.n)]
-    return len(set(codes)) == g.n
-
-
-def is_distinguishing_collection(universe_size: int, subsets: Sequence[int]) -> bool:
-    """Does the collection cover 0..universe_size-1 and separate every pair,
-    some member containing exactly one vertex of the pair?"""
-    full = (1 << universe_size) - 1
-    cover = 0
-    for sub in subsets:
-        if sub & ~full:
-            raise InputError("collection member leaves the universe")
-        cover |= sub
-    if cover != full:
-        return False
-    for u in range(universe_size):
-        for v in range(u + 1, universe_size):
-            pair = (1 << u) | (1 << v)
-            if not any((sub & pair).bit_count() == 1 for sub in subsets):
-                return False
-    return True
-
-
-def is_old_via_collection(g: Graph, s: int) -> bool:
-    """OLD via the collection route: {N(w) : w in S} must be distinguishing."""
-    return is_distinguishing_collection(g.n, [g.adj[w] for w in vertices_of(s)])
-
-
 def is_locating_dominating(g: Graph, s: int) -> bool:
-    """Collection {{w}, N(w) : w in S} must be distinguishing."""
-    subsets: list[int] = []
-    for w in vertices_of(s):
-        subsets.append(1 << w)
-        subsets.append(g.adj[w])
-    return is_distinguishing_collection(g.n, subsets)
+    """Collection {{w}, N(w) : w in S} must be distinguishing.
+
+    A vertex v is seen by N(w) for w in N(v) and by {w} for w = v; the
+    singleton {w} is bit n + w of the detector masks.
+    """
+    _check_set(g, s)
+    n = g.n
+    seen = tuple(a | 1 << (n + v) for v, a in enumerate(g.adj))
+    return _first_failure(seen, g.meeting_pairs(), s | s << n, 1).holds
 
 
 def is_identifying_code(g: Graph, s: int) -> bool:
     """Collection {N[w] : w in S} must be distinguishing."""
-    return is_distinguishing_collection(
-        g.n, [g.closed_neighborhood(w) for w in vertices_of(s)]
-    )
+    _check_set(g, s)
+    closed = tuple(a | 1 << v for v, a in enumerate(g.adj))
+    return _first_failure(closed, meeting_pairs(closed), s, 1).holds

@@ -1,0 +1,84 @@
+"""Reference checks that only the tests use: the definitional and
+collection formulations the package's verifiers are tested against, and a
+clause enumerator for exhaustive desk-scale sweeps."""
+
+from __future__ import annotations
+
+import itertools
+from typing import Sequence
+
+from oldsets.errors import InputError
+from oldsets.graph import Graph, vertices_of
+from oldsets.verify import VerificationReport, is_old, is_open_dominating
+
+
+def is_red_old_definitional(g: Graph, s: int) -> VerificationReport:
+    """RED:OLD by its definition: S open-dominating and every single-detector
+    deletion S - {v} still an OLD set.
+
+    Equivalent to ``is_red_old``; kept separate so the equivalence can be
+    tested rather than assumed.
+    """
+    rep = is_open_dominating(g, s, 1)
+    if not rep.holds:
+        return rep
+    for v in vertices_of(s):
+        inner = is_old(g, s & ~(1 << v))
+        if not inner.holds:
+            return inner
+    return VerificationReport(True)
+
+
+def is_old_definitional(g: Graph, s: int) -> bool:
+    """OLD by the direct definition: S open-dominating and all S-restricted
+    open neighborhoods pairwise distinct."""
+    if not is_open_dominating(g, s, 1).holds:
+        return False
+    codes = [g.adj[v] & s for v in range(g.n)]
+    return len(set(codes)) == g.n
+
+
+def is_distinguishing_collection(universe_size: int, subsets: Sequence[int]) -> bool:
+    """Does the collection cover 0..universe_size-1 and separate every pair,
+    some member containing exactly one vertex of the pair?"""
+    full = (1 << universe_size) - 1
+    cover = 0
+    for sub in subsets:
+        if sub & ~full:
+            raise InputError("collection member leaves the universe")
+        cover |= sub
+    if cover != full:
+        return False
+    for u in range(universe_size):
+        for v in range(u + 1, universe_size):
+            pair = (1 << u) | (1 << v)
+            if not any((sub & pair).bit_count() == 1 for sub in subsets):
+                return False
+    return True
+
+
+def is_old_via_collection(g: Graph, s: int) -> bool:
+    """OLD via the collection route: {N(w) : w in S} must be distinguishing."""
+    return is_distinguishing_collection(g.n, [g.adj[w] for w in vertices_of(s)])
+
+
+def is_locating_dominating_via_collection(g: Graph, s: int) -> bool:
+    """LD via the collection route: {{w}, N(w) : w in S}."""
+    subsets: list[int] = []
+    for w in vertices_of(s):
+        subsets.append(1 << w)
+        subsets.append(g.adj[w])
+    return is_distinguishing_collection(g.n, subsets)
+
+
+def is_identifying_code_via_collection(g: Graph, s: int) -> bool:
+    """IC via the collection route: {N[w] : w in S}."""
+    return is_distinguishing_collection(g.n, [g.closed_neighborhood(w) for w in vertices_of(s)])
+
+
+def all_clauses_over(num_vars: int) -> list[tuple[int, int, int]]:
+    """Every 3-literal clause (as a sorted multiset) over ``num_vars``
+    variables."""
+    lits = [v for v in range(1, num_vars + 1)] + [-v for v in range(1, num_vars + 1)]
+    lits.sort(key=lambda l: (abs(l), l < 0))
+    return list(itertools.combinations_with_replacement(lits, 3))

@@ -11,6 +11,12 @@ import time
 from fractions import Fraction
 
 from conftest import named_fixture_graphs, random_graph, set_of
+from reference import (
+    all_clauses_over,
+    is_old_definitional,
+    is_old_via_collection,
+    is_red_old_definitional,
+)
 from oldsets.fixtures import g11
 from oldsets.grids import (
     BUILTIN_PATTERN_NAMES,
@@ -25,7 +31,6 @@ from oldsets.grids import (
 from oldsets.grids import Lattice
 from oldsets.sat_reduction import (
     CnfInstance,
-    all_clauses_over,
     build_reduction,
     satisfiable_bruteforce,
     validate_gadget_forcing,
@@ -34,10 +39,7 @@ from oldsets.solve import min_set, min_set_bruteforce, propagate
 from oldsets.verify import (
     Kind,
     is_old,
-    is_old_definitional,
-    is_old_via_collection,
     is_red_old,
-    is_red_old_definitional,
     verify_set,
 )
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON schema stability."""
 
+import hashlib
 import json
 import random
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from oldsets import grids, sat_reduction
 from oldsets.cli import _build_parser, main
+from oldsets.fixtures import builtin_graph
 from oldsets.graph import MAX_VERTICES, graph_to_json, path_graph
 
 TWO_CLAUSE_DIMACS = "p cnf 4 2\n1 2 -3 0\n-1 2 -4 0\n"
@@ -55,6 +57,44 @@ def test_verify_ld_and_ic(capsys):
     assert code == 0 and rep["holds"] is True
     code, rep = run_json(capsys, "verify", "builtin:k4", "0", "--kind", "ic")
     assert code == 1
+
+
+# How many subsets of the graph hold, and the sha256 of the concatenated
+# `verify --format json` lines over every subset (in mask order, as comma
+# lists of labels), recorded with the collection-route LD/IC verifier, so
+# the meeting-pair walk must reproduce the reports byte for byte
+VERIFY_JSON_DIGESTS = {
+    ("c4", "old"): (0, "bbcc480d2469e35cc405ef35fbfc60a67f31e18175843d7c1a0c73cf5118d903"),
+    ("c4", "redold"): (0, "2a9c66cacdd384f4b0bf6638eb377606fb36e253bfaafcb1d5394e36ac097893"),
+    ("c4", "ld"): (9, "cb0e724772cdc7573a822470a344a1b26af70336c996f8db89910ca21b863606"),
+    ("c4", "ic"): (5, "641e25dd48834ae701e8da37e9068edcbe89b1df38798cf03e5cfc1d3ce50727"),
+    ("c5", "old"): (6, "f500e6eacccbff04708c81b6ab3023a532aa2f0ea78dfec02130ea36c8ef2f61"),
+    ("c5", "redold"): (1, "239ac41780b55d699d0b7b55684206f106fc20b51f0992af31bb51f98845ebc5"),
+    ("c5", "ld"): (21, "e8aec65c1355a2c7ffffec4cb34a5170c28dca00fd8d931f0309accafc27eb04"),
+    ("c5", "ic"): (11, "0d7385297f4bd9a8675e587bc30f21018673c84d88bf5032e0d7222b2827833b"),
+    ("k4", "old"): (5, "e54ea171c58cd914cdda444104e71766752d0a76d212641ba14812a1b8a56435"),
+    ("k4", "redold"): (1, "0d652ee64cfaff8ea9f315528cb9e6bc446b17e79827ddc23e32d8e4c7281aa8"),
+    ("k4", "ld"): (5, "a3bbc5ba1b72ff728614f18a2392e29733a2e9f61939c7f615c17231b1138d25"),
+    ("k4", "ic"): (0, "44eac39a0ca2649bf5d2a3613e33b232e1764982eda72860be3786e4d9ad6fe8"),
+    ("g11", "old"): (136, "e3fa9a019db6c0f445baaa05e457aac8d650e19b69332744cbf61bed7c35d46a"),
+    ("g11", "redold"): (4, "747ee4318b8a9a297f500053bdf8b5b50c2e0b187349072321a75b7fc925660f"),
+    ("g11", "ld"): (522, "3cc1840f37db279a2e43a7c783d874fd93a51b73451743dda0bdc4f24bb77d2c"),
+    ("g11", "ic"): (0, "9410721ec7f7b4fe99ef2957e29881000352f625c9e1ba025ba25001865a9dd3"),
+}
+
+
+@pytest.mark.parametrize("name, kind", sorted(VERIFY_JSON_DIGESTS))
+def test_verify_json_is_unchanged_on_every_subset(capsys, name, kind):
+    g = builtin_graph(name)
+    names = g.labels if g.labels is not None else [str(v) for v in range(g.n)]
+    digest = hashlib.sha256()
+    holds = 0
+    for s in range(1 << g.n):
+        spec = ",".join(names[v] for v in range(g.n) if s >> v & 1)
+        code, out = run(capsys, "verify", f"builtin:{name}", spec, "--kind", kind, "--format", "json")
+        digest.update(out.encode())
+        holds += code == 0
+    assert (holds, digest.hexdigest()) == VERIFY_JSON_DIGESTS[name, kind]
 
 
 def test_verify_set_from_json_file(capsys, tmp_path):
@@ -111,7 +151,9 @@ def test_solve_malformed_graph_json_is_input_error(capsys, tmp_path, graph, mess
 @pytest.mark.parametrize("name, text", [
     ("g.json", '{"n": 1000000000000, "edges": []}'),
     ("g.txt", "1000000000000 0\n"),
+    ("g.json", '{"n": 1000001, "edges": []}'),
     ("g.json", '{"n": %d, "edges": []}' % (MAX_VERTICES + 1)),
+    ("g.txt", "%d 0\n" % (MAX_VERTICES + 1)),
 ])
 def test_vertex_count_above_limit_is_input_error(capsys, tmp_path, name, text):
     # the count is checked before the adjacency list is allocated, so this
@@ -125,6 +167,16 @@ def test_vertex_count_above_limit_is_input_error(capsys, tmp_path, name, text):
 def test_cross_check_torus_above_limit_is_input_error(capsys):
     code, rep = run_json(capsys, "grid", "sq", "builtin:sq-redold", "--kind", "redold",
                          "--cross-check", "1000000x1000000")
+    assert code == 2 and "above the limit" in rep["error"]
+
+
+@pytest.mark.parametrize("dims", ["99x331", "1000x1000"])
+def test_cross_check_torus_one_above_limit_is_input_error(capsys, dims):
+    # 99 * 331 = MAX_VERTICES + 1; a 1000x1000 torus would keep tens of GB
+    # of adjacency bits
+    assert 99 * 331 == MAX_VERTICES + 1
+    code, rep = run_json(capsys, "grid", "sq", "builtin:sq-redold", "--kind", "redold",
+                         "--cross-check", dims)
     assert code == 2 and "above the limit" in rep["error"]
 
 

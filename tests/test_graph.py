@@ -19,6 +19,7 @@ from oldsets.graph import (
     graph_to_edge_list,
     graph_to_json,
     mask_of,
+    meeting_pairs,
     path_graph,
     vertices_of,
 )
@@ -50,8 +51,11 @@ def test_out_of_range_endpoint_rejected():
 
 
 def test_vertex_count_limit():
+    # bitmask adjacency keeps Θ(n²) bits once edges span the index range,
+    # so the limit is what bounds a graph's memory
+    assert MAX_VERTICES == 2**15
     assert build_graph(MAX_VERTICES, [(0, MAX_VERTICES - 1)]).n == MAX_VERTICES
-    for n in (MAX_VERTICES + 1, 10**12):
+    for n in (MAX_VERTICES + 1, 10**6, 10**12):
         with pytest.raises(InputError, match="above the limit"):
             build_graph(n, [])
 
@@ -159,12 +163,31 @@ def test_vertices_of_mask_round_trip():
     assert vertices_of(mask_of([5, 1, 3])) == [1, 3, 5]
 
 
+def test_vertices_of_negative_mask_rejected():
+    # in two's complement a negative mask is an infinite set
+    for mask in (-1, -(1 << 40)):
+        with pytest.raises(InputError, match="negative"):
+            vertices_of(mask)
+
+
 @given(graphs(max_n=9))
 def test_meeting_pairs_are_the_pairs_with_a_common_neighbor(g):
     expected = [
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] & g.adj[v]
     ]
     assert list(g.meeting_pairs()) == expected
+
+
+@given(graphs(max_n=9))
+def test_closed_meeting_pairs_are_the_pairs_within_distance_two(g):
+    closed = tuple(g.closed_neighborhood(v) for v in range(g.n))
+    expected = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if g.adj[u] >> v & 1 or g.adj[u] & g.adj[v]
+    ]
+    assert list(meeting_pairs(closed)) == expected
 
 
 def test_constraint_masks_layout():

@@ -178,6 +178,10 @@ def test_build_torus_guards():
         build_torus(Lattice.HEX, 5, 6)  # odd width
     with pytest.raises(InputError):
         build_torus(Lattice.SQ, 4, 8)  # too small
+    # 99 * 331 is one vertex above graph.MAX_VERTICES = 2**15, refused
+    # before any edge is built
+    with pytest.raises(InputError, match="above the limit"):
+        build_torus(Lattice.SQ, 99, 331)
 
 
 def test_restrict_pattern_counts():

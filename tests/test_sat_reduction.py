@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from reference import all_clauses_over
 from oldsets.errors import InputError
 from oldsets.graph import vertices_of
 from oldsets.sat_reduction import (
@@ -15,7 +16,6 @@ from oldsets.sat_reduction import (
     ROLE_POSITIVE,
     ROLE_SHADED,
     ROLE_TRIANGLE,
-    all_clauses_over,
     assignment_from_set,
     build_reduction,
     decide_sat_via_redold,

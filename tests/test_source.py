@@ -2,11 +2,13 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import oldsets
 
 PACKAGE = Path(oldsets.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_has_no_assert_statements():
@@ -33,3 +35,12 @@ def test_every_exported_name_exists():
     assert len(exporting) >= 6
     stale = [f"{m.__name__}.{name}" for m in exporting for name in m.__all__ if not hasattr(m, name)]
     assert stale == []
+
+
+def test_readme_python_blocks_run():
+    # the library overview must name only functions that exist and show
+    # only assertions that hold
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) >= 1
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -10,22 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_labeled_graphs, graph_and_subset, random_graph_with_twins, set_of
+from reference import (
+    is_distinguishing_collection,
+    is_identifying_code_via_collection,
+    is_locating_dominating_via_collection,
+    is_old_definitional,
+    is_old_via_collection,
+    is_red_old_definitional,
+)
 from oldsets.errors import InputError
 from oldsets.fixtures import g11
+from oldsets.grids import Lattice, build_torus
 from oldsets.graph import complete_graph, cycle_graph, mask_of, path_graph, vertices_of
 from oldsets.verify import (
     VerificationReport,
     distinguishing_count,
     domination_count,
-    is_distinguishing_collection,
     is_identifying_code,
     is_locating_dominating,
     is_old,
-    is_old_definitional,
-    is_old_via_collection,
     is_open_dominating,
     is_red_old,
-    is_red_old_definitional,
     verify_set,
 )
 
@@ -175,6 +180,54 @@ def test_ld_and_ic_against_direct_definitions():
             for s in range(1 << n):
                 assert is_locating_dominating(g, s) == _locating_dominating_direct(g, s)
                 assert is_identifying_code(g, s) == _identifying_code_direct(g, s)
+
+
+def test_ld_and_ic_match_the_collection_route():
+    rng = random.Random(29)
+    verdicts = {"ld": [0, 0], "ic": [0, 0]}
+    for i in range(2000):
+        g = random_graph_with_twins(
+            rng, rng.randint(1, 11), rng.choice([0.15, 0.3, 0.5, 0.8]), isolated=i % 3 == 0
+        )
+        for s in (g.all_mask(), rng.getrandbits(g.n) | rng.getrandbits(g.n), rng.getrandbits(g.n)):
+            ld = is_locating_dominating(g, s)
+            ic = is_identifying_code(g, s)
+            assert ld == is_locating_dominating_via_collection(g, s)
+            assert ic == is_identifying_code_via_collection(g, s)
+            verdicts["ld"][ld] += 1
+            verdicts["ic"][ic] += 1
+    # the closed twin defeats IC unless the open twin tells the two apart,
+    # so holding codes are the rarest verdict
+    assert sum(verdicts["ld"]) == 6000
+    assert min(verdicts["ld"] + verdicts["ic"]) > 300, verdicts
+
+
+def test_ld_and_ic_on_a_king_torus():
+    g = build_torus(Lattice.KING, 24, 24)
+    assert g.n == 576
+    full = g.all_mask()
+    assert is_locating_dominating(g, full) and is_identifying_code(g, full)
+    # u = (5,5) and v = (6,5) see the same detectors once N[u] △ N[v] (the
+    # columns x = 4 and x = 7, rows 4..6) is left out; LD also needs u and
+    # v themselves out
+    u, v = g.index_of("5,5"), g.index_of("6,5")
+    diff = g.closed_neighborhood(u) ^ g.closed_neighborhood(v)
+    assert diff.bit_count() == 6
+    assert not is_identifying_code(g, full & ~diff)
+    assert is_locating_dominating(g, full & ~diff)
+    assert not is_locating_dominating(g, full & ~diff & ~(1 << u | 1 << v))
+    # every vertex needs a detector in N[v]; in N(v) or itself for LD
+    hole = g.closed_neighborhood(u)
+    assert not is_identifying_code(g, full & ~hole)
+    assert not is_locating_dominating(g, full & ~hole)
+
+
+def test_ld_and_ic_reject_sets_outside_the_graph():
+    k4 = complete_graph(4)
+    for check in (is_locating_dominating, is_identifying_code):
+        for s in (1 << 5, -1):  # -1 is an infinite set in two's complement
+            with pytest.raises(InputError):
+                check(k4, s)
 
 
 @given(graph_and_subset())
