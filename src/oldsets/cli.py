@@ -3,7 +3,9 @@
 Subcommands: ``verify`` a detector set, ``solve`` for a minimum set,
 ``reduce`` a 3-CNF to a RED:OLD instance, ``grid`` to check periodic
 patterns.  ``--format json`` output is schema-stable and byte-deterministic;
-text output is for humans only.
+text output is for humans only.  Each ``cmd_*`` returns its report and its
+text lines; :func:`main` writes one of the two, the only output of a run,
+and exits with the report's ``exit_code``.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 input error,
 3 solver budget exceeded, 4 reduction decision disagrees with the SAT
@@ -73,24 +75,18 @@ def _load_pattern(spec: str) -> grids.PeriodicPattern:
     return grids.pattern_from_json(_read_text(spec, "pattern"))
 
 
-def _witness_json(g: Graph, report) -> dict | None:
+def _witness_json(report, name) -> dict | None:
+    """The JSON witness of a failing :class:`VerificationReport` or
+    :class:`grids.DensityReport`, each vertex written as ``name(vertex)``."""
     if report.holds:
         return None
     if report.vertex is not None:
-        return {"type": "vertex", "vertex": g.label(report.vertex), "count": report.count}
+        return {"type": "vertex", "vertex": name(report.vertex), "count": report.count}
     u, v = report.pair
-    return {"type": "pair", "pair": [g.label(u), g.label(v)], "count": report.count}
+    return {"type": "pair", "pair": [name(u), name(v)], "count": report.count}
 
 
-def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, list[str]]:
     g = _load_graph(args.graph)
     s = _load_set(args.set, g)
     if args.kind in ("ld", "ic"):
@@ -104,55 +100,38 @@ def cmd_verify(args) -> int:
             "witness": None,
             "exit_code": EXIT_OK if holds else EXIT_FAILS,
         }
-        _emit(report, args.format, [f"{args.kind}: {'holds' if holds else 'fails'}"])
-        return report["exit_code"]
+        return report, [f"{args.kind}: {'holds' if holds else 'fails'}"]
     fold = args.fold if args.fold is not None else Kind(args.kind).fold
     if fold < 1:
         raise InputError("--fold must be >= 1")
     rep = verify_set(g, s, fold)
+    w = _witness_json(rep, g.label)
     report = {
         "command": "verify",
         "kind": args.kind,
         "fold": fold,
         "holds": rep.holds,
-        "witness": _witness_json(g, rep),
+        "witness": w,
         "exit_code": EXIT_OK if rep.holds else EXIT_FAILS,
     }
     lines = [f"{args.kind} (fold {fold}): {'holds' if rep.holds else 'FAILS'}"]
-    if not rep.holds:
-        w = report["witness"]
-        if w["type"] == "vertex":
-            lines.append(f"  vertex {w['vertex']} dominated {w['count']} < {fold}")
-        else:
-            lines.append(f"  pair {w['pair'][0]},{w['pair'][1]} distinguished {w['count']} < {fold}")
-    _emit(report, args.format, lines)
-    return report["exit_code"]
+    if rep.vertex is not None:
+        lines.append(f"  vertex {w['vertex']} dominated {w['count']} < {fold}")
+    elif rep.pair is not None:
+        lines.append(f"  pair {w['pair'][0]},{w['pair'][1]} distinguished {w['count']} < {fold}")
+    return report, lines
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[dict, list[str]]:
     g = _load_graph(args.graph)
-    kind = Kind(args.kind)
-    result = min_set(g, kind, enumerate_all=args.enumerate, budget=args.budget)
+    result = min_set(g, Kind(args.kind), enumerate_all=args.enumerate, budget=args.budget)
+    report: dict = {"command": "solve", "kind": args.kind, "exit_code": EXIT_OK}
     if not result.feasible:
-        report = {
-            "command": "solve",
-            "kind": args.kind,
-            "value": "infeasible",
-            "witness": None,
-            "exit_code": EXIT_OK,
-        }
-        _emit(report, args.format, [f"{args.kind}: infeasible"])
-        return EXIT_OK
+        report.update(value="infeasible", witness=None)
+        return report, [f"{args.kind}: infeasible"]
     names = g.labels if g.labels is not None else tuple(map(str, range(g.n)))
     witness = [names[v] for v in vertices_of(result.witness)]
-    report = {
-        "command": "solve",
-        "kind": args.kind,
-        "value": result.value,
-        "witness": witness,
-        "nodes": result.nodes,
-        "exit_code": EXIT_OK,
-    }
+    report.update(value=result.value, witness=witness, nodes=result.nodes)
     lines = [f"{args.kind}: minimum size {result.value}", f"  witness: {' '.join(witness)}"]
     if args.enumerate:
         optima = [[names[v] for v in vertices_of(s)] for s in result.all_minimum_sets]
@@ -160,11 +139,10 @@ def cmd_solve(args) -> int:
         report["optima_count"] = len(optima)
         lines.append(f"  optima: {len(optima)}")
         lines.extend(f"    {' '.join(o)}" for o in optima)
-    _emit(report, args.format, lines)
-    return EXIT_OK
+    return report, lines
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[dict, list[str]]:
     cnf = sat_reduction.parse_dimacs(_read_text(args.cnf, "CNF"))
     out = sat_reduction.build_reduction(cnf)
     report: dict = {
@@ -186,13 +164,12 @@ def cmd_reduce(args) -> int:
         Path(args.emit).write_text(json.dumps(payload, sort_keys=True) + "\n")
         report["emitted"] = args.emit
         lines.append(f"  graph JSON written to {args.emit}")
-    exit_code = EXIT_OK
     if args.validate_gadgets:
         ok = sat_reduction.validate_gadget_forcing(out, budget=args.budget)
         report["gadget_validation"] = ok
         lines.append(f"  gadget forcing validation: {'pass' if ok else 'FAIL'}")
         if not ok:
-            exit_code = EXIT_FAILS
+            report["exit_code"] = EXIT_FAILS
     if args.decide:
         # the oracle first: it refuses large N at once, where the solve
         # could take minutes only to end in that refusal
@@ -210,13 +187,11 @@ def cmd_reduce(args) -> int:
             f"{'agreement' if agree else 'DISAGREEMENT'}"
         )
         if not agree:
-            exit_code = EXIT_DISAGREE
-    report["exit_code"] = exit_code
-    _emit(report, args.format, lines)
-    return exit_code
+            report["exit_code"] = EXIT_DISAGREE
+    return report, lines
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(args) -> tuple[dict, list[str]]:
     lattice = grids.Lattice(args.lattice)
     pattern = _load_pattern(args.pattern)
     if pattern.lattice is not lattice:
@@ -232,21 +207,14 @@ def cmd_grid(args) -> int:
         "pattern": args.pattern,
         "holds": rep.holds,
         "density": str(rep.density),
-        "witness": None,
+        "witness": _witness_json(rep, list),
         "exit_code": EXIT_OK if rep.holds else EXIT_FAILS,
     }
     lines = [f"{args.kind} on {args.lattice}: {'holds' if rep.holds else 'FAILS'}"]
-    if not rep.holds:
-        if rep.vertex is not None:
-            report["witness"] = {"type": "vertex", "vertex": list(rep.vertex), "count": rep.count}
-            lines.append(f"  vertex {rep.vertex} dominated {rep.count}")
-        else:
-            report["witness"] = {
-                "type": "pair",
-                "pair": [list(rep.pair[0]), list(rep.pair[1])],
-                "count": rep.count,
-            }
-            lines.append(f"  pair {rep.pair[0]},{rep.pair[1]} distinguished {rep.count}")
+    if rep.vertex is not None:
+        lines.append(f"  vertex {rep.vertex} dominated {rep.count}")
+    elif rep.pair is not None:
+        lines.append(f"  pair {rep.pair[0]},{rep.pair[1]} distinguished {rep.count}")
     if args.density:
         lines.append(f"  density: {rep.density}")
     if args.cross_check:
@@ -262,8 +230,7 @@ def cmd_grid(args) -> int:
         lines.append(f"  torus {w}x{h}: {'holds' if trep.holds else 'fails'} ({'agree' if agree else 'DISAGREE'})")
         if not agree:
             report["exit_code"] = EXIT_FAILS
-    _emit(report, args.format, lines)
-    return report["exit_code"]
+    return report, lines
 
 
 def non_negative_int(text: str) -> int:
@@ -338,21 +305,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the input-error code
         return EXIT_INPUT if exc.code else EXIT_OK
-    fmt = getattr(args, "format", "text")
     try:
-        return args.func(args)
-    except (InputError, OSError) as exc:
-        _emit(
-            {"command": args.subcommand, "error": str(exc), "exit_code": EXIT_INPUT},
-            fmt, [f"error: {exc}"],
-        )
-        return EXIT_INPUT
-    except BudgetExceededError as exc:
-        _emit(
-            {"command": args.subcommand, "error": str(exc), "exit_code": EXIT_BUDGET},
-            fmt, [f"error: {exc}"],
-        )
-        return EXIT_BUDGET
+        report, lines = args.func(args)
+    except (InputError, OSError, BudgetExceededError) as exc:
+        code = EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_INPUT
+        report = {"command": args.subcommand, "error": str(exc), "exit_code": code}
+        lines = [f"error: {exc}"]
+    # the one write of every run, so the JSON exit_code is the exit code
+    if args.format == "json":
+        print(json.dumps(report, sort_keys=True))
+    else:
+        print(*lines, sep="\n")
+    return report["exit_code"]
 
 
 def entry() -> None:

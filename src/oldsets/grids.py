@@ -86,23 +86,27 @@ def _check_lattice(lattice) -> None:
         raise InputError(f"lattice must be a Lattice, got {lattice!r}")
 
 
-def _positive_pair(value, what: str) -> tuple[int, int]:
-    """``value`` if it is a tuple of two ints >= 1, else InputError.  The
-    check is type(...) is int, which rejects bool; the residue arithmetic
-    assumes integers."""
-    if not (type(value) is tuple and len(value) == 2
-            and type(value[0]) is int and type(value[1]) is int):
-        raise InputError(f"{what} must be a pair of integers, got {value!r}")
-    if value[0] < 1 or value[1] < 1:
-        raise InputError(f"{what} must be positive, got {value}")
-    return value
-
-
 # The largest period area px*py a pattern may have.  The residue tables are
 # O(area**2) bits: a TRI 64x64 check keeps 14 MiB of them and a 100x100
 # check 74 MiB, so a huge period in an input file is an input error rather
 # than a MemoryError.  Published optimal patterns have periods up to 13x13.
 MAX_PERIOD_AREA = 4096
+
+
+def _period(value, what: str) -> tuple[int, int]:
+    """``value`` if it is a tuple of two ints >= 1 with product at most
+    MAX_PERIOD_AREA, else InputError.  The check is type(...) is int, which
+    rejects bool; the residue arithmetic assumes integers."""
+    if not (type(value) is tuple and len(value) == 2
+            and type(value[0]) is int and type(value[1]) is int):
+        raise InputError(f"{what} must be a pair of integers, got {value!r}")
+    px, py = value
+    if px < 1 or py < 1:
+        raise InputError(f"{what} must be positive, got {value}")
+    if px * py > MAX_PERIOD_AREA:
+        raise InputError(
+            f"{what} {px}x{py} has area {px * py}, above the limit of {MAX_PERIOD_AREA}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -118,12 +122,9 @@ class PeriodicPattern:
 
     def __post_init__(self):
         # one check for the JSON and the library paths; type(...) is int
-        # rejects bool, as in _positive_pair
+        # rejects bool, as in _period
         _check_lattice(self.lattice)
-        px, py = _positive_pair(self.period, "period")
-        if px * py > MAX_PERIOD_AREA:
-            raise InputError(
-                f"period {px}x{py} has area {px * py}, above the limit of {MAX_PERIOD_AREA}")
+        px, py = _period(self.period, "period")
         if self.lattice is Lattice.HEX and (px % 2 or py % 2):
             raise InputError("HEX patterns need even periods in both directions")
         for cell in self.cells:
@@ -282,29 +283,6 @@ def _first_short(
     return None
 
 
-def _first_failure(
-    lattice: Lattice, px: int, py: int, cells: int, k: int
-) -> tuple[bool, int, int] | None:
-    """The first constraint that the cells (bit x*py + y for the cell
-    (x, y)) meet fewer than k times, else None.
-
-    The failure is (False, i, count) for the domination constraint of the
-    domain vertex divmod(i, py), or (True, code, count) for the separation
-    constraint of the pair ``_pair_of(lattice, py, code)``.  The
-    separation table is fetched only once domination holds.
-    :func:`verify_pattern` reports this failure; :func:`search_patterns`
-    makes the same two tests with each period's tables fetched once.
-    """
-    short = _first_short(*_domination_table(lattice, px, py), cells, k)
-    if short is not None:
-        return False, short[0], short[1]
-    spread, masks, codes = _separation_table(lattice, px, py)
-    short = _first_short(spread, masks, cells, k)
-    if short is not None:
-        return True, codes[short[0]], short[1]
-    return None
-
-
 def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> DensityReport:
     """Check the kind's conditions over the whole infinite lattice.
 
@@ -314,22 +292,25 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> DensityReport:
     Other pairs have disjoint open neighborhoods, so their separation count
     is the sum of two domination counts and passes once domination does.
     The witness is the first failing vertex in domain order, else the first
-    failing pair (u in domain order, then v sorted).  A pattern that fails
-    domination never builds the separation table.
+    failing pair (u in domain order, then v sorted), read off the first
+    short residue-table mask.  A pattern that fails domination never builds
+    the separation table.
     """
-    px, py = pattern.period
+    lattice, (px, py), k = pattern.lattice, pattern.period, kind.fold
     dens = pattern.density()
     cells = 0
     for x, y in pattern.cells:
         cells |= 1 << (x * py + y)
-    failure = _first_failure(pattern.lattice, px, py, cells, kind.fold)
-    if failure is None:
-        return DensityReport(True, kind, dens)
-    is_pair, at, count = failure
-    if is_pair:
-        pair = _pair_of(pattern.lattice, py, at)
-        return DensityReport(False, kind, dens, pair=pair, count=count)
-    return DensityReport(False, kind, dens, vertex=divmod(at, py), count=count)
+    short = _first_short(*_domination_table(lattice, px, py), cells, k)
+    if short is not None:
+        i, count = short
+        return DensityReport(False, kind, dens, vertex=divmod(i, py), count=count)
+    spread, masks, codes = _separation_table(lattice, px, py)
+    short = _first_short(spread, masks, cells, k)
+    if short is not None:
+        i, count = short
+        return DensityReport(False, kind, dens, pair=_pair_of(lattice, py, codes[i]), count=count)
+    return DensityReport(True, kind, dens)
 
 
 def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
@@ -411,14 +392,15 @@ def search_patterns(
     :class:`PeriodicPattern` built is the one returned.
 
     Raises :class:`InputError` unless ``lattice`` is a :class:`Lattice`,
-    ``kind`` a :class:`Kind`, ``max_period`` a tuple of two ints >= 1 and
-    ``target_density`` a positive int or Fraction (a float could floor the
-    cell count wrongly: 0.29 * 100 == 28.999...).
+    ``kind`` a :class:`Kind`, ``max_period`` a tuple of two ints >= 1 with
+    area at most MAX_PERIOD_AREA, and ``target_density`` a positive int or
+    Fraction (a float could floor the cell count wrongly:
+    0.29 * 100 == 28.999...).
     """
     _check_lattice(lattice)
     if not isinstance(kind, Kind):
         raise InputError(f"kind must be a Kind, got {kind!r}")
-    mx, my = _positive_pair(max_period, "max_period")
+    mx, my = _period(max_period, "max_period")
     target = target_density
     if (type(target) is not int and not isinstance(target, Fraction)) or target <= 0:
         raise InputError(

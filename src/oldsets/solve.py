@@ -209,7 +209,7 @@ def _optima(
     ends at a leaf inside it, which is no larger, so each optimum is that
     one leaf.
     """
-    n = g.n
+    n, full = g.n, g.all_mask()
     sets: list[int] = []
     nodes = 0
     # (fin, fout, live): a fixpoint to visit, with its parent's live
@@ -231,7 +231,9 @@ def _optima(
                 ub, sets = size, [fin]
             elif enumerate_all or not sets:
                 sets.append(fin)
-            elif vertices_of(fin) < vertices_of(sets[0]):
+            elif _can_precede(n, full & ~fin, sets[0]):
+                # both have ub vertices, so fin comes first iff it holds the
+                # lowest vertex of their difference
                 sets[0] = fin
             continue
         bit = 1 << v
@@ -253,13 +255,19 @@ def min_set(
     ``forced_out`` pre-excludes vertices (used to decide membership in every
     optimal set).  Infeasible instances yield a result, not an exception;
     only an exhausted node budget raises.
+
+    The verdict comes from the root ``propagate``: it conflicts exactly when
+    some constraint keeps fewer than k vertices outside ``forced_out``, that
+    is, when the verifier rejects every vertex not excluded.  The verifier
+    certifies each infeasible verdict, so a feasible solve walks the meeting
+    pairs once.
     """
     top = g.all_mask() & ~forced_out
-    if not verify_kind(g, top, kind).holds:
-        return SolveResult(None, None, None, nodes=0)
     fin = propagate(g, kind, 0, forced_out)
     if fin is None:
-        raise AssertionError("propagation conflict on a feasible instance")
+        if verify_kind(g, top, kind).holds:
+            raise AssertionError("propagation conflict on a feasible instance")
+        return SolveResult(None, None, None, nodes=0)
     value, sets, nodes = _optima(
         g, kind.fold, fin, forced_out, top.bit_count(), enumerate_all, budget
     )

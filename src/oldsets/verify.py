@@ -12,9 +12,11 @@ have fold.
   any single detector): inc[v] = N(v), over the graph's meeting pairs.
 * Identifying codes: inc[v] = N[v], over the pairs whose closed
   neighborhoods meet (distance <= 2).
-* Locating-dominating sets: inc[v] = N(v) plus the singleton {v} as bit
-  n + v, with the set S | S << n, over the open meeting pairs, since the
-  singletons never meet.
+* Locating-dominating sets: inc[v] = N[v], over the open meeting pairs
+  with neither end in S.  A vertex is seen by N(w) for w in N(v) ∩ S and
+  by {v} when v is in S, |N[v] ∩ S| in all; an end in S is separated by its
+  own singleton; and for u, v outside S only u and v can tell N[u] △ N[v]
+  from N(u) △ N(v), so the closed count is the open one.
 """
 
 from __future__ import annotations
@@ -157,13 +159,13 @@ def verify_kind(g: Graph, s: int, kind: Kind) -> VerificationReport:
 def is_locating_dominating(g: Graph, s: int) -> bool:
     """Collection {{w}, N(w) : w in S} must be distinguishing.
 
-    A vertex v is seen by N(w) for w in N(v) and by {w} for w = v; the
-    singleton {w} is bit n + w of the detector masks.
+    Checked on the closed neighborhoods over the meeting pairs outside S,
+    as the module docstring explains.
     """
     _check_set(g, s)
-    n = g.n
-    seen = tuple(a | 1 << (n + v) for v, a in enumerate(g.adj))
-    return _first_failure(seen, g.meeting_pairs(), s | s << n, 1).holds
+    closed = tuple(a | 1 << v for v, a in enumerate(g.adj))
+    pairs = ((u, v) for u, v in g.meeting_pairs() if not (s >> u | s >> v) & 1)
+    return _first_failure(closed, pairs, s, 1).holds
 
 
 def is_identifying_code(g: Graph, s: int) -> bool:

@@ -373,6 +373,24 @@ def test_grid_json_matches_golden_outputs(capsys, tmp_path, monkeypatch):
         assert (code, out) == (case["exit_code"], case["stdout"]), case["argv"]
 
 
+GOLDEN_TEXT = Path(__file__).with_name("text_golden.json")
+
+
+def test_text_matches_golden_outputs(capsys, tmp_path, monkeypatch):
+    # `--format text` stdout and the exit code of one invocation per report
+    # shape: each verify verdict and witness, each solve outcome, a sat and
+    # an unsat decision, both grid witnesses with --density and
+    # --cross-check, an input error and a budget error
+    monkeypatch.chdir(tmp_path)
+    cases = json.loads(GOLDEN_TEXT.read_text())
+    assert len(cases) == 16
+    for case in cases:
+        for name, text in case["files"].items():
+            Path(name).write_text(text)
+        code, out = run(capsys, *case["argv"])
+        assert (code, out) == (case["exit_code"], case["stdout"]), case["argv"]
+
+
 def test_grid_lattice_mismatch(capsys):
     code, rep = run_json(capsys, "grid", "sq", "builtin:tri-old", "--kind", "old")
     assert code == 2

@@ -95,13 +95,16 @@ def test_pattern_rejects_non_lattice():
 
 
 def test_pattern_period_area_limit():
-    # one check for the library and the JSON path, made before any residue
-    # table is built; every golden pattern loads in the CLI golden test
+    # one check for the library and the JSON path and the search bound,
+    # made before any residue table is built; every golden pattern loads in
+    # the CLI golden test
     before = grids._domination_table.cache_info()
     with pytest.raises(InputError, match="above the limit"):
         PeriodicPattern(Lattice.SQ, (MAX_PERIOD_AREA + 1, 1), frozenset())
     with pytest.raises(InputError, match="above the limit"):
         pattern_from_json('{"lattice": "sq", "period": [3000, 3000], "cells": []}')
+    with pytest.raises(InputError, match="max_period 65x64 has area 4160, above the limit"):
+        search_patterns(Lattice.SQ, Kind.OLD, (65, 64), Fraction(1, 4160))
     assert grids._domination_table.cache_info() == before
     assert PeriodicPattern(Lattice.TRI, (64, 64), frozenset()).period == (64, 64)
     assert pattern_from_json(pattern_to_json(builtin_pattern("tri-old"))).period == (13, 13)

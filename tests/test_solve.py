@@ -6,9 +6,18 @@ import random
 import pytest
 
 from conftest import random_graph, random_graph_with_twins, set_of
+from oldsets import graph, solve
 from oldsets.errors import BudgetExceededError, InputError
 from oldsets.fixtures import g11
-from oldsets.graph import build_graph, complete_graph, cycle_graph, mask_of, path_graph, vertices_of
+from oldsets.graph import (
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    mask_of,
+    meeting_pairs,
+    path_graph,
+    vertices_of,
+)
 from oldsets.solve import (
     _can_precede,
     _scan,
@@ -18,7 +27,7 @@ from oldsets.solve import (
     min_set_bruteforce,
     propagate,
 )
-from oldsets.verify import Kind, verify_kind, verify_set
+from oldsets.verify import Kind, VerificationReport, verify_kind, verify_set
 
 
 def test_feasibility_examples():
@@ -415,3 +424,36 @@ def test_can_precede_matches_definition():
                     assert _can_precede(n, fout, w) == want, (n, fin, fout, w)
                     answers[want] += 1
     assert min(answers.values()) > 15000, answers
+
+
+def test_tie_rule_matches_sorted_tuple_order():
+    # a witness-only leaf replaces the best set when _can_precede says so;
+    # for equal-size sets that is the sorted-tuple comparison
+    for n in range(7):
+        full = (1 << n) - 1
+        for a in range(1 << n):
+            for b in range(1 << n):
+                if a != b and a.bit_count() == b.bit_count():
+                    want = vertices_of(a) < vertices_of(b)
+                    assert _can_precede(n, full & ~a, b) == want, (n, a, b)
+
+
+def test_feasible_min_set_walks_the_meeting_pairs_once(monkeypatch):
+    walks = []
+
+    def counted(masks):
+        walks.append(len(masks))
+        return meeting_pairs(masks)
+
+    g = build_graph(11, g11().edges())  # g11() is cached, with its constraints
+    monkeypatch.setattr(graph, "meeting_pairs", counted)
+    result = min_set(g, Kind.RED_OLD)
+    assert result.value == 9 and walks == [11]
+
+
+def test_propagation_conflict_that_the_verifier_accepts_is_an_error(monkeypatch):
+    # the infeasible verdict comes from propagate and is certified by the
+    # verifier; a verifier that disagrees must not pass silently
+    monkeypatch.setattr(solve, "verify_kind", lambda g, s, kind: VerificationReport(True))
+    with pytest.raises(AssertionError, match="propagation conflict"):
+        min_set(cycle_graph(4), Kind.OLD)

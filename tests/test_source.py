@@ -24,6 +24,24 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_only_cli_main_prints():
+    # every command returns its report, and cli.main makes the one write
+    printing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+            allowed = {id(node) for node in ast.walk(main)}
+        printing += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print" and id(node) not in allowed
+        ]
+    assert printing == []
+
+
 def test_every_exported_name_exists():
     # a name removed from a module must leave its __all__ too
     modules = [
