@@ -157,13 +157,6 @@ def cmd_reduce(args) -> tuple[dict, list[str]]:
         f"reduction: {cnf.num_vars} vars, {cnf.num_clauses} clauses "
         f"-> {out.graph.n} vertices, threshold {out.threshold}"
     ]
-    if args.emit:
-        payload = json.loads(graph_to_json(out.graph))
-        payload["roles"] = {out.graph.label(v): out.roles[v] for v in range(out.graph.n)}
-        payload["threshold"] = out.threshold
-        Path(args.emit).write_text(json.dumps(payload, sort_keys=True) + "\n")
-        report["emitted"] = args.emit
-        lines.append(f"  graph JSON written to {args.emit}")
     if args.validate_gadgets:
         ok = sat_reduction.validate_gadget_forcing(out, budget=args.budget)
         report["gadget_validation"] = ok
@@ -188,6 +181,15 @@ def cmd_reduce(args) -> tuple[dict, list[str]]:
         )
         if not agree:
             report["exit_code"] = EXIT_DISAGREE
+    # written last, so a run that ends in an error leaves no file; its line
+    # still follows the reduction line
+    if args.emit:
+        payload = json.loads(graph_to_json(out.graph))
+        payload["roles"] = {out.graph.label(v): out.roles[v] for v in range(out.graph.n)}
+        payload["threshold"] = out.threshold
+        Path(args.emit).write_text(json.dumps(payload, sort_keys=True) + "\n")
+        report["emitted"] = args.emit
+        lines.insert(1, f"  graph JSON written to {args.emit}")
     return report, lines
 
 

@@ -93,22 +93,23 @@ class Graph:
         adj = self.adj
         return [(u, v) for u in range(self.n) for v in vertices_of(adj[u] >> (u + 1) << (u + 1))]
 
-    def meeting_pairs(self) -> Iterator[tuple[int, int]]:
-        """Pairs u < v with N(u) ∩ N(v) ≠ ∅: :func:`meeting_pairs` of the
-        open neighborhoods.
+    def meeting_pairs(self, through: int = -1) -> Iterator[tuple[int, int]]:
+        """Pairs u < v with N(u) ∩ N(v) ∩ through ≠ ∅: :func:`meeting_pairs`
+        of the open neighborhoods.
 
-        Only these pairs need a separation check: for any other pair
-        N(u) △ N(v) = N(u) ∪ N(v), so it has as many separators as u and v
-        have dominators together.
+        Only these pairs, with ``through`` the detector set S, need a
+        separation check: for any other pair (N(u) △ N(v)) ∩ S is the
+        disjoint union of N(u) ∩ S and N(v) ∩ S, so it has as many
+        separators as u and v have dominators together.
         """
-        return meeting_pairs(self.adj)
+        return meeting_pairs(self.adj, through)
 
     @cached_property
     def constraint_masks(self) -> tuple[int, ...]:
         """The masks a detector set must hit k times: N(v) for every v in
         index order, then N(u) △ N(v) for every meeting pair in
         :meth:`meeting_pairs` order.  Built once per graph."""
-        return self.adj + tuple(self.adj[u] ^ self.adj[v] for u, v in self.meeting_pairs())
+        return self.adj + tuple(self.adj[u] ^ self.adj[v] for u, v in meeting_pairs(self.adj))
 
     def num_edges(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
@@ -117,10 +118,17 @@ class Graph:
         self.check_vertex(v)
         return self.labels[v] if self.labels is not None else str(v)
 
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        """Label → vertex index, built once per graph."""
+        return {name: v for v, name in enumerate(self.labels or ())}
+
     def index_of(self, name: str) -> int:
-        """Resolve a label (or a decimal index string) to a vertex index."""
-        if self.labels is not None and name in self.labels:
-            return self.labels.index(name)
+        """Resolve a label (or a decimal index string) to a vertex index; a
+        label wins over an index, so labels ("1", "0") map "0" to 1."""
+        v = self._label_index.get(name)
+        if v is not None:
+            return v
         try:
             v = int(name)
         except ValueError:
@@ -129,20 +137,28 @@ class Graph:
         return v
 
 
-def meeting_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Pairs u < v with masks[u] & masks[v] ≠ 0, in lexicographic order.
+def meeting_pairs(masks: Sequence[int], through: int = -1) -> Iterator[tuple[int, int]]:
+    """Pairs u < v with masks[u] & masks[v] & through ≠ 0, in lexicographic
+    order; the default ``through`` (every vertex) keeps all meeting pairs.
 
     ``masks`` must be symmetric (bit w of masks[u] iff bit u of masks[w]),
     as open neighborhoods N(v) and closed ones N[v] both are.  Then the
     partners of u are the bits above u in the union of masks[w] over w in
-    masks[u].
+    masks[u] & through.
     """
     for u, m in enumerate(masks):
+        m &= through
         reach = 0
-        for w in vertices_of(m):
-            reach |= masks[w]
-        for v in vertices_of(reach >> (u + 1) << (u + 1)):
-            yield u, v
+        while m:
+            low = m & -m
+            reach |= masks[low.bit_length() - 1]
+            m ^= low
+        # bit i of the shifted reach is v = u + 1 + i
+        reach >>= u + 1
+        while reach:
+            low = reach & -reach
+            yield u, u + low.bit_length()
+            reach ^= low
 
 
 # The largest vertex count build_graph accepts.  Checked before the

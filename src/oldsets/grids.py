@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InputError, decode_json
-from .graph import MAX_VERTICES, Graph, build_graph
+from .graph import MAX_VERTICES, Graph
 from .verify import Kind
 
 __all__ = [
@@ -316,10 +316,14 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> DensityReport:
 def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
     """Finite wrap-around version of the lattice on width x height vertices.
 
+    Vertex (x, y) has index y * width + x and label "x,y".  Its adjacency
+    mask is built directly from the lattice's neighbour offsets (one set per
+    x + y parity; only HEX has two), wrapped mod the dimensions.
+
     Dimensions below 5 (and odd dimensions for HEX) are rejected: the wrap
     would identify distance-<=2 neighbors or break the parity rule, which
     defeats the cross-check this graph exists for.  So is a torus above
-    MAX_VERTICES = 2**15 vertices, before its edges are built.
+    MAX_VERTICES = 2**15 vertices, before its masks are built.
     """
     if width < 5 or height < 5:
         raise InputError(f"torus dimensions must be >= 5, got {width}x{height}")
@@ -327,25 +331,27 @@ def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
         raise InputError(f"torus {width}x{height} is above the limit of {MAX_VERTICES} vertices")
     if lattice is Lattice.HEX and (width % 2 or height % 2):
         raise InputError("HEX tori need even dimensions")
-    # every edge comes from both ends; build_graph sets both bits, so the
-    # repeat is harmless
-    edges = (
-        (y * width + x, (ny % height) * width + (nx % width))
-        for x in range(width)
-        for y in range(height)
-        for nx, ny in neighbors(lattice, x, y)
-    )
-    labels = [f"{x},{y}" for y in range(height) for x in range(width)]
-    g = build_graph(width * height, edges, labels)
+    offsets = tuple(_geometry_at(lattice, parity, 0).neighbors for parity in (0, 1))
+    adj = []
+    for y in range(height):
+        for x in range(width):
+            a = 0
+            for dx, dy in offsets[(x + y) % 2]:
+                a |= 1 << ((y + dy) % height * width + (x + dx) % width)
+            adj.append(a)
     deg = lattice_degree(lattice)
-    if any(a.bit_count() != deg for a in g.adj):
+    if any(a.bit_count() != deg for a in adj):
         raise AssertionError("torus is not regular; dimension guard is wrong")
-    return g
+    labels = tuple(f"{x},{y}" for y in range(height) for x in range(width))
+    return Graph(width * height, tuple(adj), labels)
 
 
 def restrict_pattern_to_torus(pattern: PeriodicPattern, width: int, height: int) -> int:
     """The pattern's vertex set on a build_torus(width, height) graph, as a
-    bitmask; dimensions must be multiples of the period and >= 6."""
+    bitmask; dimensions must be multiples of the period and >= 6.
+
+    Each row residue y mod py is one mask, the period's cells in that row
+    tiled across the width; row y is that mask shifted to y * width."""
     px, py = pattern.period
     if width % px or height % py:
         raise InputError(
@@ -353,11 +359,16 @@ def restrict_pattern_to_torus(pattern: PeriodicPattern, width: int, height: int)
         )
     if width < 6 or height < 6:
         raise InputError("cross-check tori must be at least 6x6")
+    rows = [0] * py
+    for x, y in pattern.cells:
+        rows[y] |= 1 << x
+    # a row of the period is below 1 << px, so multiplying by one set bit
+    # every px places copies it without carries
+    tile = sum(1 << (i * px) for i in range(width // px))
+    rows = [r * tile for r in rows]
     mask = 0
     for y in range(height):
-        for x in range(width):
-            if pattern.contains(x, y):
-                mask |= 1 << (y * width + x)
+        mask |= rows[y % py] << (y * width)
     return mask
 
 

@@ -4,9 +4,11 @@ Every verifier here is one walk, ``_first_failure(inc, pairs, s, fold)``,
 where ``inc[v]`` is the mask of detectors that see vertex v.  Each vertex
 needs ``fold`` detectors in S, and each listed pair needs ``fold`` in
 (inc[u] △ inc[v]) ∩ S, those that see exactly one of the two.  Only pairs
-whose masks meet are listed: for any other pair the symmetric difference
-is the disjoint union, with at least 2·fold detectors once both vertices
-have fold.
+whose masks share a detector in S are listed: for any other pair
+(inc[u] △ inc[v]) ∩ S is the disjoint union of inc[u] ∩ S and inc[v] ∩ S,
+with at least 2·fold detectors once both vertices have fold.  Pairs are
+drawn only after every vertex passes, so leaving the others out changes
+no witness.
 
 * OLD sets (fold 1) and RED:OLD sets (fold 2, still correct after losing
   any single detector): inc[v] = N(v), over the graph's meeting pairs.
@@ -16,7 +18,8 @@ have fold.
   with neither end in S.  A vertex is seen by N(w) for w in N(v) ∩ S and
   by {v} when v is in S, |N[v] ∩ S| in all; an end in S is separated by its
   own singleton; and for u, v outside S only u and v can tell N[u] △ N[v]
-  from N(u) △ N(v), so the closed count is the open one.
+  from N(u) △ N(v), so the closed count is the open one, and the closed
+  masks share a detector in S exactly when the open ones do.
 """
 
 from __future__ import annotations
@@ -138,10 +141,11 @@ def verify_set(g: Graph, s: int, fold: int) -> VerificationReport:
     fold=1 characterizes OLD sets; fold=2 characterizes RED:OLD sets.
     Domination is checked first (witness: first failing vertex), then pairs
     in lexicographic (u, v) order (witness: first failing pair).  Once
-    domination holds only meeting pairs can fail, so only they are walked.
+    domination holds only pairs whose neighborhoods share a member of S
+    can fail, so only they are walked.
     """
     _check_fold_and_set(g, s, fold)
-    return _first_failure(g.adj, g.meeting_pairs(), s, fold)
+    return _first_failure(g.adj, g.meeting_pairs(s), s, fold)
 
 
 def is_old(g: Graph, s: int) -> VerificationReport:
@@ -164,7 +168,7 @@ def is_locating_dominating(g: Graph, s: int) -> bool:
     """
     _check_set(g, s)
     closed = tuple(a | 1 << v for v, a in enumerate(g.adj))
-    pairs = ((u, v) for u, v in g.meeting_pairs() if not (s >> u | s >> v) & 1)
+    pairs = ((u, v) for u, v in g.meeting_pairs(s) if not (s >> u | s >> v) & 1)
     return _first_failure(closed, pairs, s, 1).holds
 
 
@@ -172,4 +176,4 @@ def is_identifying_code(g: Graph, s: int) -> bool:
     """Collection {N[w] : w in S} must be distinguishing."""
     _check_set(g, s)
     closed = tuple(a | 1 << v for v, a in enumerate(g.adj))
-    return _first_failure(closed, meeting_pairs(closed), s, 1).holds
+    return _first_failure(closed, meeting_pairs(closed, s), s, 1).holds

@@ -32,6 +32,13 @@ def random_graph_with_twins(
     return build_graph(len(order), [(order[u], order[v]) for u, v in edges])
 
 
+def sparse_set(rng: random.Random, n: int) -> int:
+    """A random subset of 0..n-1 at a density drawn from 0.2-0.5, sparse
+    enough that some meeting pairs share no member of it."""
+    density = rng.uniform(0.2, 0.5)
+    return mask_of(v for v in range(n) if rng.random() < density)
+
+
 @st.composite
 def graphs(draw, min_n: int = 1, max_n: int = 8):
     n = draw(st.integers(min_n, max_n))

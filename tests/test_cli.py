@@ -253,6 +253,32 @@ def test_reduce_emit(capsys, tmp_path):
     assert payload["roles"]["c_2"] == "clause"
 
 
+def test_reduce_emit_text_line_follows_the_reduction_line(capsys, tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 1 1\n1 1 1 0\n")
+    out = tmp_path / "g.json"
+    code, text = run(capsys, "reduce", str(cnf), "--emit", str(out), "--validate-gadgets",
+                     "--decide")
+    lines = text.splitlines()
+    assert code == 0 and out.exists() and len(lines) == 4
+    assert lines[0].startswith("reduction: ")
+    assert lines[1] == f"  graph JSON written to {out}"
+    assert lines[2].startswith("  gadget forcing") and lines[3].startswith("  decision: ")
+
+
+def test_reduce_emit_writes_nothing_when_a_later_step_fails(capsys, tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(TWO_CLAUSE_DIMACS)
+    out = tmp_path / "g.json"
+    code, rep = run_json(capsys, "reduce", str(cnf), "--emit", str(out), "--decide",
+                         "--budget", "1")
+    assert code == 3 and "emitted" not in rep and not out.exists()
+    # the oracle refuses N > 24
+    cnf.write_text("p cnf 25 1\n1 2 3 0\n")
+    code, rep = run_json(capsys, "reduce", str(cnf), "--emit", str(out), "--decide")
+    assert code == 2 and "limited to N <= 24" in rep["error"] and not out.exists()
+
+
 def test_reduce_decide_agreement(capsys, tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(TWO_CLAUSE_DIMACS)

@@ -190,6 +190,34 @@ def test_closed_meeting_pairs_are_the_pairs_within_distance_two(g):
     assert list(meeting_pairs(closed)) == expected
 
 
+def test_meeting_pairs_through_is_the_brute_force_filter():
+    rng = random.Random(17)
+    for _ in range(300):
+        g = random_graph_with_twins(rng, rng.randint(1, 12), rng.choice([0.15, 0.3, 0.6]))
+        closed = tuple(g.closed_neighborhood(v) for v in range(g.n))
+        through = rng.getrandbits(g.n) & rng.getrandbits(g.n) if rng.random() < 0.9 else -1
+        for masks in (g.adj, closed):
+            expected = [
+                (u, v)
+                for u in range(g.n)
+                for v in range(u + 1, g.n)
+                if masks[u] & masks[v] & through
+            ]
+            assert list(meeting_pairs(masks, through)) == expected
+        assert list(g.meeting_pairs(through)) == list(meeting_pairs(g.adj, through))
+
+
+def test_index_of_prefers_a_label_over_a_decimal_index():
+    g = build_graph(3, [(0, 1), (1, 2)], ["1", "0", "x"])
+    assert [g.index_of(name) for name in ("1", "0", "x")] == [0, 1, 2]
+    assert g.index_of("2") == 2  # not a label, so a decimal index
+    with pytest.raises(InputError, match="unknown vertex label 'y'"):
+        g.index_of("y")
+    with pytest.raises(InputError, match="out of range"):
+        g.index_of("3")
+    assert path_graph(3).index_of("1") == 1  # an unlabelled graph reads indices
+
+
 def test_constraint_masks_layout():
     rng = random.Random(5)
     for _ in range(20):

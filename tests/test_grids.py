@@ -9,7 +9,7 @@ import pytest
 
 from oldsets import grids
 from oldsets.errors import InputError
-from oldsets.graph import vertices_of
+from oldsets.graph import build_graph, vertices_of
 from oldsets.grids import (
     DensityReport,
     BUILTIN_PATTERN_NAMES,
@@ -165,15 +165,21 @@ def test_build_torus_shapes():
     assert all(hexa.degree(v) == 3 for v in range(36))
     tri = build_torus(Lattice.TRI, 5, 5)
     assert all(tri.degree(v) == 6 for v in range(25))
-    # the adjacency is the wrapped neighbor relation, edge for edge
-    for lattice, w, h in ((Lattice.SQ, 5, 7), (Lattice.KING, 6, 6),
-                          (Lattice.HEX, 6, 8), (Lattice.TRI, 7, 5)):
-        edges = {
-            frozenset((y * w + x, (ny % h) * w + nx % w))
+    # the whole graph is the edge-list construction of the wrapped neighbor
+    # relation; HEX at both dimension parities mod 4, the others non-square
+    for lattice, w, h in ((Lattice.SQ, 5, 7), (Lattice.SQ, 9, 6), (Lattice.TRI, 7, 5),
+                          (Lattice.TRI, 6, 11), (Lattice.KING, 6, 6), (Lattice.KING, 10, 7),
+                          (Lattice.HEX, 6, 8), (Lattice.HEX, 8, 6), (Lattice.HEX, 6, 10),
+                          (Lattice.HEX, 8, 12)):
+        edges = [
+            (y * w + x, (ny % h) * w + nx % w)
             for x in range(w) for y in range(h) for nx, ny in neighbors(lattice, x, y)
-        }
+        ]
+        labels = [f"{x},{y}" for y in range(h) for x in range(w)]
         g = build_torus(lattice, w, h)
-        assert {frozenset((a, b)) for a in range(g.n) for b in vertices_of(g.adj[a])} == edges
+        assert g == build_graph(w * h, edges, labels), (lattice, w, h)
+        # an edge set cannot see an asymmetric mask
+        assert all(g.adj[b] >> a & 1 for a in range(g.n) for b in vertices_of(g.adj[a]))
 
 
 def test_build_torus_guards():
@@ -195,6 +201,25 @@ def test_restrict_pattern_counts():
     full = PeriodicPattern(Lattice.SQ, (1, 1), frozenset({(0, 0)}))
     torus = build_torus(Lattice.SQ, 6, 6)
     assert restrict_pattern_to_torus(full, 6, 6) == torus.all_mask()
+
+
+def test_restrict_pattern_matches_the_per_vertex_scan():
+    rng = random.Random(7)
+    patterns = [builtin_pattern(name) for name in BUILTIN_PATTERN_NAMES]
+    for _ in range(30):
+        lattice = rng.choice([Lattice.SQ, Lattice.TRI, Lattice.KING])
+        px, py = rng.randint(1, 5), rng.randint(1, 5)
+        cells = frozenset((x, y) for x in range(px) for y in range(py) if rng.random() < 0.4)
+        patterns.append(PeriodicPattern(lattice, (px, py), cells))
+    for p in patterns:
+        px, py = p.period
+        for w, h in (cross_check_dims(p), (px * max(2, -(-7 // px)), py * max(3, -(-9 // py)))):
+            expected = 0
+            for y in range(h):
+                for x in range(w):
+                    if p.contains(x, y):
+                        expected |= 1 << (y * w + x)
+            assert restrict_pattern_to_torus(p, w, h) == expected, (p, w, h)
 
 
 def test_restrict_pattern_guards():

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_labeled_graphs, graph_and_subset, random_graph_with_twins, set_of
+from conftest import (
+    all_labeled_graphs,
+    graph_and_subset,
+    random_graph_with_twins,
+    set_of,
+    sparse_set,
+)
 from reference import (
     is_distinguishing_collection,
     is_identifying_code_via_collection,
@@ -184,12 +190,14 @@ def test_ld_and_ic_against_direct_definitions():
 
 def test_ld_and_ic_match_the_collection_route():
     rng = random.Random(29)
+    sparse = random.Random(31)
     verdicts = {"ld": [0, 0], "ic": [0, 0]}
     for i in range(2000):
         g = random_graph_with_twins(
             rng, rng.randint(1, 11), rng.choice([0.15, 0.3, 0.5, 0.8]), isolated=i % 3 == 0
         )
-        for s in (g.all_mask(), rng.getrandbits(g.n) | rng.getrandbits(g.n), rng.getrandbits(g.n)):
+        for s in (g.all_mask(), rng.getrandbits(g.n) | rng.getrandbits(g.n), rng.getrandbits(g.n),
+                  sparse_set(sparse, g.n)):
             ld = is_locating_dominating(g, s)
             ic = is_identifying_code(g, s)
             assert ld == is_locating_dominating_via_collection(g, s)
@@ -198,7 +206,7 @@ def test_ld_and_ic_match_the_collection_route():
             verdicts["ic"][ic] += 1
     # the closed twin defeats IC unless the open twin tells the two apart,
     # so holding codes are the rarest verdict
-    assert sum(verdicts["ld"]) == 6000
+    assert sum(verdicts["ld"]) == 8000
     assert min(verdicts["ld"] + verdicts["ic"]) > 300, verdicts
 
 
@@ -299,20 +307,27 @@ def _verify_set_all_pairs(g, s, fold):
 
 def test_verify_set_matches_all_pairs_reference():
     rng = random.Random(11)
+    sparse = random.Random(13)
     witnesses = {"vertex": 0, "pair": 0, "none": 0}
+    # pair witnesses from sets that leave some meeting pair out of the walk
+    filtered_pairs = 0
     for i in range(200):
         # an isolated vertex fails domination at once; without one, dense
         # sets get through to the pair checks
         g = random_graph_with_twins(
             rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]), isolated=i % 4 == 0
         )
-        for s in (g.all_mask(), rng.getrandbits(g.n) | rng.getrandbits(g.n), rng.getrandbits(g.n)):
+        for s in (g.all_mask(), rng.getrandbits(g.n) | rng.getrandbits(g.n), rng.getrandbits(g.n),
+                  sparse_set(sparse, g.n)):
+            filtered = len(list(g.meeting_pairs(s))) < len(list(g.meeting_pairs()))
             for fold in (1, 2, 3):
                 rep = verify_set(g, s, fold)
                 assert rep == _verify_set_all_pairs(g, s, fold)
                 key = "vertex" if rep.vertex is not None else "pair" if rep.pair else "none"
                 witnesses[key] += 1
+                filtered_pairs += filtered and key == "pair"
     assert min(witnesses.values()) > 50, witnesses
+    assert filtered_pairs > 50, filtered_pairs
 
 
 def test_failing_report_needs_exactly_one_witness():
