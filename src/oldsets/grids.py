@@ -15,8 +15,9 @@ infinite graph with a finite amount of work: domination is checked for one
 fundamental domain, and separation only for pairs whose open neighborhoods
 meet (one pair per translation class), because any other pair is separated
 by its dominators alone.  The constraints depend only on the lattice and
-the period, so they are residue-mask tables built once per (lattice,
-period) and cached; a pattern is checked by masking its cells against them.
+the period: each is an adjacency mask of a torus of period multiples wide
+enough that no constraint wraps onto itself, built once per (lattice, period)
+and cached; a pattern's cells are tiled over that torus and counted under it.
 Witnesses are the first failure in domain order, as a vertex-by-vertex scan
 would find it.  Densities are exact rationals throughout; no floating point.
 """
@@ -29,7 +30,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import InputError, decode_json
 from .graph import MAX_VERTICES, Graph
@@ -71,6 +71,7 @@ _FIXED_OFFSETS: dict[Lattice, tuple[Coord, ...]] = {
 
 def neighbors(lattice: Lattice, x: int, y: int) -> tuple[Coord, ...]:
     """Open neighborhood of (x, y) as absolute coordinates."""
+    _check_lattice(lattice)
     if lattice is Lattice.HEX:
         vertical = (x, y + 1) if (x + y) % 2 == 0 else (x, y - 1)
         return ((x + 1, y), (x - 1, y), vertical)
@@ -78,6 +79,7 @@ def neighbors(lattice: Lattice, x: int, y: int) -> tuple[Coord, ...]:
 
 
 def lattice_degree(lattice: Lattice) -> int:
+    _check_lattice(lattice)
     return 3 if lattice is Lattice.HEX else len(_FIXED_OFFSETS[lattice])
 
 
@@ -86,10 +88,11 @@ def _check_lattice(lattice) -> None:
         raise InputError(f"lattice must be a Lattice, got {lattice!r}")
 
 
-# The largest period area px*py a pattern may have.  The residue tables are
-# O(area**2) bits: a TRI 64x64 check keeps 14 MiB of them and a 100x100
-# check 74 MiB, so a huge period in an input file is an input error rather
-# than a MemoryError.  Published optimal patterns have periods up to 13x13.
+# The largest period area px*py a pattern may have.  The tables hold one mask
+# of at least area bits per constraint, O(area**2) bits in all: a TRI 64x64
+# check keeps 14 MiB, KING 4096x1 (its side of 1 lifted to 5) 124 MiB, so a
+# huge period in an input file is an input error rather than a MemoryError.
+# Published optimal patterns have periods up to 13x13.
 MAX_PERIOD_AREA = 4096
 
 
@@ -156,128 +159,120 @@ class DensityReport:
 
 
 # ---------------------------------------------------------------------------
-# Residue tables for the local check.
+# Tables for the local check.
 #
 # Every constraint is a set of lattice vertices (N(u), or N(u) △ N(v)) whose
-# members in the pattern are counted.  Members count once per lattice vertex,
-# so on a small period two of them can share a residue: a constraint is the
-# multiset of its residues, stored as layer masks over the px*py residues
-# (residue (x, y) is bit x*py + y), layer i holding the residues that occur
-# more than i times.  The layers are packed into one int at stride px*py,
-# and multiplying the cell mask by the table's ``spread`` copies it into
-# every layer, so a count is one ``(mask & cells * spread).bit_count()``.
-# None of this depends on the cells: the tables are built once per
-# (lattice, period).
+# members in the pattern are counted.  On a torus whose sides are period
+# multiples the pattern tiles exactly, and once no two members of one
+# constraint wrap onto the same torus vertex, a constraint is a torus
+# adjacency mask, adj[u] or adj[u] ^ adj[v].  N(u) spans 3 coordinates each
+# way, so the domination table lifts the period to sides >= 3; N(u) ∪ N(v),
+# v meeting u, fits a (|dx|+3) x (|dy|+3) <= 5 x 5 box, so the separation
+# table lifts it to sides >= 5.  Domination is checked on every search
+# candidate, where larger masks cost time, so it keeps its smaller torus.
+# The tables do not depend on the cells: they are built once per (lattice,
+# period).
 
 # Tables kept per cache: room for every period of a few searches up to 6x6.
 _TABLE_CACHE_SIZE = 128
 
 
-class _Geometry(NamedTuple):
-    """The lattice around a vertex u, as offsets from u."""
-
-    neighbors: tuple[Coord, ...]  # N(u)
-    meeting: tuple[Coord, ...]  # each w != u with N(u) ∩ N(w) != ∅, sorted
-    separators: tuple[tuple[Coord, ...], ...]  # N(u) △ N(w), per meeting w
+def _lift(p: int, side: int) -> int:
+    """The smallest multiple of the period p that is >= side."""
+    return p * -(-side // p)
 
 
-@lru_cache(maxsize=None)
-def _geometry(lattice: Lattice, parity: int) -> _Geometry:
-    """Geometry of a vertex with x+y = parity (mod 2); only HEX depends on
-    the parity, so other lattices are asked for parity 0."""
-    u = (parity, 0)
-    nu = set(neighbors(lattice, *u))
-    meeting = sorted({w for a in nu for w in neighbors(lattice, *a)} - {u})
-
-    def rel(vs) -> tuple[Coord, ...]:
-        return tuple((x - u[0], y - u[1]) for x, y in sorted(vs))
-
-    return _Geometry(
-        rel(nu), rel(meeting), tuple(rel(nu ^ set(neighbors(lattice, *w))) for w in meeting)
-    )
-
-
-def _geometry_at(lattice: Lattice, x: int, y: int) -> _Geometry:
-    return _geometry(lattice, (x + y) % 2 if lattice is Lattice.HEX else 0)
+def _torus_adj(lattice: Lattice, w: int, h: int) -> tuple[int, ...]:
+    """Adjacency masks of the w x h torus, vertex (x, y) at index y * w + x,
+    built from the lattice's neighbour offsets (one set per x + y parity;
+    only HEX has two) wrapped mod the dimensions."""
+    offsets = [tuple((nx - p, ny) for nx, ny in neighbors(lattice, p, 0)) for p in (0, 1)]
+    adj = []
+    for y in range(h):
+        for x in range(w):
+            a = 0
+            for dx, dy in offsets[(x + y) % 2]:
+                a |= 1 << ((y + dy) % h * w + (x + dx) % w)
+            adj.append(a)
+    return tuple(adj)
 
 
-def _residue_mask(px: int, py: int, x: int, y: int, offsets: tuple[Coord, ...]) -> int:
-    """The residues of (x, y) + offsets as packed layer masks."""
-    area = px * py
+def _tile(cells, px: int, py: int, w: int, h: int) -> int:
+    """The cells of a px x py period tiled over a w x h torus (sides that
+    are multiples of the period), as a mask with (x, y) at bit y * w + x.
+
+    Each row residue y mod py is one mask, the period's cells in that row
+    tiled across the width; row y is that mask shifted to y * w."""
+    rows = [0] * py
+    for x, y in cells:
+        rows[y] |= 1 << x
+    # a row of the period is below 1 << px, so multiplying by one set bit
+    # every px places copies it without carries
+    tile = sum(1 << (i * px) for i in range(w // px))
+    rows = [r * tile for r in rows]
     mask = 0
-    for dx, dy in offsets:
-        bit = 1 << ((x + dx) % px * py + (y + dy) % py)
-        while mask & bit:
-            bit <<= area
-        mask |= bit
+    for y in range(h):
+        mask |= rows[y % py] << (y * w)
     return mask
 
 
-def _spread(masks: tuple[int, ...], area: int) -> int:
-    """One set bit at the start of each layer the masks use."""
-    depth = (max(masks).bit_length() - 1) // area + 1
-    return sum(1 << (i * area) for i in range(depth))
+@lru_cache(maxsize=None)
+def _meeting(lattice: Lattice, parity: int) -> tuple[Coord, ...]:
+    """The offsets from u of each w != u with N(u) ∩ N(w) != ∅, sorted, for
+    u with x+y = parity (mod 2); only HEX depends on the parity."""
+    u = (parity, 0)
+    meeting = {w for a in neighbors(lattice, *u) for w in neighbors(lattice, *a)} - {u}
+    return tuple((x - parity, y) for x, y in sorted(meeting))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _domination_table(lattice: Lattice, px: int, py: int) -> tuple[int, tuple[int, ...]]:
-    """(spread, masks): N(u) for each fundamental-domain vertex u, in domain
-    order, so mask i belongs to u = divmod(i, py)."""
-    masks = tuple(
-        _residue_mask(px, py, x, y, _geometry_at(lattice, x, y).neighbors)
-        for x in range(px)
-        for y in range(py)
-    )
-    return _spread(masks, px * py), masks
+def _domination_table(lattice: Lattice, px: int, py: int) -> tuple[int, int, tuple[int, ...]]:
+    """(w, h, masks): N(u) on the w x h torus of the period lifted to sides
+    >= 3, for each fundamental-domain vertex u in domain order, so mask i
+    belongs to u = divmod(i, py)."""
+    w, h = _lift(px, 3), _lift(py, 3)
+    adj = _torus_adj(lattice, w, h)
+    return w, h, tuple(adj[y * w + x] for x in range(px) for y in range(py))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _separation_table(
     lattice: Lattice, px: int, py: int
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(spread, masks, codes): N(u) △ N(v) for u in domain order and v
-    meeting u in sorted order, keeping only the first pair of each
-    translation class {u, v}; a later pair of the class has the same count,
-    so it can never be the first to fail.
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """(w, h, masks, codes): N(u) △ N(v) on the w x h torus of the period
+    lifted to sides >= 5, for u in domain order and v meeting u in sorted
+    order, keeping only the first pair of each translation class {u, v}; a
+    later pair of the class has the same count, so it can never be the
+    first to fail.
 
     The pair of u = divmod(i, py) with its j-th meeting vertex has code
     i * stride + j (stride: the number of meeting vertices, the same for
     both HEX parities, which mirror each other), so codes grow in scan
-    order.  The class's other pair with
-    its first vertex in the domain starts from v mod the period and goes
-    back by the same offset; the pair with the smaller code comes first.
+    order.  The class's other pair with its first vertex in the domain
+    starts from v mod the period and goes back by the same offset; the pair
+    with the smaller code comes first.
     """
-    stride = len(_geometry(lattice, 0).meeting)
+    w, h = _lift(px, 5), _lift(py, 5)
+    adj = _torus_adj(lattice, w, h)
+    stride = len(_meeting(lattice, 0))
     masks: list[int] = []
     codes: list[int] = []
     for x in range(px):
         for y in range(py):
-            geometry = _geometry_at(lattice, x, y)
-            for j, ((dx, dy), sym) in enumerate(zip(geometry.meeting, geometry.separators)):
+            for j, (dx, dy) in enumerate(_meeting(lattice, (x + y) % 2)):
                 vx, vy = (x + dx) % px, (y + dy) % py
-                back = _geometry_at(lattice, vx, vy).meeting.index((-dx, -dy))
+                back = _meeting(lattice, (vx + vy) % 2).index((-dx, -dy))
                 code = (x * py + y) * stride + j
                 if code < (vx * py + vy) * stride + back:
-                    masks.append(_residue_mask(px, py, x, y, sym))
+                    masks.append(adj[y * w + x] ^ adj[(y + dy) % h * w + (x + dx) % w])
                     codes.append(code)
-    return _spread(tuple(masks), px * py), tuple(masks), tuple(codes)
+    return w, h, tuple(masks), tuple(codes)
 
 
-def _pair_of(lattice: Lattice, py: int, code: int) -> tuple[Coord, Coord]:
-    """The pair a separation-table code stands for."""
-    i, j = divmod(code, len(_geometry(lattice, 0).meeting))
-    x, y = divmod(i, py)
-    dx, dy = _geometry_at(lattice, x, y).meeting[j]
-    return (x, y), (x + dx, y + dy)
-
-
-def _first_short(
-    spread: int, masks: tuple[int, ...], cells: int, k: int
-) -> tuple[int, int] | None:
+def _first_short(masks: tuple[int, ...], cells: int, k: int) -> tuple[int, int] | None:
     """(index, count) of the first mask counting fewer than k cells, else None."""
-    pat = cells * spread
     for i, mask in enumerate(masks):
-        c = (mask & pat).bit_count()
+        c = (mask & cells).bit_count()
         if c < k:
             return i, c
     return None
@@ -293,91 +288,70 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> DensityReport:
     is the sum of two domination counts and passes once domination does.
     The witness is the first failing vertex in domain order, else the first
     failing pair (u in domain order, then v sorted), read off the first
-    short residue-table mask.  A pattern that fails domination never builds
-    the separation table.
+    short table mask; a pair's code stands for u and its j-th meeting
+    vertex.  A pattern that fails domination never builds the separation
+    table.
     """
     lattice, (px, py), k = pattern.lattice, pattern.period, kind.fold
     dens = pattern.density()
-    cells = 0
-    for x, y in pattern.cells:
-        cells |= 1 << (x * py + y)
-    short = _first_short(*_domination_table(lattice, px, py), cells, k)
+    w, h, masks = _domination_table(lattice, px, py)
+    short = _first_short(masks, _tile(pattern.cells, px, py, w, h), k)
     if short is not None:
         i, count = short
         return DensityReport(False, kind, dens, vertex=divmod(i, py), count=count)
-    spread, masks, codes = _separation_table(lattice, px, py)
-    short = _first_short(spread, masks, cells, k)
+    w, h, masks, codes = _separation_table(lattice, px, py)
+    short = _first_short(masks, _tile(pattern.cells, px, py, w, h), k)
     if short is not None:
         i, count = short
-        return DensityReport(False, kind, dens, pair=_pair_of(lattice, py, codes[i]), count=count)
+        u, j = divmod(codes[i], len(_meeting(lattice, 0)))
+        x, y = divmod(u, py)
+        dx, dy = _meeting(lattice, (x + y) % 2)[j]
+        return DensityReport(False, kind, dens, pair=((x, y), (x + dx, y + dy)), count=count)
     return DensityReport(True, kind, dens)
 
 
 def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
     """Finite wrap-around version of the lattice on width x height vertices.
 
-    Vertex (x, y) has index y * width + x and label "x,y".  Its adjacency
-    mask is built directly from the lattice's neighbour offsets (one set per
-    x + y parity; only HEX has two), wrapped mod the dimensions.
-
-    Dimensions below 5 (and odd dimensions for HEX) are rejected: the wrap
-    would identify distance-<=2 neighbors or break the parity rule, which
-    defeats the cross-check this graph exists for.  So is a torus above
-    MAX_VERTICES = 2**15 vertices, before its masks are built.
+    Vertex (x, y) has index y * width + x and label "x,y".  Dimensions
+    below 5 (and odd dimensions for HEX) are rejected: the wrap would
+    identify distance-<=2 neighbors or break the parity rule, which defeats
+    the cross-check this graph exists for.  So are dimensions that are not
+    ints and a torus above MAX_VERTICES = 2**15 vertices, before its masks
+    are built.
     """
+    _check_lattice(lattice)
+    if type(width) is not int or type(height) is not int:
+        raise InputError(f"torus dimensions must be integers, got {width!r}x{height!r}")
     if width < 5 or height < 5:
         raise InputError(f"torus dimensions must be >= 5, got {width}x{height}")
     if width * height > MAX_VERTICES:
         raise InputError(f"torus {width}x{height} is above the limit of {MAX_VERTICES} vertices")
     if lattice is Lattice.HEX and (width % 2 or height % 2):
         raise InputError("HEX tori need even dimensions")
-    offsets = tuple(_geometry_at(lattice, parity, 0).neighbors for parity in (0, 1))
-    adj = []
-    for y in range(height):
-        for x in range(width):
-            a = 0
-            for dx, dy in offsets[(x + y) % 2]:
-                a |= 1 << ((y + dy) % height * width + (x + dx) % width)
-            adj.append(a)
+    adj = _torus_adj(lattice, width, height)
     deg = lattice_degree(lattice)
     if any(a.bit_count() != deg for a in adj):
         raise AssertionError("torus is not regular; dimension guard is wrong")
     labels = tuple(f"{x},{y}" for y in range(height) for x in range(width))
-    return Graph(width * height, tuple(adj), labels)
+    return Graph(width * height, adj, labels)
 
 
 def restrict_pattern_to_torus(pattern: PeriodicPattern, width: int, height: int) -> int:
     """The pattern's vertex set on a build_torus(width, height) graph, as a
-    bitmask; dimensions must be multiples of the period and >= 6.
-
-    Each row residue y mod py is one mask, the period's cells in that row
-    tiled across the width; row y is that mask shifted to y * width."""
+    bitmask; dimensions must be multiples of the period and >= 6."""
     px, py = pattern.period
     if width % px or height % py:
-        raise InputError(
-            f"torus {width}x{height} is not a multiple of the period {px}x{py}"
-        )
+        raise InputError(f"torus {width}x{height} is not a multiple of the period {px}x{py}")
     if width < 6 or height < 6:
         raise InputError("cross-check tori must be at least 6x6")
-    rows = [0] * py
-    for x, y in pattern.cells:
-        rows[y] |= 1 << x
-    # a row of the period is below 1 << px, so multiplying by one set bit
-    # every px places copies it without carries
-    tile = sum(1 << (i * px) for i in range(width // px))
-    rows = [r * tile for r in rows]
-    mask = 0
-    for y in range(height):
-        mask |= rows[y % py] << (y * width)
-    return mask
+    return _tile(pattern.cells, px, py, width, height)
 
 
 def cross_check_dims(pattern: PeriodicPattern) -> tuple[int, int]:
     """Smallest period multiples that are >= 3x the period and >= 6."""
     px, py = pattern.period
-    w = px * max(3, -(-6 // px))
-    h = py * max(3, -(-6 // py))
-    return w, h
+    return max(3 * px, _lift(px, 6)), max(3 * py, _lift(py, 6))
 
 
 def search_patterns(
@@ -394,12 +368,13 @@ def search_patterns(
     verifying pattern is returned, or None when the bound is exhausted.
 
     A candidate is only a cell mask: the subsets are walked as
-    ``itertools.combinations`` of the residue bits 1 << (x*py + y), which
-    is domain order, and each is checked against the residue tables by the
-    same two ``_first_short`` tests as :func:`verify_pattern`, so the first
-    pattern found is the one that verifying every subset in order would
-    find.  Each period fetches its domination table once, and its
-    separation table once a candidate first passes domination.  The one
+    ``itertools.combinations`` of the residues' tiled cells in domain
+    order, and each is checked against the tables by the same two
+    ``_first_short`` tests as :func:`verify_pattern`, so the first pattern
+    found is the one that verifying every subset in order would find.
+    Each period fetches its domination table once, and its separation
+    table once a candidate first passes domination; such a candidate is
+    tiled again over the separation torus.  The one
     :class:`PeriodicPattern` built is the one returned.
 
     Raises :class:`InputError` unless ``lattice`` is a :class:`Lattice`,
@@ -427,23 +402,23 @@ def search_patterns(
         key=lambda p: (p[0] * p[1], p[0], p[1]),
     )
     for px, py in periods:
-        area = px * py
-        bits = [1 << r for r in range(area)]
-        max_cells = int(target * area)  # exact floor; density stays <= target
+        max_cells = int(target * px * py)  # exact floor; density stays <= target
         if max_cells < 1:
             continue
-        dom_spread, dom_masks = _domination_table(lattice, px, py)
+        w, h, dom_masks = _domination_table(lattice, px, py)
+        # each residue's cell tiled over the domination torus, in domain order
+        tiles = {_tile(((x, y),), px, py, w, h): (x, y) for x in range(px) for y in range(py)}
         sep = None  # fetched when a candidate first passes domination
         for count in range(1, max_cells + 1):
-            for combo in itertools.combinations(bits, count):
-                # distinct bits, so their sum is the cell mask
-                cells = sum(combo)
-                if _first_short(dom_spread, dom_masks, cells, k) is not None:
+            for combo in itertools.combinations(tiles, count):
+                # disjoint tiles, so their sum is the tiled cell mask
+                if _first_short(dom_masks, sum(combo), k) is not None:
                     continue
                 if sep is None:
                     sep = _separation_table(lattice, px, py)
-                if _first_short(sep[0], sep[1], cells, k) is None:
-                    found = frozenset(divmod(b.bit_length() - 1, py) for b in combo)
+                sw, sh, sep_masks, _ = sep
+                found = frozenset(map(tiles.__getitem__, combo))
+                if _first_short(sep_masks, _tile(found, px, py, sw, sh), k) is None:
                     return PeriodicPattern(lattice, (px, py), found)
     return None
 
@@ -520,10 +495,8 @@ def _builtin_specs() -> dict[str, tuple[Kind, PeriodicPattern, Fraction]]:
     )
     return specs
 
-BUILTIN_PATTERN_NAMES = (
-    "sq-old", "sq-redold", "hex-old", "hex-redold",
-    "tri-old", "tri-redold", "king-old", "king-redold",
-)
+
+BUILTIN_PATTERN_NAMES = tuple(_builtin_specs())
 
 
 def _builtin_spec(name: str) -> tuple[Kind, PeriodicPattern, Fraction]:

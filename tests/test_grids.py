@@ -193,6 +193,20 @@ def test_build_torus_guards():
         build_torus(Lattice.SQ, 99, 331)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: build_torus("sq", 6, 6),
+    lambda: build_torus(None, 6, 6),
+    lambda: build_torus(Lattice.SQ, 6.0, 6),
+    lambda: build_torus(Lattice.HEX, "6", 6),
+    lambda: neighbors("sq", 0, 0),
+    lambda: lattice_degree("king"),
+], ids=["str-lattice", "none-lattice", "float-width", "str-width",
+        "neighbors-str", "degree-str"])
+def test_lattice_functions_reject_bad_arguments(call):
+    with pytest.raises(InputError):
+        call()
+
+
 def test_restrict_pattern_counts():
     sq_old = builtin_pattern("sq-old")
     assert restrict_pattern_to_torus(sq_old, 10, 10).bit_count() == 40  # 2/5 of 100
@@ -434,6 +448,10 @@ def test_verify_pattern_matches_reference_on_every_small_period():
     (Lattice.HEX, (2, 2)), (Lattice.HEX, (2, 4)),
     (Lattice.TRI, (3, 2)), (Lattice.TRI, (1, 7)),
     (Lattice.KING, (3, 1)), (Lattice.KING, (2, 3)),
+    # the domination and separation tables lift these periods to different
+    # tori, and the domination torus differs from the period on one axis
+    (Lattice.KING, (4, 2)), (Lattice.TRI, (1, 4)), (Lattice.HEX, (4, 2)),
+    (Lattice.SQ, (2, 4)),
 ])
 def test_verify_pattern_matches_reference_exhaustively(lattice, period):
     px, py = period
