@@ -16,7 +16,6 @@ from .graph import (
     vertices_of,
 )
 from .grids import (
-    DensityReport,
     Lattice,
     PeriodicPattern,
     build_torus,

@@ -76,8 +76,8 @@ def _load_pattern(spec: str) -> grids.PeriodicPattern:
 
 
 def _witness_json(report, name) -> dict | None:
-    """The JSON witness of a failing :class:`VerificationReport` or
-    :class:`grids.DensityReport`, each vertex written as ``name(vertex)``."""
+    """The JSON witness of a failing :class:`VerificationReport`, from a
+    graph or a lattice, each vertex written as ``name(vertex)``."""
     if report.holds:
         return None
     if report.vertex is not None:
@@ -208,7 +208,7 @@ def cmd_grid(args) -> tuple[dict, list[str]]:
         "kind": args.kind,
         "pattern": args.pattern,
         "holds": rep.holds,
-        "density": str(rep.density),
+        "density": str(pattern.density()),
         "witness": _witness_json(rep, list),
         "exit_code": EXIT_OK if rep.holds else EXIT_FAILS,
     }
@@ -218,7 +218,7 @@ def cmd_grid(args) -> tuple[dict, list[str]]:
     elif rep.pair is not None:
         lines.append(f"  pair {rep.pair[0]},{rep.pair[1]} distinguished {rep.count}")
     if args.density:
-        lines.append(f"  density: {rep.density}")
+        lines.append(f"  density: {pattern.density()}")
     if args.cross_check:
         try:
             w, h = (int(part) for part in args.cross_check.lower().split("x"))

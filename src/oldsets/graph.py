@@ -67,7 +67,8 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < self.n:
+        # type(v) is int rejects bool, which isinstance(v, int) would pass
+        if type(v) is not int or not 0 <= v < self.n:
             raise InputError(f"vertex {v!r} out of range 0..{self.n - 1}")
 
     def open_neighborhood(self, v: int) -> int:

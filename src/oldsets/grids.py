@@ -18,7 +18,8 @@ by its dominators alone.  The constraints depend only on the lattice and
 the period: each is an adjacency mask of a torus of period multiples wide
 enough that no constraint wraps onto itself, built once per (lattice, period)
 and cached; a pattern's cells are tiled over that torus and counted under it.
-Witnesses are the first failure in domain order, as a vertex-by-vertex scan
+Verdicts are the graph verifier's VerificationReport, its witness in lattice
+coordinates: the first failure in domain order, as a vertex-by-vertex scan
 would find it.  Densities are exact rationals throughout; no floating point.
 """
 
@@ -33,12 +34,11 @@ from functools import lru_cache
 
 from .errors import InputError, decode_json
 from .graph import MAX_VERTICES, Graph
-from .verify import Kind
+from .verify import Kind, VerificationReport, _first_short
 
 __all__ = [
     "Lattice",
     "PeriodicPattern",
-    "DensityReport",
     "neighbors",
     "lattice_degree",
     "verify_pattern",
@@ -143,19 +143,6 @@ class PeriodicPattern:
 
     def density(self) -> Fraction:
         return Fraction(len(self.cells), self.period[0] * self.period[1])
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Verification outcome for a periodic pattern, with its exact density
-    and, on failure, a witness in absolute lattice coordinates."""
-
-    holds: bool
-    kind: Kind
-    density: Fraction
-    vertex: Coord | None = None
-    pair: tuple[Coord, Coord] | None = None
-    count: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +256,7 @@ def _separation_table(
     return w, h, tuple(masks), tuple(codes)
 
 
-def _first_short(masks: tuple[int, ...], cells: int, k: int) -> tuple[int, int] | None:
-    """(index, count) of the first mask counting fewer than k cells, else None."""
-    for i, mask in enumerate(masks):
-        c = (mask & cells).bit_count()
-        if c < k:
-            return i, c
-    return None
-
-
-def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> DensityReport:
+def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> VerificationReport:
     """Check the kind's conditions over the whole infinite lattice.
 
     Finite procedure: every fundamental-domain vertex u needs >= k
@@ -286,19 +264,18 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> DensityReport:
     meets N(u) needs >= k separators (one pair per translation class).
     Other pairs have disjoint open neighborhoods, so their separation count
     is the sum of two domination counts and passes once domination does.
-    The witness is the first failing vertex in domain order, else the first
-    failing pair (u in domain order, then v sorted), read off the first
-    short table mask; a pair's code stands for u and its j-th meeting
-    vertex.  A pattern that fails domination never builds the separation
-    table.
+    The witness, its vertices lattice coordinates (x, y), is the first
+    failing vertex in domain order, else the first failing pair (u in
+    domain order, then v sorted), read off the first short table mask; a
+    pair's code stands for u and its j-th meeting vertex.  A pattern that
+    fails domination never builds the separation table.
     """
     lattice, (px, py), k = pattern.lattice, pattern.period, kind.fold
-    dens = pattern.density()
     w, h, masks = _domination_table(lattice, px, py)
     short = _first_short(masks, _tile(pattern.cells, px, py, w, h), k)
     if short is not None:
         i, count = short
-        return DensityReport(False, kind, dens, vertex=divmod(i, py), count=count)
+        return VerificationReport(False, vertex=divmod(i, py), count=count)
     w, h, masks, codes = _separation_table(lattice, px, py)
     short = _first_short(masks, _tile(pattern.cells, px, py, w, h), k)
     if short is not None:
@@ -306,8 +283,8 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> DensityReport:
         u, j = divmod(codes[i], len(_meeting(lattice, 0)))
         x, y = divmod(u, py)
         dx, dy = _meeting(lattice, (x + y) % 2)[j]
-        return DensityReport(False, kind, dens, pair=((x, y), (x + dx, y + dy)), count=count)
-    return DensityReport(True, kind, dens)
+        return VerificationReport(False, pair=((x, y), (x + dx, y + dy)), count=count)
+    return VerificationReport(True)
 
 
 def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
@@ -357,8 +334,8 @@ def cross_check_dims(pattern: PeriodicPattern) -> tuple[int, int]:
 def search_patterns(
     lattice: Lattice,
     kind: Kind,
-    max_period: tuple[int, int] = (6, 6),
-    target_density: int | Fraction | None = None,
+    max_period: tuple[int, int],
+    target_density: int | Fraction,
 ) -> PeriodicPattern | None:
     """Exhaustive deterministic search for a verifying pattern with density
     <= target over all periods within ``max_period``.
@@ -377,11 +354,11 @@ def search_patterns(
     tiled again over the separation torus.  The one
     :class:`PeriodicPattern` built is the one returned.
 
-    Raises :class:`InputError` unless ``lattice`` is a :class:`Lattice`,
-    ``kind`` a :class:`Kind`, ``max_period`` a tuple of two ints >= 1 with
-    area at most MAX_PERIOD_AREA, and ``target_density`` a positive int or
-    Fraction (a float could floor the cell count wrongly:
-    0.29 * 100 == 28.999...).
+    Both bounds are required.  Raises :class:`InputError` unless
+    ``lattice`` is a :class:`Lattice`, ``kind`` a :class:`Kind`,
+    ``max_period`` a tuple of two ints >= 1 with area at most
+    MAX_PERIOD_AREA, and ``target_density`` a positive int or Fraction (a
+    float could floor the cell count wrongly: 0.29 * 100 == 28.999...).
     """
     _check_lattice(lattice)
     if not isinstance(kind, Kind):

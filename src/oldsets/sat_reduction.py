@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import Graph, build_graph, mask_of, vertices_of
+from .graph import MAX_VERTICES, Graph, build_graph, mask_of
 from .solve import DEFAULT_BUDGET, min_set, propagate
 from .verify import Kind, is_red_old
 
@@ -219,9 +219,15 @@ class ReductionOutput:
 
 
 def build_reduction(cnf: CnfInstance) -> ReductionOutput:
-    """Construct the reduction graph; linear in its 18N + 4M vertices."""
+    """Construct the reduction graph; linear in its 18N + 4M vertices.
+
+    More than MAX_VERTICES vertices is an InputError, raised before any
+    gadget is built."""
     n_vars, n_clauses = cnf.num_vars, cnf.num_clauses
     total = VAR_GADGET_SIZE * n_vars + CLAUSE_GADGET_SIZE * n_clauses
+    if total > MAX_VERTICES:
+        raise InputError(f"reduction of {n_vars} vars and {n_clauses} clauses has "
+                         f"{total} vertices, above the limit of {MAX_VERTICES}")
     edges: list[tuple[int, int]] = []
     labels: list[str] = []
     roles: list[str] = []
@@ -298,19 +304,16 @@ def validate_gadget_forcing(out: ReductionOutput, budget: int = DEFAULT_BUDGET) 
     optima = min_set(g, Kind.RED_OLD, enumerate_all=True, budget=budget)
     if not optima.feasible:
         return False
-    # membership in every optimum, deciding each vertex by one excluded solve
-    # against the single base value
-    for v in vertices_of(required):
-        without = min_set(g, Kind.RED_OLD, budget=budget, forced_out=1 << v)
-        if without.feasible and without.value <= optima.value:
-            return False
-
+    # a. and c. over the complete list of optima: the required vertices
+    # still in every optimum so far, and a literal of each variable
+    common = required
     for s in optima.all_minimum_sets:
+        common &= s
         for i in range(out.num_vars):
             pair = (1 << out.pos_literal_index(i)) | (1 << out.neg_literal_index(i))
             if not s & pair:
                 return False
-    return True
+    return common == required
 
 
 def assignment_from_set(output: ReductionOutput, s: int) -> tuple[bool, ...]:

@@ -1,8 +1,10 @@
 """Polynomial-time verifiers for distinguishing vertex sets.
 
 Every verifier here is one walk, ``_first_failure(inc, pairs, s, fold)``,
-where ``inc[v]`` is the mask of detectors that see vertex v.  Each vertex
-needs ``fold`` detectors in S, and each listed pair needs ``fold`` in
+where ``inc[v]`` is the mask of detectors that see vertex v; its vertex
+scan ``_first_short`` also checks lattice patterns in :mod:`grids`, whose
+verdict is the same :class:`VerificationReport`.  Each vertex needs
+``fold`` detectors in S, and each listed pair needs ``fold`` in
 (inc[u] △ inc[v]) ∩ S, those that see exactly one of the two.  Only pairs
 whose masks share a detector in S are listed: for any other pair
 (inc[u] △ inc[v]) ∩ S is the disjoint union of inc[u] ∩ S and inc[v] ∩ S,
@@ -58,18 +60,22 @@ class Kind(enum.Enum):
         return 1 if self is Kind.OLD else 2
 
 
+Vertex = int | tuple[int, int]
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of a verifier plus a diagnostic witness on failure.
 
     When ``holds`` is false exactly one of ``vertex`` (an under-dominated
     vertex) or ``pair`` (an under-distinguished pair) is set, together with
-    the offending count.
+    the offending count.  A vertex is a graph index or, from
+    :func:`grids.verify_pattern`, a lattice coordinate pair (x, y).
     """
 
     holds: bool
-    vertex: int | None = None
-    pair: tuple[int, int] | None = None
+    vertex: Vertex | None = None
+    pair: tuple[Vertex, Vertex] | None = None
     count: int | None = None
 
     def __post_init__(self):
@@ -86,9 +92,19 @@ def _check_set(g: Graph, s: int) -> None:
 
 
 def _check_fold_and_set(g: Graph, s: int, fold: int) -> None:
-    if fold < 1:
-        raise InputError(f"fold must be >= 1, got {fold}")
+    # type(...) is int rejects bool and float: a fold of 1.5 would act as 2
+    if type(fold) is not int or fold < 1:
+        raise InputError(f"fold must be an int >= 1, got {fold!r}")
     _check_set(g, s)
+
+
+def _first_short(masks: Iterable[int], s: int, k: int) -> tuple[int, int] | None:
+    """(index, count) of the first mask with fewer than k members in s, else None."""
+    for i, mask in enumerate(masks):
+        c = (mask & s).bit_count()
+        if c < k:
+            return i, c
+    return None
 
 
 def _first_failure(
@@ -98,10 +114,9 @@ def _first_failure(
     in ``s``, else the first pair (u, v) of ``pairs`` with fewer than
     ``fold`` in ``(inc[u] ^ inc[v]) & s``, else a holding report.  The
     pairs are drawn only once every vertex passes."""
-    for v, m in enumerate(inc):
-        c = (m & s).bit_count()
-        if c < fold:
-            return VerificationReport(False, vertex=v, count=c)
+    short = _first_short(inc, s, fold)
+    if short is not None:
+        return VerificationReport(False, vertex=short[0], count=short[1])
     for u, v in pairs:
         c = ((inc[u] ^ inc[v]) & s).bit_count()
         if c < fold:

@@ -493,13 +493,18 @@ def test_negative_budget_is_input_error(capsys, tmp_path, command):
 
 
 def test_module_entry_point_subprocess(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import oldsets
+
+    # the child imports the same oldsets package, installed or not
+    src = str(Path(oldsets.__file__).parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "oldsets", "solve", "builtin:g11", "--kind", "old",
          "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 6

@@ -152,6 +152,15 @@ def test_labels_resolution():
         g.index_of("w9")
 
 
+@pytest.mark.parametrize("v", [True, False, 1.0, "1", None])
+def test_vertex_arguments_must_be_plain_ints(v):
+    # isinstance(True, int) holds, so a bool would name vertex 1 or 0
+    g = g11()
+    for method in (g.check_vertex, g.label, g.open_neighborhood, g.degree):
+        with pytest.raises(InputError):
+            method(v)
+
+
 def test_label_validation():
     with pytest.raises(InputError):
         build_graph(2, [], labels=["a"])

@@ -11,7 +11,6 @@ from oldsets import grids
 from oldsets.errors import InputError
 from oldsets.graph import build_graph, vertices_of
 from oldsets.grids import (
-    DensityReport,
     BUILTIN_PATTERN_NAMES,
     MAX_PERIOD_AREA,
     Lattice,
@@ -28,7 +27,7 @@ from oldsets.grids import (
     search_patterns,
     verify_pattern,
 )
-from oldsets.verify import Kind, verify_set
+from oldsets.verify import Kind, VerificationReport, verify_set
 
 EXPECTED_DENSITIES = {
     "sq-old": Fraction(2, 5),
@@ -134,7 +133,7 @@ def test_builtin_patterns_verify():
 def test_full_pattern_is_red_old_on_sq():
     p = PeriodicPattern(Lattice.SQ, (1, 1), frozenset({(0, 0)}))
     rep = verify_pattern(p, Kind.RED_OLD)
-    assert rep.holds and rep.density == 1
+    assert rep.holds and p.density() == 1
 
 
 def test_naive_king_thirds_fails_red_old():
@@ -306,6 +305,13 @@ def test_search_rejects_bad_target():
         search_patterns(Lattice.SQ, Kind.OLD, (3, 3), None)
 
 
+def test_search_needs_a_target():
+    with pytest.raises(TypeError):
+        search_patterns(Lattice.SQ, Kind.OLD, (3, 3))
+    with pytest.raises(TypeError):
+        search_patterns(Lattice.SQ, Kind.OLD)
+
+
 @pytest.mark.parametrize("lattice, kind, max_period, target", [
     ("sq", Kind.OLD, (3, 3), Fraction(1, 2)),
     (Lattice.SQ, "old", (3, 3), Fraction(1, 2)),
@@ -386,20 +392,19 @@ def _reference_code(pattern, v):
 def reference_verify_pattern(pattern, kind):
     k = kind.fold
     px, py = pattern.period
-    dens = pattern.density()
     domain = [(x, y) for x in range(px) for y in range(py)]
     codes = {}
     for u in domain:
         code = _reference_code(pattern, u)
         codes[u] = code
         if len(code) < k:
-            return DensityReport(False, kind, dens, vertex=u, count=len(code))
+            return VerificationReport(False, vertex=u, count=len(code))
     for u in domain:
         for v in _reference_ball2(pattern.lattice, *u):
             c = len(codes[u] ^ _reference_code(pattern, v))
             if c < k:
-                return DensityReport(False, kind, dens, pair=(u, v), count=c)
-    return DensityReport(True, kind, dens)
+                return VerificationReport(False, pair=(u, v), count=c)
+    return VerificationReport(True)
 
 
 def _assert_matches_reference(pattern):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from reference import all_clauses_over
+from oldsets import sat_reduction
 from oldsets.errors import InputError
 from oldsets.graph import vertices_of
 from oldsets.sat_reduction import (
@@ -91,6 +92,17 @@ def test_build_reduction_sizes():
     assert out.graph.n == 80 and out.threshold == 70
     small = build_reduction(CnfInstance(1, ((1, 1, 1),)))
     assert small.graph.n == 22 and small.threshold == 19
+
+
+def test_build_reduction_refuses_an_oversized_instance_before_building(monkeypatch):
+    # 18 * 40,000 vertices is far above MAX_VERTICES; the limit is checked
+    # before any gadget list is built, so build_graph is never reached
+    def fail(*args, **kwargs):
+        raise AssertionError("build_graph called for an oversized reduction")
+
+    monkeypatch.setattr(sat_reduction, "build_graph", fail)
+    with pytest.raises(InputError, match="above the limit"):
+        build_reduction(CnfInstance(40_000, ((1, 2, 3),)))
 
 
 def test_reduction_roles():

@@ -82,6 +82,16 @@ def test_is_open_dominating_rejects_bad_fold():
         is_open_dominating(cycle_graph(5), 0, 0)
 
 
+@pytest.mark.parametrize("fold", [1.5, 2.0, True, None, "2"])
+def test_fold_must_be_a_plain_int(fold):
+    # a fold of 1.5 would act as 2, and True as 1
+    g = g11()
+    with pytest.raises(InputError, match="fold"):
+        verify_set(g, g.all_mask(), fold)
+    with pytest.raises(InputError, match="fold"):
+        is_open_dominating(g, g.all_mask(), fold)
+
+
 def test_is_old_examples():
     g = g11()
     assert is_old(g, set_of(g, *G11_OLD6)).holds
