@@ -39,8 +39,6 @@ from .sat_reduction import (
 from .solve import (
     DEFAULT_BUDGET,
     SolveResult,
-    feasibility_check,
-    is_in_every_optimal_set,
     min_set,
     min_set_bruteforce,
     propagate,
@@ -48,8 +46,6 @@ from .solve import (
 from .verify import (
     Kind,
     VerificationReport,
-    distinguishing_count,
-    domination_count,
     is_identifying_code,
     is_locating_dominating,
     is_old,

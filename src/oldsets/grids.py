@@ -21,6 +21,11 @@ and cached; a pattern's cells are tiled over that torus and counted under it.
 Verdicts are the graph verifier's VerificationReport, its witness in lattice
 coordinates: the first failure in domain order, as a vertex-by-vertex scan
 would find it.  Densities are exact rationals throughout; no floating point.
+
+:func:`search_patterns` walks cell subsets in the order verifying each would
+take, but depth first, with the dominator counts of each prefix kept: a
+prefix that no completion can make dominating is dropped, and so is any cell
+count too small to give every vertex its k dominators.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -316,7 +322,9 @@ def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
 
 def restrict_pattern_to_torus(pattern: PeriodicPattern, width: int, height: int) -> int:
     """The pattern's vertex set on a build_torus(width, height) graph, as a
-    bitmask; dimensions must be multiples of the period and >= 6."""
+    bitmask; dimensions must be ints, multiples of the period and >= 6."""
+    if type(width) is not int or type(height) is not int:
+        raise InputError(f"torus dimensions must be integers, got {width!r}x{height!r}")
     px, py = pattern.period
     if width % px or height % py:
         raise InputError(f"torus {width}x{height} is not a multiple of the period {px}x{py}")
@@ -344,14 +352,21 @@ def search_patterns(
     ascending, cell subsets in lexicographic domain order; the first
     verifying pattern is returned, or None when the bound is exhausted.
 
-    A candidate is only a cell mask: the subsets are walked as
-    ``itertools.combinations`` of the residues' tiled cells in domain
-    order, and each is checked against the tables by the same two
-    ``_first_short`` tests as :func:`verify_pattern`, so the first pattern
-    found is the one that verifying every subset in order would find.
-    Each period fetches its domination table once, and its separation
-    table once a candidate first passes domination; such a candidate is
-    tiled again over the separation torus.  The one
+    The walk is pruned but reaches the same first pattern.  A cell
+    dominates exactly deg = lattice_degree(lattice) vertices per
+    translation class, and a period needs k * px * py dominations, so cell
+    counts below ceil(k * px * py / deg) are skipped, and a period with
+    too few cells never fetches its tables.  Within a count, the subsets
+    are walked depth first over residue indices in the order of
+    ``itertools.combinations`` (:func:`_dominating_subsets`), keeping the
+    picks' dominator counts, and a prefix is dropped as soon as no
+    completion can pass domination.  The prunes are exact, so the walk
+    yields exactly the subsets that pass the domination check of
+    :func:`verify_pattern`, in order; each then gets its separation check,
+    one ``_first_short`` over the cached separation table on the tiled
+    cells.  The first to pass both is the pattern that verifying every
+    subset in order would find.  Each period fetches its separation table
+    once a candidate first passes domination, and the one
     :class:`PeriodicPattern` built is the one returned.
 
     Both bounds are required.  Raises :class:`InputError` unless
@@ -368,7 +383,7 @@ def search_patterns(
     if (type(target) is not int and not isinstance(target, Fraction)) or target <= 0:
         raise InputError(
             f"target density must be a positive int or Fraction, got {target!r}")
-    k = kind.fold
+    k, deg = kind.fold, lattice_degree(lattice)
     periods = sorted(
         (
             (px, py)
@@ -379,25 +394,128 @@ def search_patterns(
         key=lambda p: (p[0] * p[1], p[0], p[1]),
     )
     for px, py in periods:
-        max_cells = int(target * px * py)  # exact floor; density stays <= target
-        if max_cells < 1:
+        area = px * py
+        max_cells = int(target * area)  # exact floor; density stays <= target
+        # the domain needs k * area dominations, and a cell gives deg
+        min_cells = max(1, -(-k * area // deg))
+        if max_cells < min_cells:
             continue
-        w, h, dom_masks = _domination_table(lattice, px, py)
-        # each residue's cell tiled over the domination torus, in domain order
-        tiles = {_tile(((x, y),), px, py, w, h): (x, y) for x in range(px) for y in range(py)}
-        sep = None  # fetched when a candidate first passes domination
-        for count in range(1, max_cells + 1):
-            for combo in itertools.combinations(tiles, count):
+        cover, carry, avail = _residue_tables(lattice, px, py, k)
+        tiles = None  # fetched when a candidate first passes domination
+        for count in range(min_cells, max_cells + 1):
+            for picks in _dominating_subsets(cover, carry, avail, k, deg, count):
+                if tiles is None:
+                    sw, sh, sep_masks, _ = _separation_table(lattice, px, py)
+                    # each residue's cell tiled over the separation torus
+                    tiles = [_tile(((x, y),), px, py, sw, sh)
+                             for x in range(px) for y in range(py)]
                 # disjoint tiles, so their sum is the tiled cell mask
-                if _first_short(dom_masks, sum(combo), k) is not None:
-                    continue
-                if sep is None:
-                    sep = _separation_table(lattice, px, py)
-                sw, sh, sep_masks, _ = sep
-                found = frozenset(map(tiles.__getitem__, combo))
-                if _first_short(sep_masks, _tile(found, px, py, sw, sh), k) is None:
-                    return PeriodicPattern(lattice, (px, py), found)
+                if _first_short(sep_masks, sum(map(tiles.__getitem__, picks)), k) is None:
+                    cells = frozenset(divmod(r, py) for r in picks)
+                    return PeriodicPattern(lattice, (px, py), cells)
     return None
+
+
+def _residue_tables(
+    lattice: Lattice, px: int, py: int, k: int
+) -> tuple[list[int], list[list[tuple[int, int]]], list[int]]:
+    """(cover, carry, avail) for the residues of a px x py period, residue
+    (x, y) at index x * py + y, the domain order of the domination table.
+
+    A set of residues is held as a k-layer mask of its dominator counts:
+    bit t * area + i is set when domain vertex i has more than t
+    dominators, t < k.  cover[r] is that mask for residue r alone.  A
+    vertex already in layer j that residue r dominates more than s - 1
+    times moves up to layer j + s: carry[r] holds, for 1 <= s < k, the
+    (mask, shift) pair that picks those vertices from layers j < k - s
+    and shifts them by s layers.  avail[r] sets bit t * area + i when the
+    residues r, r + 1, ... hold at least k - t neighbours of vertex i.
+    All three are read off the domination table's masks."""
+    w, h, masks = _domination_table(lattice, px, py)
+    area = px * py
+    residue = [x % px * py + y % py for y in range(h) for x in range(w)]
+    cover = [0] * area
+    # first[r]: the bits that avail gains at r, where a vertex's suffix of
+    # neighbours first reaches some count
+    first = [0] * area
+    for i, mask in enumerate(masks):
+        # the residue of each neighbour of vertex i, largest first
+        near = []
+        while mask:
+            bit = mask & -mask
+            near.append(residue[bit.bit_length() - 1])
+            mask ^= bit
+        near.sort(reverse=True)
+        c, prev = 0, -1
+        for s, r in enumerate(near):
+            c = c + 1 if r == prev else 0  # neighbours of i in r before this one
+            prev = r
+            if c < k:
+                cover[r] |= 1 << (c * area + i)
+            if s < k:
+                # from r down, the suffix holds s + 1 = k - t neighbours
+                first[r] |= 1 << ((k - 1 - s) * area + i)
+    avail = list(itertools.accumulate(reversed(first), operator.or_))[::-1]
+    low = (1 << area) - 1
+    carry = [
+        [(sum(((cov >> (s - 1) * area) & low) << (j * area) for j in range(k - s)), s * area)
+         for s in range(1, k)]
+        for cov in cover
+    ]
+    return cover, carry, avail
+
+
+def _dominating_subsets(
+    cover: list[int], carry: list[list[tuple[int, int]]], avail: list[int],
+    k: int, deg: int, count: int,
+):
+    """Yield, as a list of residue indices, each count-subset of the
+    residues in lexicographic order whose cells give every domain vertex at
+    least k dominators: the ``itertools.combinations`` that pass the
+    domination check, the others skipped whole prefixes at a time.
+
+    A depth-first walk on an explicit stack, so its depth (up to the area)
+    is not bounded by the recursion limit.  It keeps the picks' dominator
+    counts as one k-layer mask (see :func:`_residue_tables`); the deficit
+    Σ max(0, k - dominators of i) is the number of bits it lacks.  Both
+    prunes are exact:
+
+    * a pick removes at most deg from the deficit, so a prefix whose
+      deficit exceeds deg times its picks left has no completion;
+    * the picks after a prefix are drawn from residues >= the next one r,
+      so r needs dom | avail[r] to be full: every vertex short of t
+      dominators has t neighbours in those residues.  A larger r leaves
+      fewer, so once r fails the level is done.
+    """
+    area = len(cover)
+    full = (1 << (k * area)) - 1
+    dom = 0
+    picks: list[int] = []
+    saved: list[int] = []  # dom before each pick
+    r = 0  # the next pick to try at the current level
+    while True:
+        # the last residue this level may pick, -1 when it is closed
+        left = count - len(picks)
+        last = area - left
+        if left == 0:
+            if dom == full:
+                yield picks
+            last = -1
+        elif k * area - dom.bit_count() > left * deg:
+            last = -1
+        # the next viable pick, backing up a level when there is none
+        while r > last or dom | avail[r] != full:
+            if not picks:
+                return
+            r, dom = picks.pop() + 1, saved.pop()
+            last = area - count + len(picks)
+        picks.append(r)
+        saved.append(dom)
+        grown = dom | cover[r]
+        for mask, shift in carry[r]:
+            grown |= (dom & mask) << shift
+        dom = grown
+        r += 1
 
 
 # ---------------------------------------------------------------------------

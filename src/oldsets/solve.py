@@ -68,11 +68,9 @@ from .verify import Kind, verify_kind, verify_set
 __all__ = [
     "DEFAULT_BUDGET",
     "SolveResult",
-    "feasibility_check",
     "propagate",
     "min_set",
     "min_set_bruteforce",
-    "is_in_every_optimal_set",
 ]
 
 DEFAULT_BUDGET = 10**8
@@ -99,12 +97,6 @@ class SolveResult:
     @property
     def feasible(self) -> bool:
         return self.value is not None
-
-
-def feasibility_check(g: Graph, kind: Kind) -> bool:
-    """An instance is feasible iff the full vertex set is accepted
-    (verifier counters are monotone in S)."""
-    return verify_kind(g, g.all_mask(), kind).holds
 
 
 def propagate(g: Graph, kind: Kind, forced_in: int = 0, forced_out: int = 0) -> int | None:
@@ -252,8 +244,8 @@ def min_set(
 ) -> SolveResult:
     """Minimum OLD / RED:OLD set, optionally with every optimum enumerated.
 
-    ``forced_out`` pre-excludes vertices (used to decide membership in every
-    optimal set).  Infeasible instances yield a result, not an exception;
+    ``forced_out`` pre-excludes vertices: the optima are those of the sets
+    that avoid it.  Infeasible instances yield a result, not an exception;
     only an exhausted node budget raises.
 
     The verdict comes from the root ``propagate``: it conflicts exactly when
@@ -298,14 +290,3 @@ def min_set_bruteforce(g: Graph, kind: Kind, enumerate_all: bool = False) -> Sol
             return SolveResult(size, found[0], tuple(found))
     raise AssertionError("unreachable: V itself was accepted")
 
-
-def is_in_every_optimal_set(
-    g: Graph, kind: Kind, v: int, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Is v in every minimum set?  Decided by re-solving with v excluded."""
-    g.check_vertex(v)
-    base = min_set(g, kind, budget=budget)
-    if not base.feasible:
-        raise InputError("instance is infeasible; optimal sets do not exist")
-    without = min_set(g, kind, budget=budget, forced_out=1 << v)
-    return (not without.feasible) or without.value > base.value

@@ -36,8 +36,6 @@ from .graph import Graph, meeting_pairs
 __all__ = [
     "Kind",
     "VerificationReport",
-    "domination_count",
-    "distinguishing_count",
     "is_open_dominating",
     "verify_set",
     "verify_kind",
@@ -87,6 +85,9 @@ _OK = VerificationReport(True)
 
 
 def _check_set(g: Graph, s: int) -> None:
+    # type(...) is int rejects bool and float: True would stand for {0}
+    if type(s) is not int:
+        raise InputError(f"vertex set must be an int bitmask, got {s!r}")
     if s < 0 or s & ~g.all_mask():
         raise InputError(f"vertex set {s:#x} has members outside 0..{g.n - 1}")
 
@@ -122,23 +123,6 @@ def _first_failure(
         if c < fold:
             return VerificationReport(False, pair=(u, v), count=c)
     return _OK
-
-
-def domination_count(g: Graph, s: int, v: int) -> int:
-    """|N(v) ∩ S|."""
-    g.check_vertex(v)
-    _check_set(g, s)
-    return (g.adj[v] & s).bit_count()
-
-
-def distinguishing_count(g: Graph, s: int, u: int, v: int) -> int:
-    """|(N(u) ∩ S) △ (N(v) ∩ S)|; symmetric in u and v."""
-    g.check_vertex(u)
-    g.check_vertex(v)
-    _check_set(g, s)
-    if u == v:
-        raise InputError("distinguishing_count needs two distinct vertices")
-    return ((g.adj[u] ^ g.adj[v]) & s).bit_count()
 
 
 def is_open_dominating(g: Graph, s: int, fold: int = 1) -> VerificationReport:

@@ -1,6 +1,7 @@
 """Reference checks that only the tests use: the definitional and
-collection formulations the package's verifiers are tested against, and a
-clause enumerator for exhaustive desk-scale sweeps."""
+collection formulations the package's verifiers are tested against, single
+domination and separation counts, the feasibility and forced-vertex
+queries, and a clause enumerator for exhaustive desk-scale sweeps."""
 
 from __future__ import annotations
 
@@ -9,7 +10,50 @@ from typing import Sequence
 
 from oldsets.errors import InputError
 from oldsets.graph import Graph, vertices_of
-from oldsets.verify import VerificationReport, is_old, is_open_dominating
+from oldsets.solve import DEFAULT_BUDGET, min_set
+from oldsets.verify import (
+    Kind,
+    VerificationReport,
+    _check_set,
+    is_old,
+    is_open_dominating,
+    verify_kind,
+)
+
+
+def domination_count(g: Graph, s: int, v: int) -> int:
+    """|N(v) ∩ S|."""
+    g.check_vertex(v)
+    _check_set(g, s)
+    return (g.adj[v] & s).bit_count()
+
+
+def distinguishing_count(g: Graph, s: int, u: int, v: int) -> int:
+    """|(N(u) ∩ S) △ (N(v) ∩ S)|; symmetric in u and v."""
+    g.check_vertex(u)
+    g.check_vertex(v)
+    _check_set(g, s)
+    if u == v:
+        raise InputError("distinguishing_count needs two distinct vertices")
+    return ((g.adj[u] ^ g.adj[v]) & s).bit_count()
+
+
+def feasibility_check(g: Graph, kind: Kind) -> bool:
+    """An instance is feasible iff the full vertex set is accepted
+    (verifier counters are monotone in S)."""
+    return verify_kind(g, g.all_mask(), kind).holds
+
+
+def is_in_every_optimal_set(
+    g: Graph, kind: Kind, v: int, budget: int = DEFAULT_BUDGET
+) -> bool:
+    """Is v in every minimum set?  Decided by re-solving with v excluded."""
+    g.check_vertex(v)
+    base = min_set(g, kind, budget=budget)
+    if not base.feasible:
+        raise InputError("instance is infeasible; optimal sets do not exist")
+    without = min_set(g, kind, budget=budget, forced_out=1 << v)
+    return (not without.feasible) or without.value > base.value
 
 
 def is_red_old_definitional(g: Graph, s: int) -> VerificationReport:

@@ -243,6 +243,13 @@ def test_restrict_pattern_guards():
         restrict_pattern_to_torus(PeriodicPattern(Lattice.SQ, (1, 1), frozenset({(0, 0)})), 5, 5)
 
 
+@pytest.mark.parametrize("width, height", [(6.0, 10), (True, 10), (10, 10.0), ("10", 10)])
+def test_restrict_pattern_needs_int_dimensions(width, height):
+    # a float reached _tile's range(), and True was reported as too small
+    with pytest.raises(InputError, match="must be integers"):
+        restrict_pattern_to_torus(builtin_pattern("sq-old"), width, height)
+
+
 def test_builtin_torus_cross_check():
     # the infinite local check and the finite verifier must agree
     for name in BUILTIN_PATTERN_NAMES:
@@ -282,8 +289,14 @@ def test_search_finds_sq_redold_half():
 
 
 def test_search_none_below_optimal_sq_redold():
-    # nothing below the known optimum exists at small periods
+    # nothing below the known optimum exists at small periods.  SQ RED:OLD
+    # needs 2 * area dominations from 4 per cell, at least half the cells,
+    # so the count bound rules out every period before its domination
+    # table is even asked for
+    info = grids._domination_table.cache_info
+    before = info().hits + info().misses
     assert search_patterns(Lattice.SQ, Kind.RED_OLD, (4, 4), Fraction(2, 5)) is None
+    assert info().hits + info().misses == before
 
 
 def test_search_reproduces_king_redold_builtin():
@@ -496,7 +509,10 @@ def reference_search_patterns(lattice, kind, max_period, target):
     return None
 
 
-SWEEP_TARGETS = tuple(Fraction(t) for t in ("1/5", "1/4", "1/3", "2/5", "1/2", "2/3", "3/4"))
+# 1/6, 1/8, 3/10 and 3/8 put the largest cell count of some TRI and KING
+# periods exactly at the count bound c * deg == k * area
+SWEEP_TARGETS = tuple(Fraction(t) for t in (
+    "1/8", "1/6", "1/5", "1/4", "3/10", "1/3", "3/8", "2/5", "1/2", "2/3", "3/4"))
 
 
 @pytest.mark.parametrize("lattice", list(Lattice))

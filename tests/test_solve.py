@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import random_graph, random_graph_with_twins, set_of
+from reference import feasibility_check, is_in_every_optimal_set
 from oldsets import graph, solve
 from oldsets.errors import BudgetExceededError, InputError
 from oldsets.fixtures import g11
@@ -21,8 +22,6 @@ from oldsets.graph import (
 from oldsets.solve import (
     _can_precede,
     _scan,
-    feasibility_check,
-    is_in_every_optimal_set,
     min_set,
     min_set_bruteforce,
     propagate,

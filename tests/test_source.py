@@ -42,6 +42,29 @@ def test_only_cli_main_prints():
     assert printing == []
 
 
+def test_no_function_calls_itself():
+    # a recursive walk would tie its depth to Python's recursion limit, so
+    # every walk is an explicit loop.  Methods are skipped: Graph.meeting_pairs
+    # calls the module-level meeting_pairs, not itself.
+    recursive = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {
+            id(node)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        recursive += [
+            f"{path.name}:{call.lineno} {fn.name}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and id(fn) not in methods
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == fn.name
+        ]
+    assert recursive == []
+
+
 def test_every_exported_name_exists():
     # a name removed from a module must leave its __all__ too
     modules = [

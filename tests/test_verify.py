@@ -17,6 +17,8 @@ from conftest import (
     sparse_set,
 )
 from reference import (
+    distinguishing_count,
+    domination_count,
     is_distinguishing_collection,
     is_identifying_code_via_collection,
     is_locating_dominating_via_collection,
@@ -30,8 +32,6 @@ from oldsets.grids import Lattice, build_torus
 from oldsets.graph import complete_graph, cycle_graph, mask_of, path_graph, vertices_of
 from oldsets.verify import (
     VerificationReport,
-    distinguishing_count,
-    domination_count,
     is_identifying_code,
     is_locating_dominating,
     is_old,
@@ -291,6 +291,16 @@ def test_witness_is_first_failing_pair_in_lex_order():
     c4 = cycle_graph(4)
     rep = is_old(c4, c4.all_mask())
     assert rep.pair == (0, 2)  # (0,1),(0,2),... scanned in order; (0,2) first to fail
+
+
+@pytest.mark.parametrize("s", [True, 1.0, None, "1"])
+def test_vertex_set_must_be_a_plain_int(s):
+    # True would stand for the set {0}, and a float has no bits to test
+    g = g11()
+    for check in (lambda: verify_set(g, s, 1), lambda: is_open_dominating(g, s),
+                  lambda: is_locating_dominating(g, s), lambda: is_identifying_code(g, s)):
+        with pytest.raises(InputError, match="vertex set"):
+            check()
 
 
 def test_out_of_range_set_rejected():
