@@ -224,8 +224,10 @@ def cmd_grid(args) -> tuple[dict, list[str]]:
             w, h = (int(part) for part in args.cross_check.lower().split("x"))
         except ValueError:
             raise InputError(f"--cross-check expects WxH, got {args.cross_check!r}") from None
-        torus = grids.build_torus(pattern.lattice, w, h)
+        # the set first: its guards, the period check included, come before
+        # any mask is built
         s = grids.restrict_pattern_to_torus(pattern, w, h)
+        torus = grids.build_torus(pattern.lattice, w, h)
         trep = verify_set(torus, s, kind.fold)
         agree = trep.holds == rep.holds
         report["cross_check"] = {"width": w, "height": h, "torus_holds": trep.holds, "agree": agree}

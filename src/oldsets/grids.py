@@ -176,17 +176,30 @@ def _lift(p: int, side: int) -> int:
 
 
 def _torus_adj(lattice: Lattice, w: int, h: int) -> tuple[int, ...]:
-    """Adjacency masks of the w x h torus, vertex (x, y) at index y * w + x,
-    built from the lattice's neighbour offsets (one set per x + y parity;
-    only HEX has two) wrapped mod the dimensions."""
+    """Adjacency masks of the w x h torus, vertex (x, y) at index y * w + x.
+
+    Rows 0 and 1 are built from the lattice's neighbour offsets (one set
+    per x + y parity; only HEX has two) wrapped mod the dimensions.  Every
+    later row y is row y % 2 moved down y - y % 2 rows: its masks are those
+    of row y % 2 rotated by (y - y % 2) * w bits mod w * h, an even number
+    of rows, so each vertex keeps its parity.  Each is built as the mask two
+    rows up rotated by 2w bits, a plain shift unless bits pass the last row.
+    """
     offsets = [tuple((nx - p, ny) for nx, ny in neighbors(lattice, p, 0)) for p in (0, 1)]
     adj = []
-    for y in range(h):
+    for y in range(min(h, 2)):
         for x in range(w):
             a = 0
             for dx, dy in offsets[(x + y) % 2]:
                 a |= 1 << ((y + dy) % h * w + (x + dx) % w)
             adj.append(a)
+    n, step = w * h, 2 * w
+    full = (1 << n) - 1
+    for i in range(step, n):
+        a = adj[i - step] << step
+        if a >> n:
+            a = a & full | a >> n
+        adj.append(a)
     return tuple(adj)
 
 
@@ -293,6 +306,21 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> VerificationReport:
     return VerificationReport(True)
 
 
+def _check_torus(lattice: Lattice, width: int, height: int) -> None:
+    """InputError unless width x height is a torus :func:`build_torus`
+    builds: int dimensions >= 5, at most MAX_VERTICES = 2**15 vertices,
+    even for HEX.  Checked before any mask is built."""
+    _check_lattice(lattice)
+    if type(width) is not int or type(height) is not int:
+        raise InputError(f"torus dimensions must be integers, got {width!r}x{height!r}")
+    if width < 5 or height < 5:
+        raise InputError(f"torus dimensions must be >= 5, got {width}x{height}")
+    if width * height > MAX_VERTICES:
+        raise InputError(f"torus {width}x{height} is above the limit of {MAX_VERTICES} vertices")
+    if lattice is Lattice.HEX and (width % 2 or height % 2):
+        raise InputError("HEX tori need even dimensions")
+
+
 def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
     """Finite wrap-around version of the lattice on width x height vertices.
 
@@ -303,28 +331,22 @@ def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
     ints and a torus above MAX_VERTICES = 2**15 vertices, before its masks
     are built.
     """
-    _check_lattice(lattice)
-    if type(width) is not int or type(height) is not int:
-        raise InputError(f"torus dimensions must be integers, got {width!r}x{height!r}")
-    if width < 5 or height < 5:
-        raise InputError(f"torus dimensions must be >= 5, got {width}x{height}")
-    if width * height > MAX_VERTICES:
-        raise InputError(f"torus {width}x{height} is above the limit of {MAX_VERTICES} vertices")
-    if lattice is Lattice.HEX and (width % 2 or height % 2):
-        raise InputError("HEX tori need even dimensions")
+    _check_torus(lattice, width, height)
     adj = _torus_adj(lattice, width, height)
     deg = lattice_degree(lattice)
     if any(a.bit_count() != deg for a in adj):
         raise AssertionError("torus is not regular; dimension guard is wrong")
-    labels = tuple(f"{x},{y}" for y in range(height) for x in range(width))
+    columns = [f"{x}," for x in range(width)]
+    labels = tuple(x + y for y in map(str, range(height)) for x in columns)
     return Graph(width * height, adj, labels)
 
 
 def restrict_pattern_to_torus(pattern: PeriodicPattern, width: int, height: int) -> int:
     """The pattern's vertex set on a build_torus(width, height) graph, as a
-    bitmask; dimensions must be ints, multiples of the period and >= 6."""
-    if type(width) is not int or type(height) is not int:
-        raise InputError(f"torus dimensions must be integers, got {width!r}x{height!r}")
+    bitmask.  The torus must pass build_torus's guards, and its dimensions
+    must be multiples of the period and >= 6; all are checked, in that
+    order, before the mask is built."""
+    _check_torus(pattern.lattice, width, height)
     px, py = pattern.period
     if width % px or height % py:
         raise InputError(f"torus {width}x{height} is not a multiple of the period {px}x{py}")

@@ -1,6 +1,6 @@
 """Polynomial-time verifiers for distinguishing vertex sets.
 
-Every verifier here is one walk, ``_first_failure(inc, pairs, s, fold)``,
+Every verifier here is one check, ``_first_failure(inc, pairs, s, fold)``,
 where ``inc[v]`` is the mask of detectors that see vertex v; its vertex
 scan ``_first_short`` also checks lattice patterns in :mod:`grids`, whose
 verdict is the same :class:`VerificationReport`.  Each vertex needs
@@ -11,6 +11,12 @@ whose masks share a detector in S are listed: for any other pair
 with at least 2·fold detectors once both vertices have fold.  Pairs are
 drawn only after every vertex passes, so leaving the others out changes
 no witness.
+
+At fold 1 and 2 an accept comes first: one pass puts every code
+inc[v] ∩ S in a set, and when no two are equal (and, at fold 2, no code
+is another less one detector) no pair at all can fail, so the check holds
+without drawing a pair.  Otherwise, and at fold 3 and up, the pair walk
+runs as before; it is the only source of pair witnesses.
 
 * OLD sets (fold 1) and RED:OLD sets (fold 2, still correct after losing
   any single detector): inc[v] = N(v), over the graph's meeting pairs.
@@ -114,15 +120,62 @@ def _first_failure(
     """The first vertex v with fewer than ``fold`` detectors of ``inc[v]``
     in ``s``, else the first pair (u, v) of ``pairs`` with fewer than
     ``fold`` in ``(inc[u] ^ inc[v]) & s``, else a holding report.  The
-    pairs are drawn only once every vertex passes."""
-    short = _first_short(inc, s, fold)
-    if short is not None:
-        return VerificationReport(False, vertex=short[0], count=short[1])
+    pairs are drawn only once every vertex passes, and not at all when
+    :func:`_codes_apart` accepts: then no pair of vertices can fail."""
+    rep = _dominated(inc, s, fold)
+    if not rep.holds or (fold <= 2 and _codes_apart(inc, s, fold)):
+        return rep
     for u, v in pairs:
         c = ((inc[u] ^ inc[v]) & s).bit_count()
         if c < fold:
             return VerificationReport(False, pair=(u, v), count=c)
     return _OK
+
+
+def _dominated(inc: Sequence[int], s: int, fold: int) -> VerificationReport:
+    """The first vertex v with fewer than ``fold`` detectors of ``inc[v]``
+    in ``s`` as a failing report, else a holding one."""
+    short = _first_short(inc, s, fold)
+    if short is not None:
+        return VerificationReport(False, vertex=short[0], count=short[1])
+    return _OK
+
+
+def _codes_apart(inc: Sequence[int], s: int, fold: int) -> bool:
+    """Do all codes inc[v] & s differ from each other in at least ``fold``
+    detectors?  Exact for fold 1 and 2, where a pair fails only when its
+    codes are equal or one is the other less one detector.
+
+    Each code c is kept in one set, exactly, as the int (c >> t) << width
+    | t, with t its lowest set bit and width the bits that any t < the bit
+    length of s needs, so distinct codes have distinct keys.  A key is
+    small where a code spans only the detectors near its vertex, as on a
+    torus.  Keying on c itself would keep every code at its full width,
+    and the codes of a periodic set shifted by 61 bits share a hash (ints
+    hash mod 2**61 - 1); t in the low bits keeps those apart.  Codes are
+    not empty: domination passed.
+    """
+    width = s.bit_length().bit_length()
+    low = (1 << width) - 1
+    keys = set()
+    for m in inc:
+        c = m & s
+        t = (c & -c).bit_length() - 1
+        keys.add((c >> t) << width | t)
+    if len(keys) < len(inc):
+        return False
+    if fold == 2:
+        for key in keys:
+            code, t = key >> width, key & low
+            rest = code
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                d = code ^ bit  # the code less one detector; not empty at fold 2
+                dt = (d & -d).bit_length() - 1
+                if (d >> dt) << width | (t + dt) in keys:
+                    return False
+    return True
 
 
 def is_open_dominating(g: Graph, s: int, fold: int = 1) -> VerificationReport:
@@ -131,7 +184,7 @@ def is_open_dominating(g: Graph, s: int, fold: int = 1) -> VerificationReport:
     The witness is the first failing vertex in index order.
     """
     _check_fold_and_set(g, s, fold)
-    return _first_failure(g.adj, (), s, fold)
+    return _dominated(g.adj, s, fold)
 
 
 def verify_set(g: Graph, s: int, fold: int) -> VerificationReport:

@@ -1,7 +1,8 @@
 """Reference checks that only the tests use: the definitional and
 collection formulations the package's verifiers are tested against, single
 domination and separation counts, the feasibility and forced-vertex
-queries, and a clause enumerator for exhaustive desk-scale sweeps."""
+queries, a per-vertex torus builder, and a clause enumerator for
+exhaustive desk-scale sweeps."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from typing import Sequence
 
 from oldsets.errors import InputError
 from oldsets.graph import Graph, vertices_of
+from oldsets.grids import Lattice, neighbors
 from oldsets.solve import DEFAULT_BUDGET, min_set
 from oldsets.verify import (
     Kind,
@@ -73,6 +75,21 @@ def is_red_old_definitional(g: Graph, s: int) -> VerificationReport:
     return VerificationReport(True)
 
 
+def verify_set_all_pairs(g: Graph, s: int, fold: int) -> VerificationReport:
+    """``verify_set`` by its definition at any fold: the first vertex with
+    fewer than ``fold`` neighbours in S, else the first of all n(n-1)/2
+    pairs, in lexicographic order, with fewer than ``fold`` separators."""
+    for v in range(g.n):
+        c = (g.adj[v] & s).bit_count()
+        if c < fold:
+            return VerificationReport(False, vertex=v, count=c)
+    for u, v in itertools.combinations(range(g.n), 2):
+        c = ((g.adj[u] ^ g.adj[v]) & s).bit_count()
+        if c < fold:
+            return VerificationReport(False, pair=(u, v), count=c)
+    return VerificationReport(True)
+
+
 def is_old_definitional(g: Graph, s: int) -> bool:
     """OLD by the direct definition: S open-dominating and all S-restricted
     open neighborhoods pairwise distinct."""
@@ -118,6 +135,20 @@ def is_locating_dominating_via_collection(g: Graph, s: int) -> bool:
 def is_identifying_code_via_collection(g: Graph, s: int) -> bool:
     """IC via the collection route: {N[w] : w in S}."""
     return is_distinguishing_collection(g.n, [g.closed_neighborhood(w) for w in vertices_of(s)])
+
+
+def torus_adj(lattice: Lattice, w: int, h: int) -> tuple[int, ...]:
+    """Adjacency masks of the w x h torus, vertex (x, y) at index y * w + x,
+    each built on its own from the vertex's neighbour offsets wrapped mod
+    the dimensions."""
+    adj = []
+    for y in range(h):
+        for x in range(w):
+            a = 0
+            for nx, ny in neighbors(lattice, x, y):
+                a |= 1 << (ny % h * w + nx % w)
+            adj.append(a)
+    return tuple(adj)
 
 
 def all_clauses_over(num_vars: int) -> list[tuple[int, int, int]]:

@@ -180,6 +180,19 @@ def test_cross_check_torus_one_above_limit_is_input_error(capsys, dims):
     assert code == 2 and "above the limit" in rep["error"]
 
 
+def test_cross_check_checks_the_period_before_building_the_torus(capsys, monkeypatch):
+    # 181 * 181 is under the vertex limit but no multiple of sq-old's 1x5
+    # period; the torus was built first, 0.19 s and about 90 MiB, for
+    # nothing
+    def no_torus(*args):
+        raise AssertionError("the torus was built")
+
+    monkeypatch.setattr(grids, "build_torus", no_torus)
+    code, rep = run_json(capsys, "grid", "sq", "builtin:sq-old", "--kind", "old",
+                         "--cross-check", "181x181")
+    assert code == 2 and "not a multiple of the period 1x5" in rep["error"]
+
+
 def test_main_calls_share_no_parser_state(capsys):
     # the parser is built once per process; every call still parses afresh
     code, rep = run_json(capsys, "solve", "builtin:g11", "--kind", "redold", "--enumerate")

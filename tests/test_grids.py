@@ -3,13 +3,16 @@ pattern search."""
 
 import itertools
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from oldsets import grids
+from reference import torus_adj
+from oldsets import graph, grids
 from oldsets.errors import InputError
-from oldsets.graph import build_graph, vertices_of
+from oldsets.graph import MAX_VERTICES, build_graph, vertices_of
 from oldsets.grids import (
     BUILTIN_PATTERN_NAMES,
     MAX_PERIOD_AREA,
@@ -181,6 +184,16 @@ def test_build_torus_shapes():
         assert all(g.adj[b] >> a & 1 for a in range(g.n) for b in vertices_of(g.adj[a]))
 
 
+@pytest.mark.parametrize("lattice", list(Lattice), ids=lambda lattice: lattice.value)
+def test_torus_adj_rotation_matches_the_per_vertex_build(lattice):
+    # sides of 3 and 5 are the table lifts of a side-1 period; odd heights
+    # rotate an odd number of rows past the last one; every HEX row parity
+    # comes from rotating row 0 or row 1
+    for w, h in ((3, 3), (3, 5), (5, 3), (5, 5), (4, 3), (6, 5), (3, 6), (5, 7),
+                 (6, 6), (8, 6), (6, 10), (10, 9), (7, 11), (12, 4), (13, 13)):
+        assert grids._torus_adj(lattice, w, h) == torus_adj(lattice, w, h), (w, h)
+
+
 def test_build_torus_guards():
     with pytest.raises(InputError):
         build_torus(Lattice.HEX, 5, 6)  # odd width
@@ -243,6 +256,18 @@ def test_restrict_pattern_guards():
         restrict_pattern_to_torus(PeriodicPattern(Lattice.SQ, (1, 1), frozenset({(0, 0)})), 5, 5)
 
 
+def test_restrict_pattern_refuses_a_torus_above_the_limit():
+    # 2000 x 2000 is a multiple of the 2x1 period; it was tiled into a
+    # 4,000,000-bit mask where build_torus refuses the same torus
+    sq_redold = builtin_pattern("sq-redold")
+    with pytest.raises(InputError) as refused:
+        build_torus(Lattice.SQ, 2000, 2000)
+    with pytest.raises(InputError) as restricted:
+        restrict_pattern_to_torus(sq_redold, 2000, 2000)
+    assert str(restricted.value) == str(refused.value)
+    assert f"above the limit of {MAX_VERTICES} vertices" in str(restricted.value)
+
+
 @pytest.mark.parametrize("width, height", [(6.0, 10), (True, 10), (10, 10.0), ("10", 10)])
 def test_restrict_pattern_needs_int_dimensions(width, height):
     # a float reached _tile's range(), and True was reported as too small
@@ -259,6 +284,42 @@ def test_builtin_torus_cross_check():
         torus = build_torus(p.lattice, w, h)
         s = restrict_pattern_to_torus(p, w, h)
         assert verify_set(torus, s, kind.fold).holds == verify_pattern(p, kind).holds
+
+
+def test_holding_cross_check_draws_no_pair(monkeypatch):
+    # distinct codes accept a fold 1 or 2 set without the pair walk; at
+    # fold 3 there is no accept, so the full set, which dominates every
+    # vertex of every lattice at least three times, walks its pairs
+    def no_pairs(*args):
+        raise AssertionError("a meeting pair was drawn")
+        yield
+
+    checks = []
+    for name in BUILTIN_PATTERN_NAMES:
+        p = builtin_pattern(name)
+        w, h = cross_check_dims(p)
+        torus = build_torus(p.lattice, w, h)
+        checks.append((torus, restrict_pattern_to_torus(p, w, h), builtin_pattern_kind(name).fold))
+    monkeypatch.setattr(graph, "meeting_pairs", no_pairs)
+    for torus, s, fold in checks:
+        assert verify_set(torus, s, fold).holds
+        with pytest.raises(AssertionError, match="meeting pair was drawn"):
+            verify_set(torus, torus.all_mask(), 3)
+
+
+def test_cross_check_keeps_less_than_the_torus_adjacency():
+    # the accept keeps one set of codes, each stored from its lowest set
+    # bit up, so it holds less than the torus's own masks
+    tri_old = builtin_pattern("tri-old")
+    torus = build_torus(Lattice.TRI, 52, 52)
+    s = restrict_pattern_to_torus(tri_old, 52, 52)
+    tracemalloc.start()
+    try:
+        assert verify_set(torus, s, 1).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(sys.getsizeof(a) for a in torus.adj)
 
 
 def test_random_pattern_torus_cross_check():

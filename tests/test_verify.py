@@ -2,6 +2,7 @@
 equivalences (checked here on small scales; the full sweep lives in the
 acceptance module)."""
 
+import collections
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     all_labeled_graphs,
     graph_and_subset,
+    random_graph,
     random_graph_with_twins,
     set_of,
     sparse_set,
@@ -25,7 +27,9 @@ from reference import (
     is_old_definitional,
     is_old_via_collection,
     is_red_old_definitional,
+    verify_set_all_pairs,
 )
+from oldsets import verify
 from oldsets.errors import InputError
 from oldsets.fixtures import g11
 from oldsets.grids import Lattice, build_torus
@@ -355,3 +359,64 @@ def test_failing_report_needs_exactly_one_witness():
         VerificationReport(False)
     with pytest.raises(ValueError):
         VerificationReport(False, vertex=0, pair=(0, 1), count=0)
+
+
+def test_collision_accept_matches_the_definitions(monkeypatch):
+    # at folds 1 and 2 distinct codes accept without the pair walk; a
+    # collision, and every set at fold 3 and up, walks the pairs as before.
+    # Reports, witnesses included, must be the all-pairs definition's.
+    accepts = collections.Counter()
+    codes_apart = verify._codes_apart
+
+    def counted(inc, s, fold):
+        apart = codes_apart(inc, s, fold)
+        accepts[fold, apart] += 1
+        return apart
+
+    monkeypatch.setattr(verify, "_codes_apart", counted)
+    rng = random.Random(53)
+    sparse = random.Random(59)
+    verdicts = collections.Counter()
+    for i in range(600):
+        n, p = rng.randint(1, 12), rng.choice([0.2, 0.4, 0.6, 0.8])
+        g = random_graph_with_twins(rng, n, p, isolated=False) if i % 3 == 0 else random_graph(rng, n, p)
+        for s in (g.all_mask(), rng.getrandbits(g.n) | rng.getrandbits(g.n), sparse_set(sparse, g.n)):
+            for fold in (1, 2, 3, 4):
+                rep = verify_set(g, s, fold)
+                assert rep == verify_set_all_pairs(g, s, fold), (g, s, fold)
+                verdicts[fold, "holds" if rep.holds else "vertex" if rep.pair is None else "pair"] += 1
+            assert is_locating_dominating(g, s) == is_locating_dominating_via_collection(g, s)
+            assert is_identifying_code(g, s) == is_identifying_code_via_collection(g, s)
+    # every fold meets both witnesses, and folds 1 and 2 holding sets (on
+    # at most 13 vertices few sets hold at 3 and 4); the accept fires and
+    # falls back at folds 1 and 2 and is never asked at 3 and 4
+    assert min(verdicts[fold, v] for fold in (1, 2, 3, 4) for v in ("vertex", "pair")) > 20, verdicts
+    assert min(verdicts[1, "holds"], verdicts[2, "holds"]) > 20, verdicts
+    assert min(accepts[fold, apart] for fold in (1, 2) for apart in (True, False)) > 50, accepts
+    assert set(fold for fold, _ in accepts) == {1, 2}
+
+
+@pytest.mark.parametrize("lattice, w, h", [
+    (Lattice.SQ, 6, 7), (Lattice.HEX, 6, 8), (Lattice.TRI, 7, 6), (Lattice.KING, 6, 6),
+], ids=lambda value: getattr(value, "value", value))
+def test_torus_sets_failing_only_separation_get_the_walks_witness(lattice, w, h):
+    # S is the torus less N(u) △ N(v) for a meeting pair, keeping fold - 1
+    # of it, so u and v have fold - 1 separators: the codes collide and the
+    # witness comes from the pair walk.  On HEX two vertices share at most
+    # one neighbour, so at fold 2 one of them is left with fewer than 2
+    # dominators: only the vertex witness occurs there
+    g = build_torus(lattice, w, h)
+    rng = random.Random(f"{lattice.value}:{w}x{h}")
+    pair_failures = collections.Counter()
+    for _ in range(30):
+        u = rng.randrange(g.n)
+        v = rng.choice([v for v in range(g.n) if v != u and g.adj[u] & g.adj[v]])
+        diff = g.adj[u] ^ g.adj[v]
+        for fold in (1, 2):
+            s = g.all_mask() & ~diff | mask_of(vertices_of(diff)[:fold - 1])
+            rep = verify_set(g, s, fold)
+            assert rep == verify_set_all_pairs(g, s, fold), (u, v, fold)
+            pair_failures[fold] += rep.pair is not None
+    assert pair_failures[1] >= 10, pair_failures
+    if lattice is not Lattice.HEX:
+        assert pair_failures[2] >= 10, pair_failures
