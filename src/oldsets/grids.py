@@ -25,7 +25,11 @@ would find it.  Densities are exact rationals throughout; no floating point.
 :func:`search_patterns` walks cell subsets in the order verifying each would
 take, but depth first, with the dominator counts of each prefix kept: a
 prefix that no completion can make dominating is dropped, and so is any cell
-count too small to give every vertex its k dominators.
+count too small to give every vertex its k dominators.  It walks only the
+subsets that hold residue (0, 0): translations (on HEX the even ones and
+the glide (x, y) -> (x + 1, -y)) are automorphisms that keep the period and
+take any pattern's lowest cell there, so the first verifying subset of each
+cell count holds it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, decode_json
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_VERTICES, Graph, vertices_of
 from .verify import Kind, VerificationReport, _first_short
 
 __all__ = [
@@ -321,6 +325,15 @@ def _check_torus(lattice: Lattice, width: int, height: int) -> None:
         raise InputError("HEX tori need even dimensions")
 
 
+@lru_cache(maxsize=None)
+def _ball_size(lattice: Lattice) -> int:
+    """The number of lattice vertices within distance 2 of a vertex, the
+    vertex included; the same for both HEX parities, which mirror each
+    other."""
+    near = {(0, 0), *neighbors(lattice, 0, 0)}
+    return len(near.union(*(neighbors(lattice, *a) for a in near)))
+
+
 def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
     """Finite wrap-around version of the lattice on width x height vertices.
 
@@ -330,12 +343,26 @@ def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
     the cross-check this graph exists for.  So are dimensions that are not
     ints and a torus above MAX_VERTICES = 2**15 vertices, before its masks
     are built.
+
+    As a check on that guard, AssertionError unless the torus is regular
+    and keeps the balls of radius 2 around (0, 0) and (1, 0) apart.
+    Regularity is read off rows 0 and 1 alone: every later row is a
+    rotation of one of them.  The two balls, one per HEX parity, are
+    carried to every vertex's by the translations on SQ, TRI and KING and
+    the even ones on HEX; they catch the HEX tori of height 1 (a vertex its
+    own neighbour) and 2 that regularity lets through.
     """
     _check_torus(lattice, width, height)
     adj = _torus_adj(lattice, width, height)
     deg = lattice_degree(lattice)
-    if any(a.bit_count() != deg for a in adj):
+    if any(a.bit_count() != deg for a in adj[:2 * width]):
         raise AssertionError("torus is not regular; dimension guard is wrong")
+    for i, a in enumerate(adj[:2]):
+        ball = a | 1 << i
+        for j in vertices_of(a):
+            ball |= adj[j]
+        if ball.bit_count() != _ball_size(lattice):
+            raise AssertionError("torus wrap folds a ball of radius 2; dimension guard is wrong")
     columns = [f"{x}," for x in range(width)]
     labels = tuple(x + y for y in map(str, range(height)) for x in columns)
     return Graph(width * height, adj, labels)
@@ -382,13 +409,16 @@ def search_patterns(
     are walked depth first over residue indices in the order of
     ``itertools.combinations`` (:func:`_dominating_subsets`), keeping the
     picks' dominator counts, and a prefix is dropped as soon as no
-    completion can pass domination.  The prunes are exact, so the walk
-    yields exactly the subsets that pass the domination check of
-    :func:`verify_pattern`, in order; each then gets its separation check,
-    one ``_first_short`` over the cached separation table on the tiled
-    cells.  The first to pass both is the pattern that verifying every
-    subset in order would find.  Each period fetches its separation table
-    once a candidate first passes domination, and the one
+    completion can pass domination.  The walk takes only subsets that hold
+    residue 0, which comes first in that order: by the lattice's symmetry
+    (see :func:`_dominating_subsets`) the first verifying subset of a count
+    holds it, if any subset verifies.  The prunes are exact, so the walk
+    yields exactly the subsets holding residue 0 that pass the domination
+    check of :func:`verify_pattern`, in order; each then gets its
+    separation check, one ``_first_short`` over the cached separation table
+    on the tiled cells.  The first to pass both is the pattern that
+    verifying every subset in order would find.  Each period fetches its
+    separation table once a candidate first passes domination, and the one
     :class:`PeriodicPattern` built is the one returned.
 
     Both bounds are required.  Raises :class:`InputError` unless
@@ -492,9 +522,21 @@ def _dominating_subsets(
     k: int, deg: int, count: int,
 ):
     """Yield, as a list of residue indices, each count-subset of the
-    residues in lexicographic order whose cells give every domain vertex at
-    least k dominators: the ``itertools.combinations`` that pass the
-    domination check, the others skipped whole prefixes at a time.
+    residues that holds residue 0, in lexicographic order, whose cells give
+    every domain vertex at least k dominators: the
+    ``itertools.combinations`` starting at 0 that pass the domination
+    check, the others skipped whole prefixes at a time.
+
+    Residue 0 loses no first pattern.  Every translation of SQ, TRI and
+    KING maps neighbours to neighbours, and so do the even translations of
+    HEX and the glide (x, y) -> (x + 1, -y), which swaps the parity; each
+    keeps the period (HEX periods are even).  So some automorphism takes
+    the lowest cell (x, y) of a verifying pattern to (0, 0): the
+    translation by (-x, -y), or on HEX with x + y odd the glide and then
+    the even translation by (-x - 1, y).  The image verifies, has the same
+    period and count and holds residue 0, and every subset holding 0 comes
+    before every other, so the first verifying subset holds 0.  The walk
+    picks 0 first and ends where it would back up past it.
 
     A depth-first walk on an explicit stack, so its depth (up to the area)
     is not bounded by the recursion limit.  It keeps the picks' dominator
@@ -525,9 +567,10 @@ def _dominating_subsets(
             last = -1
         elif k * area - dom.bit_count() > left * deg:
             last = -1
-        # the next viable pick, backing up a level when there is none
+        # the next viable pick, backing up a level when there is none; the
+        # walk ends where it would back up past the first pick, residue 0
         while r > last or dom | avail[r] != full:
-            if not picks:
+            if len(picks) <= 1:
                 return
             r, dom = picks.pop() + 1, saved.pop()
             last = area - count + len(picks)

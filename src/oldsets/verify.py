@@ -1,11 +1,12 @@
 """Polynomial-time verifiers for distinguishing vertex sets.
 
-Every verifier here is one check, ``_first_failure(inc, pairs, s, fold)``,
-where ``inc[v]`` is the mask of detectors that see vertex v; its vertex
-scan ``_first_short`` also checks lattice patterns in :mod:`grids`, whose
-verdict is the same :class:`VerificationReport`.  Each vertex needs
-``fold`` detectors in S, and each listed pair needs ``fold`` in
-(inc[u] △ inc[v]) ∩ S, those that see exactly one of the two.  Only pairs
+Every verifier here but the locating-dominating one is one check,
+``_first_failure(inc, pairs, s, fold)``, where ``inc[v]`` is the mask of
+detectors that see vertex v; its vertex scan ``_first_short`` also checks
+lattice patterns in :mod:`grids`, whose verdict is the same
+:class:`VerificationReport`.  Each vertex needs ``fold`` detectors in S,
+and each listed pair needs ``fold`` in (inc[u] △ inc[v]) ∩ S, those that
+see exactly one of the two.  Only pairs
 whose masks share a detector in S are listed: for any other pair
 (inc[u] △ inc[v]) ∩ S is the disjoint union of inc[u] ∩ S and inc[v] ∩ S,
 with at least 2·fold detectors once both vertices have fold.  Pairs are
@@ -15,19 +16,21 @@ no witness.
 At fold 1 and 2 an accept comes first: one pass puts every code
 inc[v] ∩ S in a set, and when no two are equal (and, at fold 2, no code
 is another less one detector) no pair at all can fail, so the check holds
-without drawing a pair.  Otherwise, and at fold 3 and up, the pair walk
-runs as before; it is the only source of pair witnesses.
+without drawing a pair.  At fold 2 only codes of three or more detectors
+are probed less one: every code has two.  Otherwise, and at fold 3 and
+up, the pair walk runs as before; it is the only source of pair
+witnesses.
 
 * OLD sets (fold 1) and RED:OLD sets (fold 2, still correct after losing
   any single detector): inc[v] = N(v), over the graph's meeting pairs.
 * Identifying codes: inc[v] = N[v], over the pairs whose closed
   neighborhoods meet (distance <= 2).
-* Locating-dominating sets: inc[v] = N[v], over the open meeting pairs
-  with neither end in S.  A vertex is seen by N(w) for w in N(v) ∩ S and
-  by {v} when v is in S, |N[v] ∩ S| in all; an end in S is separated by its
-  own singleton; and for u, v outside S only u and v can tell N[u] △ N[v]
-  from N(u) △ N(v), so the closed count is the open one, and the closed
-  masks share a detector in S exactly when the open ones do.
+* Locating-dominating sets: the same vertex scan and accept, on the codes
+  N(v) ∩ S of the vertices v outside S alone, and no pair walk, since
+  the accept is exact there.  A vertex in S is seen, and told apart from
+  every other vertex, by its own singleton {v}; a vertex outside S is
+  seen only by N(w) for w in N(v) ∩ S.  So the set holds exactly when
+  those codes are not empty and pairwise distinct.
 """
 
 from __future__ import annotations
@@ -144,7 +147,11 @@ def _dominated(inc: Sequence[int], s: int, fold: int) -> VerificationReport:
 def _codes_apart(inc: Sequence[int], s: int, fold: int) -> bool:
     """Do all codes inc[v] & s differ from each other in at least ``fold``
     detectors?  Exact for fold 1 and 2, where a pair fails only when its
-    codes are equal or one is the other less one detector.
+    codes are equal or one is the other less one detector.  Every code has
+    ``fold`` detectors, since domination passed; so at fold 2 a code of two
+    is never the other less one, and only codes of three or more are
+    probed less each detector, which still finds the pair (c, c less b)
+    from c's side.
 
     Each code c is kept in one set, exactly, as the int (c >> t) << width
     | t, with t its lowest set bit and width the bits that any t < the bit
@@ -167,11 +174,13 @@ def _codes_apart(inc: Sequence[int], s: int, fold: int) -> bool:
     if fold == 2:
         for key in keys:
             code, t = key >> width, key & low
+            if code.bit_count() < 3:
+                continue  # less one, it has one detector, and every code has two
             rest = code
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                d = code ^ bit  # the code less one detector; not empty at fold 2
+                d = code ^ bit  # the code less one detector
                 dt = (d & -d).bit_length() - 1
                 if (d >> dt) << width | (t + dt) in keys:
                     return False
@@ -215,13 +224,12 @@ def verify_kind(g: Graph, s: int, kind: Kind) -> VerificationReport:
 def is_locating_dominating(g: Graph, s: int) -> bool:
     """Collection {{w}, N(w) : w in S} must be distinguishing.
 
-    Checked on the closed neighborhoods over the meeting pairs outside S,
-    as the module docstring explains.
+    Checked on the codes N(v) ∩ S of the vertices v outside S alone, as
+    the module docstring explains: none empty, no two equal.
     """
     _check_set(g, s)
-    closed = tuple(a | 1 << v for v, a in enumerate(g.adj))
-    pairs = ((u, v) for u, v in g.meeting_pairs(s) if not (s >> u | s >> v) & 1)
-    return _first_failure(closed, pairs, s, 1).holds
+    outside = [a for v, a in enumerate(g.adj) if not s >> v & 1]
+    return _first_short(outside, s, 1) is None and _codes_apart(outside, s, 1)
 
 
 def is_identifying_code(g: Graph, s: int) -> bool:

@@ -194,6 +194,22 @@ def test_torus_adj_rotation_matches_the_per_vertex_build(lattice):
         assert grids._torus_adj(lattice, w, h) == torus_adj(lattice, w, h), (w, h)
 
 
+@pytest.mark.parametrize("lattice", list(Lattice), ids=lambda lattice: lattice.value)
+def test_torus_check_refuses_sides_of_one_and_two(monkeypatch, lattice):
+    # with the dimension guard out of the way, the check on rows 0 and 1
+    # and on the balls around (0, 0) and (1, 0) still refuses every torus
+    # whose wrap folds the lattice; on HEX a height of 1 or 2 keeps the
+    # torus regular, and only the ball check catches it
+    monkeypatch.setattr(grids, "_check_torus", lambda *args: None)
+    for w, h in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 6), (2, 6), (6, 1), (6, 2), (1, 7), (7, 2)):
+        regular = lattice is Lattice.HEX and w > 2
+        with pytest.raises(AssertionError, match="ball" if regular else "not regular"):
+            build_torus(lattice, w, h)
+    # the smallest tori the guard admits pass the check
+    side = 6 if lattice is Lattice.HEX else 5
+    assert build_torus(lattice, side, side).n == side * side
+
+
 def test_build_torus_guards():
     with pytest.raises(InputError):
         build_torus(Lattice.HEX, 5, 6)  # odd width
@@ -587,3 +603,88 @@ def test_search_matches_reference(lattice, kind):
         found += p is not None
     # the sweep must reach the patterns, not only run out of candidates
     assert found > 0
+
+
+# ---------------------------------------------------------------------------
+# The symmetry behind the search's first pick.  Every translation of SQ, TRI
+# and KING is an automorphism, and on HEX every even translation and the
+# glide (x, y) -> (x + 1, -y).  So some automorphism keeping the period
+# takes the lowest cell of any verifying pattern to (0, 0), and the first
+# verifying subset of each (period, count) holds residue 0: the walk starts
+# there and stops once it would back up past it.
+
+def test_lattice_symmetries_map_neighbours_to_neighbours():
+    near = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    for lattice in Lattice:
+        for dx, dy in near:
+            if lattice is Lattice.HEX and (dx + dy) % 2:
+                continue
+            for x, y in near:
+                assert set(neighbors(lattice, x + dx, y + dy)) == {
+                    (a + dx, b + dy) for a, b in neighbors(lattice, x, y)}, (lattice, dx, dy)
+    for x, y in near:
+        assert set(neighbors(Lattice.HEX, x + 1, -y)) == {
+            (a + 1, -b) for a, b in neighbors(Lattice.HEX, x, y)}
+    # an odd translation moves the HEX parity rule, so it is not one
+    assert set(neighbors(Lattice.HEX, 1, 0)) != {(a + 1, b) for a, b in neighbors(Lattice.HEX, 0, 0)}
+
+
+def _first_verifying(subsets, lattice, period, kind):
+    for picks in subsets:
+        cells = frozenset(divmod(r, period[1]) for r in picks)
+        if verify_pattern(PeriodicPattern(lattice, period, cells), kind).holds:
+            return list(picks)
+    return None
+
+
+def test_first_verifying_subset_holds_residue_zero():
+    found = 0
+    for lattice in Lattice:
+        deg = lattice_degree(lattice)
+        for kind in Kind:
+            for px, py in _lattice_periods(lattice, 12):
+                area = px * py
+                if area > 12:
+                    continue
+                tables = grids._residue_tables(lattice, px, py, kind.fold)
+                for count in range(1, area + 1):
+                    first = _first_verifying(
+                        itertools.combinations(range(area), count), lattice, (px, py), kind)
+                    walk = _first_verifying(
+                        grids._dominating_subsets(*tables, kind.fold, deg, count),
+                        lattice, (px, py), kind)
+                    assert walk == first, (lattice, kind, (px, py), count)
+                    if first is not None:
+                        assert first[0] == 0
+                        found += 1
+    assert found > 300, found
+
+
+# The six searches the benchmark expects to come back empty, each with a
+# ceiling on the subsets that reach the separation check.  Walking from
+# every first residue, not residue 0 alone, sent 328, 0, 0, 211, 48 and 104.
+EMPTY_SEARCH_CEILINGS = (
+    (Lattice.SQ, Kind.OLD, (4, 4), Fraction(1, 3), 104),
+    (Lattice.SQ, Kind.RED_OLD, (4, 4), Fraction(2, 5), 0),
+    (Lattice.HEX, Kind.OLD, (4, 4), Fraction(2, 5), 0),
+    (Lattice.TRI, Kind.OLD, (4, 4), Fraction(3, 10), 52),
+    (Lattice.TRI, Kind.RED_OLD, (4, 5), Fraction(1, 3), 16),
+    (Lattice.KING, Kind.OLD, (4, 4), Fraction(1, 5), 18),
+)
+
+
+@pytest.mark.parametrize("lattice, kind, max_period, target, ceiling", EMPTY_SEARCH_CEILINGS,
+                         ids=lambda value: getattr(value, "value", str(value)))
+def test_empty_search_separation_checks_stay_under_ceiling(
+        monkeypatch, lattice, kind, max_period, target, ceiling):
+    checks = 0
+    first_short = grids._first_short
+
+    def counted(*args):
+        nonlocal checks
+        checks += 1
+        return first_short(*args)
+
+    monkeypatch.setattr(grids, "_first_short", counted)
+    assert search_patterns(lattice, kind, max_period, target) is None
+    assert checks <= ceiling

@@ -29,11 +29,11 @@ from reference import (
     is_red_old_definitional,
     verify_set_all_pairs,
 )
-from oldsets import verify
+from oldsets import graph, verify
 from oldsets.errors import InputError
 from oldsets.fixtures import g11
 from oldsets.grids import Lattice, build_torus
-from oldsets.graph import complete_graph, cycle_graph, mask_of, path_graph, vertices_of
+from oldsets.graph import build_graph, complete_graph, cycle_graph, mask_of, path_graph, vertices_of
 from oldsets.verify import (
     VerificationReport,
     is_identifying_code,
@@ -224,6 +224,30 @@ def test_ld_and_ic_match_the_collection_route():
     assert min(verdicts["ld"] + verdicts["ic"]) > 300, verdicts
 
 
+def test_ld_accept_is_exact(monkeypatch):
+    # LD is decided by the codes of the vertices outside S alone: none
+    # empty, no two equal.  That is exact, so no meeting pair is drawn, for
+    # holding sets and failing ones alike
+    rng = random.Random(37)
+    sparse = random.Random(41)
+    cases = []
+    for _ in range(1000):
+        g = random_graph(rng, rng.randint(5, 14), rng.choice([0.2, 0.4, 0.6]))
+        for s in (rng.getrandbits(g.n) | rng.getrandbits(g.n), sparse_set(sparse, g.n)):
+            cases.append((g, s, is_locating_dominating_via_collection(g, s)))
+
+    def no_pairs(*args):
+        raise AssertionError("a meeting pair was asked for")
+
+    monkeypatch.setattr(graph, "meeting_pairs", no_pairs)
+    monkeypatch.setattr(verify, "meeting_pairs", no_pairs)
+    verdicts = collections.Counter()
+    for g, s, expected in cases:
+        assert is_locating_dominating(g, s) == expected, (g, s)
+        verdicts[expected] += 1
+    assert min(verdicts.values()) > 300, verdicts
+
+
 def test_ld_and_ic_on_a_king_torus():
     g = build_torus(Lattice.KING, 24, 24)
     assert g.n == 576
@@ -394,6 +418,85 @@ def test_collision_accept_matches_the_definitions(monkeypatch):
     assert min(verdicts[1, "holds"], verdicts[2, "holds"]) > 20, verdicts
     assert min(accepts[fold, apart] for fold in (1, 2) for apart in (True, False)) > 50, accepts
     assert set(fold for fold, _ in accepts) == {1, 2}
+
+
+def _subcode_pair(g, s):
+    """(u, v) when the one pair that fails at fold 2 has a code of three
+    detectors and a code of two inside it, and every vertex has two;
+    else None."""
+    codes = [a & s for a in g.adj]
+    if min(c.bit_count() for c in codes) < 2:
+        return None
+    failing = [(u, v) for u, v in itertools.combinations(range(g.n), 2)
+               if (codes[u] ^ codes[v]).bit_count() < 2]
+    if len(failing) != 1:
+        return None
+    small, big = sorted((codes[v] for v in failing[0]), key=int.bit_count)
+    if small.bit_count() == 2 and big.bit_count() == 3 and small & big == small:
+        return failing[0]
+    return None
+
+
+def _subcode_candidates(rng, g, tries):
+    """Sets that keep three detectors of some N(u), two of them in N(v)
+    for another v, and nothing else of N(u) ∪ N(v)."""
+    for _ in range(tries):
+        u = rng.randrange(g.n)
+        if g.adj[u].bit_count() < 3:
+            continue
+        keep = mask_of(rng.sample(vertices_of(g.adj[u]), 3))
+        partners = [v for v in range(g.n) if v != u and (g.adj[v] & keep).bit_count() >= 2]
+        if not partners:
+            continue
+        v = rng.choice(partners)
+        small = mask_of(vertices_of(g.adj[v] & keep)[:2])
+        yield g.all_mask() & ~(g.adj[u] & ~keep | g.adj[v] & ~small)
+
+
+def _path_square(n):
+    """The path on n vertices with each vertex also joined to the one two
+    along: interior codes of up to four detectors, where a plain path has
+    at most two and fails fold-2 domination at its ends."""
+    return build_graph(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
+
+
+def test_fold_two_accept_finds_a_subcode_from_the_larger_code(monkeypatch):
+    # the accept probes "the code less one detector" only for codes of three
+    # or more; in these sets the one failing pair is a three-detector code
+    # and its two-detector subcode, which must be found from the larger
+    # side, so the accept says no and the walk gives the witness
+    rejects = collections.Counter()
+    codes_apart = verify._codes_apart
+
+    def counted(inc, s, fold):
+        apart = codes_apart(inc, s, fold)
+        rejects[fold] += not apart
+        return apart
+
+    monkeypatch.setattr(verify, "_codes_apart", counted)
+    rng = random.Random(61)
+    families = {
+        "path square": lambda: _path_square(rng.randint(6, 14)),
+        "random": lambda: random_graph(rng, rng.randint(12, 18), rng.choice([0.5, 0.6])),
+        "torus": lambda: build_torus(rng.choice(list(Lattice)), 6, 6),
+    }
+    found = collections.Counter()
+    skipped = 0  # two-detector codes the accept did not probe
+    for family, make in families.items():
+        for _ in range(40 if family == "torus" else 150):
+            g = make()
+            for s in _subcode_candidates(rng, g, 10):
+                pair = _subcode_pair(g, s)
+                if pair is None:
+                    continue
+                rep = verify_set(g, s, 2)
+                assert rep == verify_set_all_pairs(g, s, 2), (family, g, s)
+                assert rep.pair == pair
+                found[family] += 1
+                skipped += sum((a & s).bit_count() == 2 for a in g.adj)
+    assert rejects[2] == sum(found.values())
+    assert min(found.values()) >= 20, found
+    assert skipped >= sum(found.values())
 
 
 @pytest.mark.parametrize("lattice, w, h", [
