@@ -15,29 +15,31 @@ infinite graph with a finite amount of work: domination is checked for one
 fundamental domain, and separation only for pairs whose open neighborhoods
 meet (one pair per translation class), because any other pair is separated
 by its dominators alone.  The constraints depend only on the lattice and
-the period: each is an adjacency mask of a torus of period multiples wide
-enough that no constraint wraps onto itself, built once per (lattice, period)
-and cached; a pattern's cells are tiled over that torus and counted under it.
-Verdicts are the graph verifier's VerificationReport, its witness in lattice
-coordinates: the first failure in domain order, as a vertex-by-vertex scan
-would find it.  Densities are exact rationals throughout; no floating point.
+the period, so their tables are built once and cached.  Domination reads
+one cover table: for each residue of the period, the domain vertices it
+dominates, counted with multiplicity as k-layer masks; a pattern's counts
+are the sum of its cells' covers.  Each separation constraint is an
+adjacency mask of a torus of period multiples wide enough that no
+constraint wraps onto itself; a pattern's cells are tiled over that torus
+and counted under it.  Verdicts are the graph verifier's VerificationReport,
+its witness in lattice coordinates: the first failure in domain order, as a
+vertex-by-vertex scan would find it.  Densities are exact rationals
+throughout; no floating point.
 
 :func:`search_patterns` walks cell subsets in the order verifying each would
-take, but depth first, with the dominator counts of each prefix kept: a
-prefix that no completion can make dominating is dropped, and so is any cell
-count too small to give every vertex its k dominators.  It walks only the
-subsets that hold residue (0, 0): translations (on HEX the even ones and
-the glide (x, y) -> (x + 1, -y)) are automorphisms that keep the period and
-take any pattern's lowest cell there, so the first verifying subset of each
-cell count holds it.
+take, but depth first, adding each pick's cover to the prefix's dominator
+counts: a prefix that no completion can make dominating is dropped, and so
+is any cell count too small to give every vertex its k dominators.  It
+walks only the subsets that hold residue (0, 0): translations (on HEX the
+even ones and the glide (x, y) -> (x + 1, -y)) are automorphisms that keep
+the period and take any pattern's lowest cell there, so the first
+verifying subset of each cell count holds it.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -99,9 +101,10 @@ def _check_lattice(lattice) -> None:
 
 
 # The largest period area px*py a pattern may have.  The tables hold one mask
-# of at least area bits per constraint, O(area**2) bits in all: a TRI 64x64
-# check keeps 14 MiB, KING 4096x1 (its side of 1 lifted to 5) 124 MiB, so a
-# huge period in an input file is an input error rather than a MemoryError.
+# of at least area bits per constraint, O(area**2) bits in all: a RED:OLD
+# check of a full TRI 64x64 pattern keeps 14.4 MiB, KING 4096x1 (its side of
+# 1 lifted to 5 for separation) 122.0 MiB, so a huge period in an input file
+# is an input error rather than a MemoryError.
 # Published optimal patterns have periods up to 13x13.
 MAX_PERIOD_AREA = 4096
 
@@ -147,6 +150,8 @@ class PeriodicPattern:
             cx, cy = cell
             if not (0 <= cx < px and 0 <= cy < py):
                 raise InputError(f"cell ({cx},{cy}) outside fundamental domain {px}x{py}")
+        if self.name is not None and not isinstance(self.name, str):
+            raise InputError(f"pattern name must be a string, got {self.name!r}")
 
     def contains(self, x: int, y: int) -> bool:
         return (x % self.period[0], y % self.period[1]) in self.cells
@@ -159,16 +164,16 @@ class PeriodicPattern:
 # Tables for the local check.
 #
 # Every constraint is a set of lattice vertices (N(u), or N(u) △ N(v)) whose
-# members in the pattern are counted.  On a torus whose sides are period
-# multiples the pattern tiles exactly, and once no two members of one
-# constraint wrap onto the same torus vertex, a constraint is a torus
-# adjacency mask, adj[u] or adj[u] ^ adj[v].  N(u) spans 3 coordinates each
-# way, so the domination table lifts the period to sides >= 3; N(u) ∪ N(v),
-# v meeting u, fits a (|dx|+3) x (|dy|+3) <= 5 x 5 box, so the separation
-# table lifts it to sides >= 5.  Domination is checked on every search
-# candidate, where larger masks cost time, so it keeps its smaller torus.
+# members in the pattern are counted.  Domination counts N(u) residue by
+# residue (:func:`_cover`), each neighbour at its residue mod the period,
+# so a residue that holds two neighbours of u counts twice and no torus is
+# needed.  Separation counts on a torus whose sides are period multiples,
+# where the pattern tiles exactly: once no two members of one constraint
+# wrap onto the same torus vertex, N(u) △ N(v) is a torus adjacency mask,
+# adj[u] ^ adj[v].  N(u) ∪ N(v), v meeting u, fits a (|dx|+3) x (|dy|+3)
+# <= 5 x 5 box, so the separation table lifts the period to sides >= 5.
 # The tables do not depend on the cells: they are built once per (lattice,
-# period).
+# period), the cover table also per fold.
 
 # Tables kept per cache: room for every period of a few searches up to 6x6.
 _TABLE_CACHE_SIZE = 128
@@ -236,13 +241,42 @@ def _meeting(lattice: Lattice, parity: int) -> tuple[Coord, ...]:
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _domination_table(lattice: Lattice, px: int, py: int) -> tuple[int, int, tuple[int, ...]]:
-    """(w, h, masks): N(u) on the w x h torus of the period lifted to sides
-    >= 3, for each fundamental-domain vertex u in domain order, so mask i
-    belongs to u = divmod(i, py)."""
-    w, h = _lift(px, 3), _lift(py, 3)
-    adj = _torus_adj(lattice, w, h)
-    return w, h, tuple(adj[y * w + x] for x in range(px) for y in range(py))
+def _cover(lattice: Lattice, px: int, py: int, k: int) -> tuple[int, ...]:
+    """For each residue r of a px x py period, the k-layer mask of the
+    domain vertices it dominates: bit t * area + i is set when r holds more
+    than t neighbours of domain vertex i, t < k.  Residues and domain
+    vertices are both indexed in domain order, (x, y) at x * py + y.
+
+    Each neighbour is counted at its residue, so a residue that holds two
+    neighbours of i (on a period side below 3) counts twice, as on the
+    infinite lattice.  A set of residues is held the same way, as the
+    k-layer mask of its dominator counts; at folds 1 and 2, the only ones,
+    residue r is added to counts ``dom`` by ``(dom | c | (dom & c) << area)
+    & full``, c = cover[r] and full the k layers' mask."""
+    area = px * py
+    cover = [0] * area
+    for i in range(area):
+        seen: dict[int, int] = {}  # neighbours of i per residue so far
+        for nx, ny in neighbors(lattice, *divmod(i, py)):
+            r = nx % px * py + ny % py
+            t = seen[r] = seen.get(r, -1) + 1
+            if t < k:
+                cover[r] |= 1 << (t * area + i)
+    return tuple(cover)
+
+
+def _avail(cover: tuple[int, ...], k: int) -> list[int]:
+    """avail[r] sets bit t * area + i when the residues r, r + 1, ... hold
+    at least k - t neighbours of domain vertex i: the suffix sums of the
+    cover counts with their k <= 2 layers swapped."""
+    area = len(cover)
+    full, shift = (1 << (k * area)) - 1, (k - 1) * area
+    avail = []
+    dom = 0
+    for c in reversed(cover):
+        dom = (dom | c | (dom & c) << area) & full
+        avail.append(dom >> shift | dom << shift & full)
+    return avail[::-1]
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -287,17 +321,28 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> VerificationReport:
     meets N(u) needs >= k separators (one pair per translation class).
     Other pairs have disjoint open neighborhoods, so their separation count
     is the sum of two domination counts and passes once domination does.
-    The witness, its vertices lattice coordinates (x, y), is the first
-    failing vertex in domain order, else the first failing pair (u in
-    domain order, then v sorted), read off the first short table mask; a
-    pair's code stands for u and its j-th meeting vertex.  A pattern that
-    fails domination never builds the separation table.
+    The dominator counts are the sum of the cells' covers (see
+    :func:`_cover`); a vertex short of k is missing from their top layer,
+    and its count is the number of layers that hold it.  The witness, its
+    vertices lattice coordinates (x, y), is the first failing vertex in
+    domain order, else the first failing pair (u in domain order, then v
+    sorted), read off the first short separation mask; a pair's code stands
+    for u and its j-th meeting vertex.  A pattern that fails domination
+    never builds the separation table.
     """
     lattice, (px, py), k = pattern.lattice, pattern.period, kind.fold
-    w, h, masks = _domination_table(lattice, px, py)
-    short = _first_short(masks, _tile(pattern.cells, px, py, w, h), k)
-    if short is not None:
-        i, count = short
+    cover = _cover(lattice, px, py, k)
+    area = px * py
+    full = (1 << (k * area)) - 1
+    dom = 0
+    for x, y in pattern.cells:
+        c = cover[x * py + y]
+        dom = (dom | c | (dom & c) << area) & full
+    if dom != full:
+        # the lowest vertex missing from the top layer: top's lowest 0 bit
+        top = dom >> (k - 1) * area
+        i = ((top + 1) & ~top).bit_length() - 1
+        count = sum(dom >> (t * area + i) & 1 for t in range(k - 1))
         return VerificationReport(False, vertex=divmod(i, py), count=count)
     w, h, masks, codes = _separation_table(lattice, px, py)
     short = _first_short(masks, _tile(pattern.cells, px, py, w, h), k)
@@ -408,16 +453,18 @@ def search_patterns(
     too few cells never fetches its tables.  Within a count, the subsets
     are walked depth first over residue indices in the order of
     ``itertools.combinations`` (:func:`_dominating_subsets`), keeping the
-    picks' dominator counts, and a prefix is dropped as soon as no
-    completion can pass domination.  The walk takes only subsets that hold
-    residue 0, which comes first in that order: by the lattice's symmetry
-    (see :func:`_dominating_subsets`) the first verifying subset of a count
-    holds it, if any subset verifies.  The prunes are exact, so the walk
-    yields exactly the subsets holding residue 0 that pass the domination
-    check of :func:`verify_pattern`, in order; each then gets its
-    separation check, one ``_first_short`` over the cached separation table
-    on the tiled cells.  The first to pass both is the pattern that
-    verifying every subset in order would find.  Each period fetches its
+    picks' dominator counts, the sum of their rows of the cover table that
+    :func:`verify_pattern` reads, and a prefix is dropped as soon as no
+    completion can pass domination; the suffix counts that tell it
+    (:func:`_avail`) are summed once per period.  The walk takes only
+    subsets that hold residue 0, which comes first in that order: by the
+    lattice's symmetry (see :func:`_dominating_subsets`) the first
+    verifying subset of a count holds it, if any subset verifies.  The
+    prunes are exact, so the walk yields exactly the subsets holding
+    residue 0 that pass the domination check of :func:`verify_pattern`, in
+    order; each then gets its separation check, one ``_first_short`` over
+    the cached separation table on the tiled cells.  The first to pass
+    both is the pattern that verifying every subset in order would find.  Each period fetches its
     separation table once a candidate first passes domination, and the one
     :class:`PeriodicPattern` built is the one returned.
 
@@ -452,10 +499,11 @@ def search_patterns(
         min_cells = max(1, -(-k * area // deg))
         if max_cells < min_cells:
             continue
-        cover, carry, avail = _residue_tables(lattice, px, py, k)
+        cover = _cover(lattice, px, py, k)
+        avail = _avail(cover, k)
         tiles = None  # fetched when a candidate first passes domination
         for count in range(min_cells, max_cells + 1):
-            for picks in _dominating_subsets(cover, carry, avail, k, deg, count):
+            for picks in _dominating_subsets(cover, avail, k, deg, count):
                 if tiles is None:
                     sw, sh, sep_masks, _ = _separation_table(lattice, px, py)
                     # each residue's cell tiled over the separation torus
@@ -468,58 +516,8 @@ def search_patterns(
     return None
 
 
-def _residue_tables(
-    lattice: Lattice, px: int, py: int, k: int
-) -> tuple[list[int], list[list[tuple[int, int]]], list[int]]:
-    """(cover, carry, avail) for the residues of a px x py period, residue
-    (x, y) at index x * py + y, the domain order of the domination table.
-
-    A set of residues is held as a k-layer mask of its dominator counts:
-    bit t * area + i is set when domain vertex i has more than t
-    dominators, t < k.  cover[r] is that mask for residue r alone.  A
-    vertex already in layer j that residue r dominates more than s - 1
-    times moves up to layer j + s: carry[r] holds, for 1 <= s < k, the
-    (mask, shift) pair that picks those vertices from layers j < k - s
-    and shifts them by s layers.  avail[r] sets bit t * area + i when the
-    residues r, r + 1, ... hold at least k - t neighbours of vertex i.
-    All three are read off the domination table's masks."""
-    w, h, masks = _domination_table(lattice, px, py)
-    area = px * py
-    residue = [x % px * py + y % py for y in range(h) for x in range(w)]
-    cover = [0] * area
-    # first[r]: the bits that avail gains at r, where a vertex's suffix of
-    # neighbours first reaches some count
-    first = [0] * area
-    for i, mask in enumerate(masks):
-        # the residue of each neighbour of vertex i, largest first
-        near = []
-        while mask:
-            bit = mask & -mask
-            near.append(residue[bit.bit_length() - 1])
-            mask ^= bit
-        near.sort(reverse=True)
-        c, prev = 0, -1
-        for s, r in enumerate(near):
-            c = c + 1 if r == prev else 0  # neighbours of i in r before this one
-            prev = r
-            if c < k:
-                cover[r] |= 1 << (c * area + i)
-            if s < k:
-                # from r down, the suffix holds s + 1 = k - t neighbours
-                first[r] |= 1 << ((k - 1 - s) * area + i)
-    avail = list(itertools.accumulate(reversed(first), operator.or_))[::-1]
-    low = (1 << area) - 1
-    carry = [
-        [(sum(((cov >> (s - 1) * area) & low) << (j * area) for j in range(k - s)), s * area)
-         for s in range(1, k)]
-        for cov in cover
-    ]
-    return cover, carry, avail
-
-
 def _dominating_subsets(
-    cover: list[int], carry: list[list[tuple[int, int]]], avail: list[int],
-    k: int, deg: int, count: int,
+    cover: tuple[int, ...], avail: list[int], k: int, deg: int, count: int,
 ):
     """Yield, as a list of residue indices, each count-subset of the
     residues that holds residue 0, in lexicographic order, whose cells give
@@ -540,16 +538,16 @@ def _dominating_subsets(
 
     A depth-first walk on an explicit stack, so its depth (up to the area)
     is not bounded by the recursion limit.  It keeps the picks' dominator
-    counts as one k-layer mask (see :func:`_residue_tables`); the deficit
-    Σ max(0, k - dominators of i) is the number of bits it lacks.  Both
-    prunes are exact:
+    counts as one k-layer mask, adding cover[r] for each pick r (see
+    :func:`_cover`); the deficit Σ max(0, k - dominators of i) is the
+    number of bits it lacks.  Both prunes are exact:
 
     * a pick removes at most deg from the deficit, so a prefix whose
       deficit exceeds deg times its picks left has no completion;
     * the picks after a prefix are drawn from residues >= the next one r,
-      so r needs dom | avail[r] to be full: every vertex short of t
-      dominators has t neighbours in those residues.  A larger r leaves
-      fewer, so once r fails the level is done.
+      so r needs dom | avail[r] (:func:`_avail`) to be full: every vertex
+      short of t dominators has t neighbours in those residues.  A larger
+      r leaves fewer, so once r fails the level is done.
     """
     area = len(cover)
     full = (1 << (k * area)) - 1
@@ -576,10 +574,8 @@ def _dominating_subsets(
             last = area - count + len(picks)
         picks.append(r)
         saved.append(dom)
-        grown = dom | cover[r]
-        for mask, shift in carry[r]:
-            grown |= (dom & mask) << shift
-        dom = grown
+        c = cover[r]
+        dom = (dom | c | (dom & c) << area) & full
         r += 1
 
 

@@ -376,6 +376,12 @@ def test_grid_bad_pattern_fails(capsys, tmp_path):
     ('{"lattice": "sq", "period": [2, 2], "cells": [["0", 0]]}', "cells must be pairs of integers"),
     ('{"lattice": "sq", "period": [2, 2], "cells": [[1, true]]}', "cells must be pairs of integers"),
     ('{"lattice": "sq", "period": [2, 2], "cells": [[0, 0, 0]]}', "cells must be pairs of integers"),
+    ('{"lattice": "sq", "period": [1, 5], "cells": [[0, 0], [0, 2]], "name": ["x"]}',
+     "pattern name must be a string"),
+    ('{"lattice": "sq", "period": [1, 5], "cells": [[0, 0], [0, 2]], "name": 7}',
+     "pattern name must be a string"),
+    ('{"lattice": "sq", "period": [1, 5], "cells": [[0, 0], [0, 2]], "name": true}',
+     "pattern name must be a string"),
 ])
 def test_grid_malformed_pattern_is_input_error(capsys, tmp_path, pattern, message):
     f = tmp_path / "p.json"
@@ -388,10 +394,10 @@ def test_grid_period_above_area_limit_is_input_error(capsys, tmp_path):
     # rejected when the pattern is loaded, before any residue table is built
     f = tmp_path / "p.json"
     f.write_text('{"lattice": "sq", "period": [65, 64], "cells": []}')
-    before = grids._domination_table.cache_info()
+    before = grids._cover.cache_info()
     code, rep = run_json(capsys, "grid", "sq", str(f), "--kind", "old")
     assert code == 2 and "above the limit of 4096" in rep["error"]
-    assert grids._domination_table.cache_info() == before
+    assert grids._cover.cache_info() == before
 
 
 GOLDEN_GRID = Path(__file__).with_name("grid_golden.json")

@@ -2,6 +2,7 @@
 pattern search."""
 
 import itertools
+import json
 import random
 import sys
 import tracemalloc
@@ -96,18 +97,29 @@ def test_pattern_rejects_non_lattice():
         PeriodicPattern("sq", (1, 1), frozenset())
 
 
+@pytest.mark.parametrize("name", [["x"], 7, True], ids=["list", "int", "bool"])
+def test_pattern_rejects_non_string_name(name):
+    # pattern_to_json writes the name back out, so it must be a string
+    with pytest.raises(InputError, match="pattern name must be a string"):
+        PeriodicPattern(Lattice.SQ, (1, 5), frozenset({(0, 0), (0, 2)}), name)
+    text = json.dumps({"lattice": "sq", "period": [1, 5], "cells": [[0, 0], [0, 2]], "name": name})
+    with pytest.raises(InputError, match="pattern name must be a string"):
+        pattern_from_json(text)
+    assert PeriodicPattern(Lattice.SQ, (1, 5), frozenset({(0, 0)}), "x").name == "x"
+
+
 def test_pattern_period_area_limit():
     # one check for the library and the JSON path and the search bound,
     # made before any residue table is built; every golden pattern loads in
     # the CLI golden test
-    before = grids._domination_table.cache_info()
+    before = grids._cover.cache_info()
     with pytest.raises(InputError, match="above the limit"):
         PeriodicPattern(Lattice.SQ, (MAX_PERIOD_AREA + 1, 1), frozenset())
     with pytest.raises(InputError, match="above the limit"):
         pattern_from_json('{"lattice": "sq", "period": [3000, 3000], "cells": []}')
     with pytest.raises(InputError, match="max_period 65x64 has area 4160, above the limit"):
         search_patterns(Lattice.SQ, Kind.OLD, (65, 64), Fraction(1, 4160))
-    assert grids._domination_table.cache_info() == before
+    assert grids._cover.cache_info() == before
     assert PeriodicPattern(Lattice.TRI, (64, 64), frozenset()).period == (64, 64)
     assert pattern_from_json(pattern_to_json(builtin_pattern("tri-old"))).period == (13, 13)
 
@@ -368,9 +380,9 @@ def test_search_finds_sq_redold_half():
 def test_search_none_below_optimal_sq_redold():
     # nothing below the known optimum exists at small periods.  SQ RED:OLD
     # needs 2 * area dominations from 4 per cell, at least half the cells,
-    # so the count bound rules out every period before its domination
-    # table is even asked for
-    info = grids._domination_table.cache_info
+    # so the count bound rules out every period before its cover table is
+    # even asked for
+    info = grids._cover.cache_info
     before = info().hits + info().misses
     assert search_patterns(Lattice.SQ, Kind.RED_OLD, (4, 4), Fraction(2, 5)) is None
     assert info().hits + info().misses == before
@@ -646,18 +658,60 @@ def test_first_verifying_subset_holds_residue_zero():
                 area = px * py
                 if area > 12:
                     continue
-                tables = grids._residue_tables(lattice, px, py, kind.fold)
+                cover = grids._cover(lattice, px, py, kind.fold)
+                avail = grids._avail(cover, kind.fold)
                 for count in range(1, area + 1):
                     first = _first_verifying(
                         itertools.combinations(range(area), count), lattice, (px, py), kind)
                     walk = _first_verifying(
-                        grids._dominating_subsets(*tables, kind.fold, deg, count),
+                        grids._dominating_subsets(cover, avail, kind.fold, deg, count),
                         lattice, (px, py), kind)
                     assert walk == first, (lattice, kind, (px, py), count)
                     if first is not None:
                         assert first[0] == 0
                         found += 1
     assert found > 300, found
+
+
+def test_cover_and_avail_match_neighbour_counts():
+    # bit t * area + i of cover[r] is set when residue r holds more than t
+    # neighbours of domain vertex i, and of avail[r] when the residues r,
+    # r + 1, ... hold at least k - t; thin periods put several neighbours
+    # of one vertex in one residue
+    checked = 0
+    for lattice in Lattice:
+        step = 2 if lattice is Lattice.HEX else 1
+        for px in range(step, 17, step):
+            for py in range(step, 16 // px + 1, step):
+                area = px * py
+                for k in (1, 2):
+                    cover = grids._cover(lattice, px, py, k)
+                    avail = grids._avail(cover, k)
+                    assert len(cover) == len(avail) == area
+                    assert all(m >> (k * area) == 0 for m in cover + tuple(avail))
+                    for i in range(area):
+                        x, y = divmod(i, py)
+                        near = [nx % px * py + ny % py for nx, ny in neighbors(lattice, x, y)]
+                        for r in range(area):
+                            held, suffix = near.count(r), sum(s >= r for s in near)
+                            for t in range(k):
+                                assert (cover[r] >> (t * area + i) & 1) == (held > t)
+                                assert (avail[r] >> (t * area + i) & 1) == (suffix >= k - t)
+                    checked += 1
+    assert checked == 2 * (3 * 50 + 8)
+
+
+def test_repeat_search_builds_no_table():
+    # the tables a search reads depend only on the lattice, the period and
+    # the fold, so an identical second search finds every one cached
+    args = (Lattice.TRI, Kind.RED_OLD, (4, 5), Fraction(1, 3))
+    assert search_patterns(*args) is None
+    cover, separation = grids._cover.cache_info(), grids._separation_table.cache_info()
+    assert search_patterns(*args) is None
+    assert grids._cover.cache_info().misses == cover.misses
+    assert grids._cover.cache_info().hits > cover.hits
+    assert grids._separation_table.cache_info().misses == separation.misses
+    assert grids._separation_table.cache_info().hits > separation.hits
 
 
 # The six searches the benchmark expects to come back empty, each with a
