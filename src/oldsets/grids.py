@@ -15,25 +15,22 @@ infinite graph with a finite amount of work: domination is checked for one
 fundamental domain, and separation only for pairs whose open neighborhoods
 meet (one pair per translation class), because any other pair is separated
 by its dominators alone.  The constraints depend only on the lattice and
-the period, so their tables are built once and cached.  Domination reads
-one cover table: for each residue of the period, the domain vertices it
-dominates, counted with multiplicity as k-layer masks; a pattern's counts
-are the sum of its cells' covers.  Each separation constraint is an
-adjacency mask of a torus of period multiples wide enough that no
-constraint wraps onto itself; a pattern's cells are tiled over that torus
-and counted under it.  Verdicts are the graph verifier's VerificationReport,
-its witness in lattice coordinates: the first failure in domain order, as a
+the period, so they are built once into one cached table: for each residue
+of the period, the constraints it counts towards, counted with multiplicity
+as k-layer masks; a pattern's counts are the sum of its cells' rows.
+Verdicts are the graph verifier's VerificationReport, its witness in
+lattice coordinates: the first failure in domain order, as a
 vertex-by-vertex scan would find it.  Densities are exact rationals
 throughout; no floating point.
 
 :func:`search_patterns` walks cell subsets in the order verifying each would
-take, but depth first, adding each pick's cover to the prefix's dominator
-counts: a prefix that no completion can make dominating is dropped, and so
-is any cell count too small to give every vertex its k dominators.  It
-walks only the subsets that hold residue (0, 0): translations (on HEX the
-even ones and the glide (x, y) -> (x + 1, -y)) are automorphisms that keep
-the period and take any pattern's lowest cell there, so the first
-verifying subset of each cell count holds it.
+take, but depth first, adding each pick's row to the prefix's counts: a
+prefix that no completion can make verify is dropped, and so is any cell
+count too small to give every vertex its k dominators.  It walks only the
+subsets that hold residue (0, 0): translations (on HEX the even ones and
+the glide (x, y) -> (x + 1, -y)) are automorphisms that keep the period
+and take any pattern's lowest cell there, so the first verifying subset of
+each cell count holds it.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from functools import lru_cache
 
 from .errors import InputError, decode_json
 from .graph import MAX_VERTICES, Graph, vertices_of
-from .verify import Kind, VerificationReport, _first_short
+from .verify import Kind, VerificationReport
 
 __all__ = [
     "Lattice",
@@ -100,11 +97,11 @@ def _check_lattice(lattice) -> None:
         raise InputError(f"lattice must be a Lattice, got {lattice!r}")
 
 
-# The largest period area px*py a pattern may have.  The tables hold one mask
-# of at least area bits per constraint, O(area**2) bits in all: a RED:OLD
-# check of a full TRI 64x64 pattern keeps 14.4 MiB, KING 4096x1 (its side of
-# 1 lifted to 5 for separation) 122.0 MiB, so a huge period in an input file
-# is an input error rather than a MemoryError.
+# The largest period area px*py a pattern may have.  The table holds one row
+# per residue and one column per constraint, O(area**2) bits in all: a
+# RED:OLD check of a full pattern keeps 14.2 MiB on TRI 64x64, 17.8 MiB on
+# SQ 1x4096 and 44.7 MiB on KING 4096x1 (tracemalloc, cold caches), so a
+# huge period in an input file is an input error rather than a MemoryError.
 # Published optimal patterns have periods up to 13x13.
 MAX_PERIOD_AREA = 4096
 
@@ -163,25 +160,149 @@ class PeriodicPattern:
 # ---------------------------------------------------------------------------
 # Tables for the local check.
 #
-# Every constraint is a set of lattice vertices (N(u), or N(u) △ N(v)) whose
-# members in the pattern are counted.  Domination counts N(u) residue by
-# residue (:func:`_cover`), each neighbour at its residue mod the period,
-# so a residue that holds two neighbours of u counts twice and no torus is
-# needed.  Separation counts on a torus whose sides are period multiples,
-# where the pattern tiles exactly: once no two members of one constraint
-# wrap onto the same torus vertex, N(u) △ N(v) is a torus adjacency mask,
-# adj[u] ^ adj[v].  N(u) ∪ N(v), v meeting u, fits a (|dx|+3) x (|dy|+3)
-# <= 5 x 5 box, so the separation table lifts the period to sides >= 5.
-# The tables do not depend on the cells: they are built once per (lattice,
-# period), the cover table also per fold.
+# Every constraint is a set of lattice vertices, N(u) or N(u) △ N(v), whose
+# members in the pattern are counted.  One table holds them all
+# (:func:`_cover`): for each residue of the period, how many members of each
+# constraint it holds, each member counted at its residue mod the period, so
+# a residue that holds two members of one constraint (on a thin period such
+# as 1x5 or 2x1) counts twice, as on the infinite lattice, and no torus is
+# needed.  The table does not depend on the cells: it is built once per
+# (lattice, period, fold).
 
-# Tables kept per cache: room for every period of a few searches up to 6x6.
-_TABLE_CACHE_SIZE = 128
+@lru_cache(maxsize=None)
+def _meeting(lattice: Lattice) -> tuple[Coord, ...]:
+    """The offsets from u of each w != u with N(u) ∩ N(w) != ∅, sorted.
+    The same at both HEX parities: the glide (x, y) -> (x + 1, -y) swaps
+    them, and the set is symmetric under y -> -y."""
+    meeting = {w for a in neighbors(lattice, 0, 0) for w in neighbors(lattice, *a)} - {(0, 0)}
+    return tuple(sorted(meeting))
 
 
-def _lift(p: int, side: int) -> int:
-    """The smallest multiple of the period p that is >= side."""
-    return p * -(-side // p)
+@lru_cache(maxsize=None)
+def _shapes(lattice: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For u of each x + y parity, the members of N(u) and then of N(u) △
+    N(u + d) for each d of :func:`_meeting`, each member (u[0] + dx, u[1] +
+    dy) as its index 7 * (dx + 3) + dy + 3 in the 7 x 7 box around u."""
+    shapes = []
+    for p in (0, 1):
+        near = {(nx - p, ny) for nx, ny in neighbors(lattice, p, 0)}
+        members = [near] + [near ^ {(nx - p, ny) for nx, ny in neighbors(lattice, p + dx, dy)}
+                            for dx, dy in _meeting(lattice)]
+        shapes.append(tuple(tuple(sorted(7 * (dx + 3) + dy + 3 for dx, dy in m)) for m in members))
+    return tuple(shapes)
+
+
+# 128 tables kept: room for every period of a few searches up to 6x6
+@lru_cache(maxsize=128)
+def _cover(lattice: Lattice, px: int, py: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(cover, codes): every constraint of a px x py period as one column,
+    and for each residue r the k-layer mask of the columns it counts
+    towards.  Residues and domain vertices are both indexed in domain
+    order, (x, y) at x * py + y.
+
+    Column i < area is N(u), u the domain vertex i.  After them come the
+    separation columns N(u) △ N(v), u in domain order and v = u + d for d
+    in :func:`_meeting` order, keeping only the first pair of each
+    translation class {u, v}: a later pair of the class has the same
+    count, so it can never be the first to fail.  The pair of u (index i)
+    with its j-th meeting offset has code i * stride + j, stride the
+    number of meeting offsets, so codes grow in column order; the class's
+    other pair with its first vertex in the domain starts from v mod the
+    period and goes back by -d, and the pair with the smaller code comes
+    first.  ``codes`` holds the code of each separation column.
+
+    With width = area + len(codes), bit t * width + c of cover[r] is set
+    when residue r holds more than t members of column c, t < k.  Each
+    member is counted at its residue, so a residue that holds two members
+    (on a period side below 7) counts twice, as on the infinite lattice,
+    and no torus is needed.  A set of residues is held the same way, as
+    the k-layer mask of its counts; at folds 1 and 2, the only ones,
+    residue r is added to counts ``dom`` by ``(dom | c | (dom & c) <<
+    width) & full``, c = cover[r] and full the k layers' mask."""
+    area = px * py
+    meeting = _meeting(lattice)
+    stride = len(meeting)
+    back = [meeting.index((-dx, -dy)) for dx, dy in meeting]
+    parities = _shapes(lattice)
+    hits: list[list[int]] = [[] for _ in range(area)]  # each residue's columns, repeats kept
+    codes: list[int] = []
+    for i in range(area):
+        x, y = divmod(i, py)
+        box = [a % px * py + b % py for a in range(x - 3, x + 4) for b in range(y - 3, y + 4)]
+        shapes = parities[(x + y) % 2]
+        columns = [(i, 0)]
+        for j, (dx, dy) in enumerate(meeting):
+            code = i * stride + j
+            if code < ((x + dx) % px * py + (y + dy) % py) * stride + back[j]:
+                columns.append((area + len(codes), j + 1))
+                codes.append(code)
+        for c, shape in columns:
+            for q in shapes[shape]:
+                hits[box[q]].append(c)
+    width = area + len(codes)
+    # a column's members are listed together, so its repeats in a residue
+    # are adjacent there; at k <= 2 a repeat sets the top layer
+    top = (k - 1) * width
+    cover = []
+    for held in hits:
+        bits = [c + top if c == last else c for last, c in zip([-1] + held, held)]
+        row = bytearray(max(bits) // 8 + 1)
+        for b in bits:
+            row[b >> 3] |= 1 << (b & 7)
+        cover.append(int.from_bytes(row, "little"))
+    return tuple(cover), tuple(codes)
+
+
+def _avail(cover: tuple[int, ...], width: int, k: int) -> list[int]:
+    """avail[r] sets bit t * width + c when the residues r, r + 1, ... hold
+    at least k - t members of column c: the suffix sums of the cover
+    counts with their k <= 2 layers swapped."""
+    full, shift = (1 << (k * width)) - 1, (k - 1) * width
+    avail = []
+    dom = 0
+    for c in reversed(cover):
+        dom = (dom | c | (dom & c) << width) & full
+        avail.append(dom >> shift | dom << shift & full)
+    return avail[::-1]
+
+
+def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> VerificationReport:
+    """Check the kind's conditions over the whole infinite lattice.
+
+    Finite procedure: every fundamental-domain vertex u needs >= k
+    dominators, and every pair of u with a vertex v whose open neighborhood
+    meets N(u) needs >= k separators (one pair per translation class).
+    Other pairs have disjoint open neighborhoods, so their separation count
+    is the sum of two domination counts and passes once domination does.
+    The counts of every constraint are the sum of the cells' rows of the
+    cover table (see :func:`_cover`); a constraint short of k is missing
+    from their top layer, and its count is the number of layers that hold
+    it.  The witness, its vertices lattice coordinates (x, y), is the
+    lowest such column: the first failing vertex in domain order, else the
+    first failing pair (u in domain order, then v sorted), decoded from
+    the column's code, u and its j-th meeting vertex.
+    """
+    lattice, (px, py), k = pattern.lattice, pattern.period, kind.fold
+    cover, codes = _cover(lattice, px, py, k)
+    area = px * py
+    width = area + len(codes)
+    full = (1 << (k * width)) - 1
+    dom = 0
+    for x, y in pattern.cells:
+        c = cover[x * py + y]
+        dom = (dom | c | (dom & c) << width) & full
+    if dom == full:
+        return VerificationReport(True)
+    # the lowest column missing from the top layer: top's lowest 0 bit
+    top = dom >> (k - 1) * width
+    c = ((top + 1) & ~top).bit_length() - 1
+    count = sum(dom >> (t * width + c) & 1 for t in range(k - 1))
+    if c < area:
+        return VerificationReport(False, vertex=divmod(c, py), count=count)
+    meeting = _meeting(lattice)
+    u, j = divmod(codes[c - area], len(meeting))
+    (x, y), (dx, dy) = divmod(u, py), meeting[j]
+    return VerificationReport(False, pair=((x, y), (x + dx, y + dy)), count=count)
 
 
 def _torus_adj(lattice: Lattice, w: int, h: int) -> tuple[int, ...]:
@@ -210,149 +331,6 @@ def _torus_adj(lattice: Lattice, w: int, h: int) -> tuple[int, ...]:
             a = a & full | a >> n
         adj.append(a)
     return tuple(adj)
-
-
-def _tile(cells, px: int, py: int, w: int, h: int) -> int:
-    """The cells of a px x py period tiled over a w x h torus (sides that
-    are multiples of the period), as a mask with (x, y) at bit y * w + x.
-
-    Each row residue y mod py is one mask, the period's cells in that row
-    tiled across the width; row y is that mask shifted to y * w."""
-    rows = [0] * py
-    for x, y in cells:
-        rows[y] |= 1 << x
-    # a row of the period is below 1 << px, so multiplying by one set bit
-    # every px places copies it without carries
-    tile = sum(1 << (i * px) for i in range(w // px))
-    rows = [r * tile for r in rows]
-    mask = 0
-    for y in range(h):
-        mask |= rows[y % py] << (y * w)
-    return mask
-
-
-@lru_cache(maxsize=None)
-def _meeting(lattice: Lattice, parity: int) -> tuple[Coord, ...]:
-    """The offsets from u of each w != u with N(u) ∩ N(w) != ∅, sorted, for
-    u with x+y = parity (mod 2); only HEX depends on the parity."""
-    u = (parity, 0)
-    meeting = {w for a in neighbors(lattice, *u) for w in neighbors(lattice, *a)} - {u}
-    return tuple((x - parity, y) for x, y in sorted(meeting))
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _cover(lattice: Lattice, px: int, py: int, k: int) -> tuple[int, ...]:
-    """For each residue r of a px x py period, the k-layer mask of the
-    domain vertices it dominates: bit t * area + i is set when r holds more
-    than t neighbours of domain vertex i, t < k.  Residues and domain
-    vertices are both indexed in domain order, (x, y) at x * py + y.
-
-    Each neighbour is counted at its residue, so a residue that holds two
-    neighbours of i (on a period side below 3) counts twice, as on the
-    infinite lattice.  A set of residues is held the same way, as the
-    k-layer mask of its dominator counts; at folds 1 and 2, the only ones,
-    residue r is added to counts ``dom`` by ``(dom | c | (dom & c) << area)
-    & full``, c = cover[r] and full the k layers' mask."""
-    area = px * py
-    cover = [0] * area
-    for i in range(area):
-        seen: dict[int, int] = {}  # neighbours of i per residue so far
-        for nx, ny in neighbors(lattice, *divmod(i, py)):
-            r = nx % px * py + ny % py
-            t = seen[r] = seen.get(r, -1) + 1
-            if t < k:
-                cover[r] |= 1 << (t * area + i)
-    return tuple(cover)
-
-
-def _avail(cover: tuple[int, ...], k: int) -> list[int]:
-    """avail[r] sets bit t * area + i when the residues r, r + 1, ... hold
-    at least k - t neighbours of domain vertex i: the suffix sums of the
-    cover counts with their k <= 2 layers swapped."""
-    area = len(cover)
-    full, shift = (1 << (k * area)) - 1, (k - 1) * area
-    avail = []
-    dom = 0
-    for c in reversed(cover):
-        dom = (dom | c | (dom & c) << area) & full
-        avail.append(dom >> shift | dom << shift & full)
-    return avail[::-1]
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _separation_table(
-    lattice: Lattice, px: int, py: int
-) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """(w, h, masks, codes): N(u) △ N(v) on the w x h torus of the period
-    lifted to sides >= 5, for u in domain order and v meeting u in sorted
-    order, keeping only the first pair of each translation class {u, v}; a
-    later pair of the class has the same count, so it can never be the
-    first to fail.
-
-    The pair of u = divmod(i, py) with its j-th meeting vertex has code
-    i * stride + j (stride: the number of meeting vertices, the same for
-    both HEX parities, which mirror each other), so codes grow in scan
-    order.  The class's other pair with its first vertex in the domain
-    starts from v mod the period and goes back by the same offset; the pair
-    with the smaller code comes first.
-    """
-    w, h = _lift(px, 5), _lift(py, 5)
-    adj = _torus_adj(lattice, w, h)
-    stride = len(_meeting(lattice, 0))
-    masks: list[int] = []
-    codes: list[int] = []
-    for x in range(px):
-        for y in range(py):
-            for j, (dx, dy) in enumerate(_meeting(lattice, (x + y) % 2)):
-                vx, vy = (x + dx) % px, (y + dy) % py
-                back = _meeting(lattice, (vx + vy) % 2).index((-dx, -dy))
-                code = (x * py + y) * stride + j
-                if code < (vx * py + vy) * stride + back:
-                    masks.append(adj[y * w + x] ^ adj[(y + dy) % h * w + (x + dx) % w])
-                    codes.append(code)
-    return w, h, tuple(masks), tuple(codes)
-
-
-def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> VerificationReport:
-    """Check the kind's conditions over the whole infinite lattice.
-
-    Finite procedure: every fundamental-domain vertex u needs >= k
-    dominators, and every pair of u with a vertex v whose open neighborhood
-    meets N(u) needs >= k separators (one pair per translation class).
-    Other pairs have disjoint open neighborhoods, so their separation count
-    is the sum of two domination counts and passes once domination does.
-    The dominator counts are the sum of the cells' covers (see
-    :func:`_cover`); a vertex short of k is missing from their top layer,
-    and its count is the number of layers that hold it.  The witness, its
-    vertices lattice coordinates (x, y), is the first failing vertex in
-    domain order, else the first failing pair (u in domain order, then v
-    sorted), read off the first short separation mask; a pair's code stands
-    for u and its j-th meeting vertex.  A pattern that fails domination
-    never builds the separation table.
-    """
-    lattice, (px, py), k = pattern.lattice, pattern.period, kind.fold
-    cover = _cover(lattice, px, py, k)
-    area = px * py
-    full = (1 << (k * area)) - 1
-    dom = 0
-    for x, y in pattern.cells:
-        c = cover[x * py + y]
-        dom = (dom | c | (dom & c) << area) & full
-    if dom != full:
-        # the lowest vertex missing from the top layer: top's lowest 0 bit
-        top = dom >> (k - 1) * area
-        i = ((top + 1) & ~top).bit_length() - 1
-        count = sum(dom >> (t * area + i) & 1 for t in range(k - 1))
-        return VerificationReport(False, vertex=divmod(i, py), count=count)
-    w, h, masks, codes = _separation_table(lattice, px, py)
-    short = _first_short(masks, _tile(pattern.cells, px, py, w, h), k)
-    if short is not None:
-        i, count = short
-        u, j = divmod(codes[i], len(_meeting(lattice, 0)))
-        x, y = divmod(u, py)
-        dx, dy = _meeting(lattice, (x + y) % 2)[j]
-        return VerificationReport(False, pair=((x, y), (x + dx, y + dy)), count=count)
-    return VerificationReport(True)
 
 
 def _check_torus(lattice: Lattice, width: int, height: int) -> None:
@@ -424,13 +402,25 @@ def restrict_pattern_to_torus(pattern: PeriodicPattern, width: int, height: int)
         raise InputError(f"torus {width}x{height} is not a multiple of the period {px}x{py}")
     if width < 6 or height < 6:
         raise InputError("cross-check tori must be at least 6x6")
-    return _tile(pattern.cells, px, py, width, height)
+    # (x, y) at bit y * width + x.  Each row residue y mod py is one mask,
+    # the period's cells in that row tiled across the width; a row of the
+    # period is below 1 << px, so multiplying by one set bit every px places
+    # copies it without carries
+    rows = [0] * py
+    for x, y in pattern.cells:
+        rows[y] |= 1 << x
+    tile = sum(1 << (i * px) for i in range(width // px))
+    rows = [r * tile for r in rows]
+    mask = 0
+    for y in range(height):
+        mask |= rows[y % py] << (y * width)
+    return mask
 
 
 def cross_check_dims(pattern: PeriodicPattern) -> tuple[int, int]:
     """Smallest period multiples that are >= 3x the period and >= 6."""
     px, py = pattern.period
-    return max(3 * px, _lift(px, 6)), max(3 * py, _lift(py, 6))
+    return max(3 * px, px * -(-6 // px)), max(3 * py, py * -(-6 // py))
 
 
 def search_patterns(
@@ -450,23 +440,20 @@ def search_patterns(
     dominates exactly deg = lattice_degree(lattice) vertices per
     translation class, and a period needs k * px * py dominations, so cell
     counts below ceil(k * px * py / deg) are skipped, and a period with
-    too few cells never fetches its tables.  Within a count, the subsets
+    too few cells never fetches its table.  Within a count, the subsets
     are walked depth first over residue indices in the order of
-    ``itertools.combinations`` (:func:`_dominating_subsets`), keeping the
-    picks' dominator counts, the sum of their rows of the cover table that
-    :func:`verify_pattern` reads, and a prefix is dropped as soon as no
-    completion can pass domination; the suffix counts that tell it
-    (:func:`_avail`) are summed once per period.  The walk takes only
-    subsets that hold residue 0, which comes first in that order: by the
-    lattice's symmetry (see :func:`_dominating_subsets`) the first
-    verifying subset of a count holds it, if any subset verifies.  The
-    prunes are exact, so the walk yields exactly the subsets holding
-    residue 0 that pass the domination check of :func:`verify_pattern`, in
-    order; each then gets its separation check, one ``_first_short`` over
-    the cached separation table on the tiled cells.  The first to pass
-    both is the pattern that verifying every subset in order would find.  Each period fetches its
-    separation table once a candidate first passes domination, and the one
-    :class:`PeriodicPattern` built is the one returned.
+    ``itertools.combinations`` (:func:`_verifying_subsets`), keeping the
+    picks' counts of every constraint, the sum of their rows of the cover
+    table that :func:`verify_pattern` reads, and a prefix is dropped as
+    soon as no completion can meet every constraint; the suffix counts
+    that tell it (:func:`_avail`) are summed once per period.  The walk
+    takes only subsets that hold residue 0, which comes first in that
+    order: by the lattice's symmetry (see :func:`_verifying_subsets`) the
+    first verifying subset of a count holds it, if any subset verifies.
+    The prunes are exact, so the walk yields exactly the subsets holding
+    residue 0 that :func:`verify_pattern` passes, in order, and its first
+    is the pattern that verifying every subset in order would find; the
+    one :class:`PeriodicPattern` built is the one returned.
 
     Both bounds are required.  Raises :class:`InputError` unless
     ``lattice`` is a :class:`Lattice`, ``kind`` a :class:`Kind`,
@@ -499,31 +486,24 @@ def search_patterns(
         min_cells = max(1, -(-k * area // deg))
         if max_cells < min_cells:
             continue
-        cover = _cover(lattice, px, py, k)
-        avail = _avail(cover, k)
-        tiles = None  # fetched when a candidate first passes domination
+        cover, codes = _cover(lattice, px, py, k)
+        width = area + len(codes)
+        avail = _avail(cover, width, k)
         for count in range(min_cells, max_cells + 1):
-            for picks in _dominating_subsets(cover, avail, k, deg, count):
-                if tiles is None:
-                    sw, sh, sep_masks, _ = _separation_table(lattice, px, py)
-                    # each residue's cell tiled over the separation torus
-                    tiles = [_tile(((x, y),), px, py, sw, sh)
-                             for x in range(px) for y in range(py)]
-                # disjoint tiles, so their sum is the tiled cell mask
-                if _first_short(sep_masks, sum(map(tiles.__getitem__, picks)), k) is None:
-                    cells = frozenset(divmod(r, py) for r in picks)
-                    return PeriodicPattern(lattice, (px, py), cells)
+            picks = next(_verifying_subsets(cover, avail, width, k, deg, count), None)
+            if picks is not None:
+                return PeriodicPattern(lattice, (px, py), frozenset(divmod(r, py) for r in picks))
     return None
 
 
-def _dominating_subsets(
-    cover: tuple[int, ...], avail: list[int], k: int, deg: int, count: int,
+def _verifying_subsets(
+    cover: tuple[int, ...], avail: list[int], width: int, k: int, deg: int, count: int,
 ):
     """Yield, as a list of residue indices, each count-subset of the
-    residues that holds residue 0, in lexicographic order, whose cells give
-    every domain vertex at least k dominators: the
-    ``itertools.combinations`` starting at 0 that pass the domination
-    check, the others skipped whole prefixes at a time.
+    residues that holds residue 0, in lexicographic order, whose cells meet
+    every constraint of the cover table k times: the
+    ``itertools.combinations`` starting at 0 that :func:`verify_pattern`
+    passes, the others skipped whole prefixes at a time.
 
     Residue 0 loses no first pattern.  Every translation of SQ, TRI and
     KING maps neighbours to neighbours, and so do the even translations of
@@ -537,20 +517,25 @@ def _dominating_subsets(
     picks 0 first and ends where it would back up past it.
 
     A depth-first walk on an explicit stack, so its depth (up to the area)
-    is not bounded by the recursion limit.  It keeps the picks' dominator
-    counts as one k-layer mask, adding cover[r] for each pick r (see
-    :func:`_cover`); the deficit Σ max(0, k - dominators of i) is the
-    number of bits it lacks.  Both prunes are exact:
+    is not bounded by the recursion limit.  It keeps the picks' counts as
+    one k-layer mask, adding cover[r] for each pick r (see :func:`_cover`);
+    the domination deficit Σ max(0, k - dominators of i) is the number of
+    bits it lacks in the domination columns.  Both prunes are exact:
 
-    * a pick removes at most deg from the deficit, so a prefix whose
-      deficit exceeds deg times its picks left has no completion;
+    * a pick removes at most deg from the domination deficit, so a prefix
+      whose deficit exceeds deg times its picks left has no completion;
     * the picks after a prefix are drawn from residues >= the next one r,
-      so r needs dom | avail[r] (:func:`_avail`) to be full: every vertex
-      short of t dominators has t neighbours in those residues.  A larger
-      r leaves fewer, so once r fails the level is done.
+      so r needs dom | avail[r] (:func:`_avail`) to be full: every
+      constraint short of t members has t members in those residues,
+      counted with multiplicity as the table counts them.  A larger r
+      leaves fewer, so once r fails the level is done.
+
+    So a leaf whose counts are full verifies.
     """
     area = len(cover)
-    full = (1 << (k * area)) - 1
+    full = (1 << (k * width)) - 1
+    # the domination columns of every layer
+    vertices = sum(((1 << area) - 1) << t * width for t in range(k))
     dom = 0
     picks: list[int] = []
     saved: list[int] = []  # dom before each pick
@@ -563,7 +548,7 @@ def _dominating_subsets(
             if dom == full:
                 yield picks
             last = -1
-        elif k * area - dom.bit_count() > left * deg:
+        elif k * area - (dom & vertices).bit_count() > left * deg:
             last = -1
         # the next viable pick, backing up a level when there is none; the
         # walk ends where it would back up past the first pick, residue 0
@@ -575,7 +560,7 @@ def _dominating_subsets(
         picks.append(r)
         saved.append(dom)
         c = cover[r]
-        dom = (dom | c | (dom & c) << area) & full
+        dom = (dom | c | (dom & c) << width) & full
         r += 1
 
 

@@ -2,24 +2,23 @@
 
 Every verifier here but the locating-dominating one is one check,
 ``_first_failure(inc, pairs, s, fold)``, where ``inc[v]`` is the mask of
-detectors that see vertex v; its vertex scan ``_first_short`` also checks
-lattice patterns in :mod:`grids`, whose verdict is the same
-:class:`VerificationReport`.  Each vertex needs ``fold`` detectors in S,
-and each listed pair needs ``fold`` in (inc[u] △ inc[v]) ∩ S, those that
-see exactly one of the two.  Only pairs
-whose masks share a detector in S are listed: for any other pair
-(inc[u] △ inc[v]) ∩ S is the disjoint union of inc[u] ∩ S and inc[v] ∩ S,
-with at least 2·fold detectors once both vertices have fold.  Pairs are
-drawn only after every vertex passes, so leaving the others out changes
-no witness.
+detectors that see vertex v; :func:`grids.verify_pattern` gives its
+verdict on lattice patterns as the same :class:`VerificationReport`.
+Each vertex needs ``fold`` detectors in S, and each listed pair needs
+``fold`` in (inc[u] △ inc[v]) ∩ S, those that see exactly one of the
+two.  Only pairs whose masks share a detector in S are listed: for any
+other pair (inc[u] △ inc[v]) ∩ S is the disjoint union of inc[u] ∩ S and
+inc[v] ∩ S, with at least 2·fold detectors once both vertices have fold.
+Pairs are drawn only after every vertex passes, so leaving the others out
+changes no witness.
 
-At fold 1 and 2 an accept comes first: one pass puts every code
-inc[v] ∩ S in a set, and when no two are equal (and, at fold 2, no code
-is another less one detector) no pair at all can fail, so the check holds
-without drawing a pair.  At fold 2 only codes of three or more detectors
-are probed less one: every code has two.  Otherwise, and at fold 3 and
-up, the pair walk runs as before; it is the only source of pair
-witnesses.
+At fold 1 and 2 an accept comes first: the pass that counts every code
+inc[v] ∩ S also puts it in a set, and when no two are equal (and, at fold
+2, no code is another less one detector) no pair at all can fail, so the
+check holds without drawing a pair.  At fold 2 only codes of three or
+more detectors are probed less one: every code has two.  Otherwise, and
+at fold 3 and up, the pair walk runs as before; it is the only source of
+pair witnesses.
 
 * OLD sets (fold 1) and RED:OLD sets (fold 2, still correct after losing
   any single detector): inc[v] = N(v), over the graph's meeting pairs.
@@ -108,15 +107,6 @@ def _check_fold_and_set(g: Graph, s: int, fold: int) -> None:
     _check_set(g, s)
 
 
-def _first_short(masks: Iterable[int], s: int, k: int) -> tuple[int, int] | None:
-    """(index, count) of the first mask with fewer than k members in s, else None."""
-    for i, mask in enumerate(masks):
-        c = (mask & s).bit_count()
-        if c < k:
-            return i, c
-    return None
-
-
 def _first_failure(
     inc: Sequence[int], pairs: Iterable[tuple[int, int]], s: int, fold: int
 ) -> VerificationReport:
@@ -125,8 +115,9 @@ def _first_failure(
     ``fold`` in ``(inc[u] ^ inc[v]) & s``, else a holding report.  The
     pairs are drawn only once every vertex passes, and not at all when
     :func:`_codes_apart` accepts: then no pair of vertices can fail."""
-    rep = _dominated(inc, s, fold)
-    if not rep.holds or (fold <= 2 and _codes_apart(inc, s, fold)):
+    keys: set[int] | None = set() if fold <= 2 else None
+    rep = _dominated(inc, s, fold, keys)
+    if not rep.holds or (keys is not None and _codes_apart(keys, len(inc), s, fold)):
         return rep
     for u, v in pairs:
         c = ((inc[u] ^ inc[v]) & s).bit_count()
@@ -135,23 +126,33 @@ def _first_failure(
     return _OK
 
 
-def _dominated(inc: Sequence[int], s: int, fold: int) -> VerificationReport:
+def _dominated(
+    inc: Sequence[int], s: int, fold: int, keys: set[int] | None = None
+) -> VerificationReport:
     """The first vertex v with fewer than ``fold`` detectors of ``inc[v]``
-    in ``s`` as a failing report, else a holding one."""
-    short = _first_short(inc, s, fold)
-    if short is not None:
-        return VerificationReport(False, vertex=short[0], count=short[1])
+    in ``s`` as a failing report, else a holding one.  Given a set
+    ``keys``, the same pass adds each code's key to it (see
+    :func:`_codes_apart`), so every code inc[v] & s is built once."""
+    width = s.bit_length().bit_length()
+    for v, m in enumerate(inc):
+        c = m & s
+        count = c.bit_count()
+        if count < fold:
+            return VerificationReport(False, vertex=v, count=count)
+        if keys is not None:
+            t = (c & -c).bit_length() - 1
+            keys.add((c >> t) << width | t)
     return _OK
 
 
-def _codes_apart(inc: Sequence[int], s: int, fold: int) -> bool:
-    """Do all codes inc[v] & s differ from each other in at least ``fold``
-    detectors?  Exact for fold 1 and 2, where a pair fails only when its
-    codes are equal or one is the other less one detector.  Every code has
-    ``fold`` detectors, since domination passed; so at fold 2 a code of two
-    is never the other less one, and only codes of three or more are
-    probed less each detector, which still finds the pair (c, c less b)
-    from c's side.
+def _codes_apart(keys: set[int], n: int, s: int, fold: int) -> bool:
+    """Do the n codes inc[v] & s keyed in ``keys`` by :func:`_dominated`
+    all differ from each other in at least ``fold`` detectors?  Exact for
+    fold 1 and 2, where a pair fails only when its codes are equal or one
+    is the other less one detector.  Every code has ``fold`` detectors,
+    since domination passed; so at fold 2 a code of two is never the other
+    less one, and only codes of three or more are probed less each
+    detector, which still finds the pair (c, c less b) from c's side.
 
     Each code c is kept in one set, exactly, as the int (c >> t) << width
     | t, with t its lowest set bit and width the bits that any t < the bit
@@ -162,16 +163,11 @@ def _codes_apart(inc: Sequence[int], s: int, fold: int) -> bool:
     hash mod 2**61 - 1); t in the low bits keeps those apart.  Codes are
     not empty: domination passed.
     """
-    width = s.bit_length().bit_length()
-    low = (1 << width) - 1
-    keys = set()
-    for m in inc:
-        c = m & s
-        t = (c & -c).bit_length() - 1
-        keys.add((c >> t) << width | t)
-    if len(keys) < len(inc):
+    if len(keys) < n:
         return False
     if fold == 2:
+        width = s.bit_length().bit_length()
+        low = (1 << width) - 1
         for key in keys:
             code, t = key >> width, key & low
             if code.bit_count() < 3:
@@ -229,7 +225,8 @@ def is_locating_dominating(g: Graph, s: int) -> bool:
     """
     _check_set(g, s)
     outside = [a for v, a in enumerate(g.adj) if not s >> v & 1]
-    return _first_short(outside, s, 1) is None and _codes_apart(outside, s, 1)
+    keys: set[int] = set()
+    return _dominated(outside, s, 1, keys).holds and _codes_apart(keys, len(outside), s, 1)
 
 
 def is_identifying_code(g: Graph, s: int) -> bool:

@@ -1,6 +1,7 @@
 """Lattices, periodic patterns, the infinite-grid local check, tori, and
 pattern search."""
 
+import collections
 import itertools
 import json
 import random
@@ -298,7 +299,7 @@ def test_restrict_pattern_refuses_a_torus_above_the_limit():
 
 @pytest.mark.parametrize("width, height", [(6.0, 10), (True, 10), (10, 10.0), ("10", 10)])
 def test_restrict_pattern_needs_int_dimensions(width, height):
-    # a float reached _tile's range(), and True was reported as too small
+    # a float reached the tiling's range(), and True was reported as too small
     with pytest.raises(InputError, match="must be integers"):
         restrict_pattern_to_torus(builtin_pattern("sq-old"), width, height)
 
@@ -555,8 +556,8 @@ def test_verify_pattern_matches_reference_on_every_small_period():
     (Lattice.HEX, (2, 2)), (Lattice.HEX, (2, 4)),
     (Lattice.TRI, (3, 2)), (Lattice.TRI, (1, 7)),
     (Lattice.KING, (3, 1)), (Lattice.KING, (2, 3)),
-    # the domination and separation tables lift these periods to different
-    # tori, and the domination torus differs from the period on one axis
+    # sides of 1 to 4, where one residue holds several members of some
+    # separation constraint N(u) △ N(v)
     (Lattice.KING, (4, 2)), (Lattice.TRI, (1, 4)), (Lattice.HEX, (4, 2)),
     (Lattice.SQ, (2, 4)),
 ])
@@ -566,15 +567,6 @@ def test_verify_pattern_matches_reference_exhaustively(lattice, period):
     for size in range(len(domain) + 1):
         for cells in itertools.combinations(domain, size):
             _assert_matches_reference(PeriodicPattern(lattice, period, frozenset(cells)))
-
-
-def test_domination_failure_builds_no_separation_table():
-    pattern = PeriodicPattern(Lattice.SQ, (13, 11), frozenset())
-    info = grids._separation_table.cache_info
-    before = info().hits + info().misses
-    rep = verify_pattern(pattern, Kind.OLD)
-    assert rep.vertex == (0, 0) and rep.count == 0
-    assert info().hits + info().misses == before  # the table was not even asked for
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +650,14 @@ def test_first_verifying_subset_holds_residue_zero():
                 area = px * py
                 if area > 12:
                     continue
-                cover = grids._cover(lattice, px, py, kind.fold)
-                avail = grids._avail(cover, kind.fold)
+                cover, codes = grids._cover(lattice, px, py, kind.fold)
+                width = area + len(codes)
+                avail = grids._avail(cover, width, kind.fold)
                 for count in range(1, area + 1):
                     first = _first_verifying(
                         itertools.combinations(range(area), count), lattice, (px, py), kind)
-                    walk = _first_verifying(
-                        grids._dominating_subsets(cover, avail, kind.fold, deg, count),
-                        lattice, (px, py), kind)
+                    walk = grids._verifying_subsets(cover, avail, width, kind.fold, deg, count)
+                    walk = next((list(picks) for picks in walk), None)
                     assert walk == first, (lattice, kind, (px, py), count)
                     if first is not None:
                         assert first[0] == 0
@@ -673,72 +665,144 @@ def test_first_verifying_subset_holds_residue_zero():
     assert found > 300, found
 
 
+def test_walk_yields_exactly_the_verifying_subsets_holding_zero():
+    # the prunes are exact and the leaf test is the whole check, so the
+    # walk yields each subset holding residue 0 that verifies, in order
+    yielded = 0
+    for lattice in Lattice:
+        deg = lattice_degree(lattice)
+        for kind in Kind:
+            for px, py in _lattice_periods(lattice, 8):
+                area = px * py
+                if area > 8:
+                    continue
+                cover, codes = grids._cover(lattice, px, py, kind.fold)
+                width = area + len(codes)
+                avail = grids._avail(cover, width, kind.fold)
+                for count in range(1, area + 1):
+                    walk = [tuple(picks) for picks in grids._verifying_subsets(
+                        cover, avail, width, kind.fold, deg, count)]
+                    subsets = [picks for picks in itertools.combinations(range(area), count)
+                               if picks[0] == 0 and verify_pattern(PeriodicPattern(
+                                   lattice, (px, py), frozenset(divmod(r, py) for r in picks)),
+                                   kind).holds]
+                    assert walk == subsets, (lattice, kind, (px, py), count)
+                    yielded += len(walk)
+    assert yielded > 1000, yielded
+
+
+def _reference_constraints(lattice, px, py):
+    """Every constraint of the period as (vertex or pair, members): N(u)
+    for u in domain order, then N(u) △ N(v) for u in domain order and v
+    meeting u in sorted order, each translation class of pairs {u, v}
+    kept at its first pair in that order."""
+    domain = [(x, y) for x in range(px) for y in range(py)]
+    constraints = [(u, set(neighbors(lattice, *u))) for u in domain]
+    classes = set()
+    for u in domain:
+        for v in _reference_ball2(lattice, *u):
+            if not set(neighbors(lattice, *u)) & set(neighbors(lattice, *v)):
+                continue
+            d = (v[0] - u[0], v[1] - u[1])
+            ends = ((u[0] % px, u[1] % py, d), (v[0] % px, v[1] % py, (-d[0], -d[1])))
+            if frozenset(ends) not in classes:
+                classes.add(frozenset(ends))
+                constraints.append(((u, v), set(neighbors(lattice, *u)) ^ set(neighbors(lattice, *v))))
+    return constraints
+
+
 def test_cover_and_avail_match_neighbour_counts():
-    # bit t * area + i of cover[r] is set when residue r holds more than t
-    # neighbours of domain vertex i, and of avail[r] when the residues r,
-    # r + 1, ... hold at least k - t; thin periods put several neighbours
-    # of one vertex in one residue
+    # bit t * width + c of cover[r] is set when residue r holds more than t
+    # members of constraint c, and of avail[r] when the residues r, r + 1,
+    # ... hold at least k - t; constraints are the domain vertices'
+    # neighbourhoods, then the first pair of each class of meeting pairs,
+    # whose codes decode to them.  Thin periods put several members of one
+    # constraint in one residue
     checked = 0
     for lattice in Lattice:
+        meeting = grids._meeting(lattice)
         step = 2 if lattice is Lattice.HEX else 1
         for px in range(step, 17, step):
             for py in range(step, 16 // px + 1, step):
                 area = px * py
+                constraints = _reference_constraints(lattice, px, py)
                 for k in (1, 2):
-                    cover = grids._cover(lattice, px, py, k)
-                    avail = grids._avail(cover, k)
+                    cover, codes = grids._cover(lattice, px, py, k)
+                    width = area + len(codes)
+                    avail = grids._avail(cover, width, k)
+                    assert width == len(constraints)
                     assert len(cover) == len(avail) == area
-                    assert all(m >> (k * area) == 0 for m in cover + tuple(avail))
-                    for i in range(area):
-                        x, y = divmod(i, py)
-                        near = [nx % px * py + ny % py for nx, ny in neighbors(lattice, x, y)]
-                        for r in range(area):
-                            held, suffix = near.count(r), sum(s >= r for s in near)
+                    assert all(m >> (k * width) == 0 for m in cover + tuple(avail))
+                    for c, code in enumerate(codes, area):
+                        i, j = divmod(code, len(meeting))
+                        (x, y), (dx, dy) = divmod(i, py), meeting[j]
+                        assert constraints[c][0] == ((x, y), (x + dx, y + dy))
+                    for c, (_, members) in enumerate(constraints):
+                        held = collections.Counter(x % px * py + y % py for x, y in members)
+                        suffix = 0
+                        for r in reversed(range(area)):
+                            suffix += held[r]
                             for t in range(k):
-                                assert (cover[r] >> (t * area + i) & 1) == (held > t)
-                                assert (avail[r] >> (t * area + i) & 1) == (suffix >= k - t)
+                                assert (cover[r] >> (t * width + c) & 1) == (held[r] > t)
+                                assert (avail[r] >> (t * width + c) & 1) == (suffix >= k - t)
                     checked += 1
     assert checked == 2 * (3 * 50 + 8)
 
 
+@pytest.mark.parametrize("lattice", list(Lattice), ids=lambda lattice: lattice.value)
+def test_meeting_offsets_are_the_same_at_both_parities(lattice):
+    # the pair codes read one tuple of meeting offsets per lattice; on HEX
+    # the vertices of odd x + y have their own neighbourhoods, and the
+    # offsets of the vertices meeting them are still the same
+    offsets = []
+    for u in ((0, 0), (1, 0)):
+        near = neighbors(lattice, *u)
+        meeting = {w for a in near for w in neighbors(lattice, *a)} - {u}
+        offsets.append(sorted((x - u[0], y - u[1]) for x, y in meeting))
+    assert offsets[0] == offsets[1] == list(grids._meeting(lattice))
+    assert len(offsets[0]) == {Lattice.SQ: 8, Lattice.HEX: 6, Lattice.TRI: 18,
+                               Lattice.KING: 24}[lattice]
+
+
 def test_repeat_search_builds_no_table():
-    # the tables a search reads depend only on the lattice, the period and
+    # the table a search reads depends only on the lattice, the period and
     # the fold, so an identical second search finds every one cached
     args = (Lattice.TRI, Kind.RED_OLD, (4, 5), Fraction(1, 3))
     assert search_patterns(*args) is None
-    cover, separation = grids._cover.cache_info(), grids._separation_table.cache_info()
+    cover = grids._cover.cache_info()
     assert search_patterns(*args) is None
     assert grids._cover.cache_info().misses == cover.misses
     assert grids._cover.cache_info().hits > cover.hits
-    assert grids._separation_table.cache_info().misses == separation.misses
-    assert grids._separation_table.cache_info().hits > separation.hits
 
 
 # The six searches the benchmark expects to come back empty, each with a
-# ceiling on the subsets that reach the separation check.  Walking from
-# every first residue, not residue 0 alone, sent 328, 0, 0, 211, 48 and 104.
+# ceiling on the residues the walk picks.  Pruning on the domination
+# columns alone, with the separation check at the leaves, took 872, 0,
+# 609, 498, 367 and 133 picks.
 EMPTY_SEARCH_CEILINGS = (
-    (Lattice.SQ, Kind.OLD, (4, 4), Fraction(1, 3), 104),
+    (Lattice.SQ, Kind.OLD, (4, 4), Fraction(1, 3), 704),
     (Lattice.SQ, Kind.RED_OLD, (4, 4), Fraction(2, 5), 0),
-    (Lattice.HEX, Kind.OLD, (4, 4), Fraction(2, 5), 0),
-    (Lattice.TRI, Kind.OLD, (4, 4), Fraction(3, 10), 52),
-    (Lattice.TRI, Kind.RED_OLD, (4, 5), Fraction(1, 3), 16),
-    (Lattice.KING, Kind.OLD, (4, 4), Fraction(1, 5), 18),
+    (Lattice.HEX, Kind.OLD, (4, 4), Fraction(2, 5), 544),
+    (Lattice.TRI, Kind.OLD, (4, 4), Fraction(3, 10), 439),
+    (Lattice.TRI, Kind.RED_OLD, (4, 5), Fraction(1, 3), 277),
+    (Lattice.KING, Kind.OLD, (4, 4), Fraction(1, 5), 95),
 )
 
 
 @pytest.mark.parametrize("lattice, kind, max_period, target, ceiling", EMPTY_SEARCH_CEILINGS,
                          ids=lambda value: getattr(value, "value", str(value)))
-def test_empty_search_separation_checks_stay_under_ceiling(
+def test_empty_search_walk_picks_stay_under_ceiling(
         monkeypatch, lattice, kind, max_period, target, ceiling):
-    checks = 0
-    first_short = grids._first_short
+    # the walk reads cover[r] once for each residue r it picks
+    picks = 0
+    walk = grids._verifying_subsets
 
-    def counted(*args):
-        nonlocal checks
-        checks += 1
-        return first_short(*args)
+    class Counted(tuple):
+        def __getitem__(self, r):
+            nonlocal picks
+            picks += 1
+            return tuple.__getitem__(self, r)
 
-    monkeypatch.setattr(grids, "_first_short", counted)
+    monkeypatch.setattr(grids, "_verifying_subsets", lambda cover, *args: walk(Counted(cover), *args))
     assert search_patterns(lattice, kind, max_period, target) is None
-    assert checks <= ceiling
+    assert picks <= ceiling

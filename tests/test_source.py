@@ -65,6 +65,22 @@ def test_no_function_calls_itself():
     assert recursive == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a _-prefixed name is its module's own; another module that needs it
+    # shares work that belongs behind a public function or in one place
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        private += [
+            f"{path.name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "oldsets")
+            for alias in node.names if alias.name.startswith("_")
+        ]
+    assert private == []
+
+
 def test_every_exported_name_exists():
     # a name removed from a module must leave its __all__ too
     modules = [

@@ -392,8 +392,8 @@ def test_collision_accept_matches_the_definitions(monkeypatch):
     accepts = collections.Counter()
     codes_apart = verify._codes_apart
 
-    def counted(inc, s, fold):
-        apart = codes_apart(inc, s, fold)
+    def counted(keys, n, s, fold):
+        apart = codes_apart(keys, n, s, fold)
         accepts[fold, apart] += 1
         return apart
 
@@ -468,8 +468,8 @@ def test_fold_two_accept_finds_a_subcode_from_the_larger_code(monkeypatch):
     rejects = collections.Counter()
     codes_apart = verify._codes_apart
 
-    def counted(inc, s, fold):
-        apart = codes_apart(inc, s, fold)
+    def counted(keys, n, s, fold):
+        apart = codes_apart(keys, n, s, fold)
         rejects[fold] += not apart
         return apart
 
