@@ -71,6 +71,13 @@ class Graph:
         if type(v) is not int or not 0 <= v < self.n:
             raise InputError(f"vertex {v!r} out of range 0..{self.n - 1}")
 
+    def check_set(self, s: int) -> None:
+        # type(s) is int rejects bool and float: True would stand for {0}
+        if type(s) is not int:
+            raise InputError(f"vertex set must be an int bitmask, got {s!r}")
+        if s < 0 or s & ~self.all_mask():
+            raise InputError(f"vertex set {s:#x} has members outside 0..{self.n - 1}")
+
     def open_neighborhood(self, v: int) -> int:
         """N(v) as a bitmask; never contains v."""
         self.check_vertex(v)
@@ -94,22 +101,11 @@ class Graph:
         adj = self.adj
         return [(u, v) for u in range(self.n) for v in vertices_of(adj[u] >> (u + 1) << (u + 1))]
 
-    def meeting_pairs(self, through: int = -1) -> Iterator[tuple[int, int]]:
-        """Pairs u < v with N(u) ∩ N(v) ∩ through ≠ ∅: :func:`meeting_pairs`
-        of the open neighborhoods.
-
-        Only these pairs, with ``through`` the detector set S, need a
-        separation check: for any other pair (N(u) △ N(v)) ∩ S is the
-        disjoint union of N(u) ∩ S and N(v) ∩ S, so it has as many
-        separators as u and v have dominators together.
-        """
-        return meeting_pairs(self.adj, through)
-
     @cached_property
     def constraint_masks(self) -> tuple[int, ...]:
         """The masks a detector set must hit k times: N(v) for every v in
         index order, then N(u) △ N(v) for every meeting pair in
-        :meth:`meeting_pairs` order.  Built once per graph."""
+        :func:`meeting_pairs` order.  Built once per graph."""
         return self.adj + tuple(self.adj[u] ^ self.adj[v] for u, v in meeting_pairs(self.adj))
 
     def num_edges(self) -> int:

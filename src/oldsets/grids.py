@@ -43,7 +43,7 @@ from functools import lru_cache
 
 from .errors import InputError, decode_json
 from .graph import MAX_VERTICES, Graph, vertices_of
-from .verify import Kind, VerificationReport
+from .verify import Kind, VerificationReport, check_kind
 
 __all__ = [
     "Lattice",
@@ -71,25 +71,25 @@ class Lattice(enum.Enum):
     KING = "king"
 
 
-_FIXED_OFFSETS: dict[Lattice, tuple[Coord, ...]] = {
-    Lattice.SQ: ((1, 0), (-1, 0), (0, 1), (0, -1)),
-    Lattice.TRI: ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)),
-    Lattice.KING: ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)),
+# The lattice geometry, stated once: the neighbour offsets of (x, y), first
+# when x + y is even, then when it is odd.  Only HEX's two differ.
+_OFFSETS: dict[Lattice, tuple[tuple[Coord, ...], tuple[Coord, ...]]] = {
+    Lattice.SQ: (((1, 0), (-1, 0), (0, 1), (0, -1)),) * 2,
+    Lattice.HEX: (((1, 0), (-1, 0), (0, 1)), ((1, 0), (-1, 0), (0, -1))),
+    Lattice.TRI: (((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)),) * 2,
+    Lattice.KING: (((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)),) * 2,
 }
 
 
 def neighbors(lattice: Lattice, x: int, y: int) -> tuple[Coord, ...]:
     """Open neighborhood of (x, y) as absolute coordinates."""
     _check_lattice(lattice)
-    if lattice is Lattice.HEX:
-        vertical = (x, y + 1) if (x + y) % 2 == 0 else (x, y - 1)
-        return ((x + 1, y), (x - 1, y), vertical)
-    return tuple((x + dx, y + dy) for dx, dy in _FIXED_OFFSETS[lattice])
+    return tuple((x + dx, y + dy) for dx, dy in _OFFSETS[lattice][(x + y) % 2])
 
 
 def lattice_degree(lattice: Lattice) -> int:
     _check_lattice(lattice)
-    return 3 if lattice is Lattice.HEX else len(_FIXED_OFFSETS[lattice])
+    return len(_OFFSETS[lattice][0])
 
 
 def _check_lattice(lattice) -> None:
@@ -183,10 +183,11 @@ def _shapes(lattice: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """For u of each x + y parity, the members of N(u) and then of N(u) △
     N(u + d) for each d of :func:`_meeting`, each member (u[0] + dx, u[1] +
     dy) as its index 7 * (dx + 3) + dy + 3 in the 7 x 7 box around u."""
+    offsets = _OFFSETS[lattice]
     shapes = []
     for p in (0, 1):
-        near = {(nx - p, ny) for nx, ny in neighbors(lattice, p, 0)}
-        members = [near] + [near ^ {(nx - p, ny) for nx, ny in neighbors(lattice, p + dx, dy)}
+        near = set(offsets[p])
+        members = [near] + [near ^ {(dx + ox, dy + oy) for ox, oy in offsets[(p + dx + dy) % 2]}
                             for dx, dy in _meeting(lattice)]
         shapes.append(tuple(tuple(sorted(7 * (dx + 3) + dy + 3 for dx, dy in m)) for m in members))
     return tuple(shapes)
@@ -282,6 +283,7 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> VerificationReport:
     first failing pair (u in domain order, then v sorted), decoded from
     the column's code, u and its j-th meeting vertex.
     """
+    check_kind(kind)
     lattice, (px, py), k = pattern.lattice, pattern.period, kind.fold
     cover, codes = _cover(lattice, px, py, k)
     area = px * py
@@ -308,14 +310,15 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> VerificationReport:
 def _torus_adj(lattice: Lattice, w: int, h: int) -> tuple[int, ...]:
     """Adjacency masks of the w x h torus, vertex (x, y) at index y * w + x.
 
-    Rows 0 and 1 are built from the lattice's neighbour offsets (one set
-    per x + y parity; only HEX has two) wrapped mod the dimensions.  Every
-    later row y is row y % 2 moved down y - y % 2 rows: its masks are those
-    of row y % 2 rotated by (y - y % 2) * w bits mod w * h, an even number
-    of rows, so each vertex keeps its parity.  Each is built as the mask two
-    rows up rotated by 2w bits, a plain shift unless bits pass the last row.
+    Rows 0 and 1 are built from the lattice's offset table
+    :data:`_OFFSETS`, one set per x + y parity, wrapped mod the dimensions.
+    Every later row y is row y % 2 moved down y - y % 2 rows: its masks are
+    those of row y % 2 rotated by (y - y % 2) * w bits mod w * h, an even
+    number of rows, so each vertex keeps its parity.  Each is built as the
+    mask two rows up rotated by 2w bits, a plain shift unless bits pass the
+    last row.
     """
-    offsets = [tuple((nx - p, ny) for nx, ny in neighbors(lattice, p, 0)) for p in (0, 1)]
+    offsets = _OFFSETS[lattice]
     adj = []
     for y in range(min(h, 2)):
         for x in range(w):
@@ -348,15 +351,6 @@ def _check_torus(lattice: Lattice, width: int, height: int) -> None:
         raise InputError("HEX tori need even dimensions")
 
 
-@lru_cache(maxsize=None)
-def _ball_size(lattice: Lattice) -> int:
-    """The number of lattice vertices within distance 2 of a vertex, the
-    vertex included; the same for both HEX parities, which mirror each
-    other."""
-    near = {(0, 0), *neighbors(lattice, 0, 0)}
-    return len(near.union(*(neighbors(lattice, *a) for a in near)))
-
-
 def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
     """Finite wrap-around version of the lattice on width x height vertices.
 
@@ -367,24 +361,24 @@ def build_torus(lattice: Lattice, width: int, height: int) -> Graph:
     ints and a torus above MAX_VERTICES = 2**15 vertices, before its masks
     are built.
 
-    As a check on that guard, AssertionError unless the torus is regular
-    and keeps the balls of radius 2 around (0, 0) and (1, 0) apart.
-    Regularity is read off rows 0 and 1 alone: every later row is a
-    rotation of one of them.  The two balls, one per HEX parity, are
-    carried to every vertex's by the translations on SQ, TRI and KING and
-    the even ones on HEX; they catch the HEX tori of height 1 (a vertex its
-    own neighbour) and 2 that regularity lets through.
+    As a check on that guard, AssertionError unless the balls of radius 2
+    around (0, 0) and (1, 0) keep all their vertices apart.  Such a ball
+    is {u} ∪ N(u) ∪ the meeting vertices of u (:func:`_meeting`), and the
+    torus's ball is its image under the wrap, so it shrinks whenever two of
+    its lattice vertices wrap onto one: in particular when two neighbour
+    offsets do, as on a torus that is not regular, or when a vertex is its
+    own neighbour.  The two balls, one per HEX parity, are carried to every
+    vertex's by the translations on SQ, TRI and KING and the even ones on
+    HEX.
     """
     _check_torus(lattice, width, height)
     adj = _torus_adj(lattice, width, height)
-    deg = lattice_degree(lattice)
-    if any(a.bit_count() != deg for a in adj[:2 * width]):
-        raise AssertionError("torus is not regular; dimension guard is wrong")
+    size = len({(0, 0), *neighbors(lattice, 0, 0), *_meeting(lattice)})
     for i, a in enumerate(adj[:2]):
         ball = a | 1 << i
         for j in vertices_of(a):
             ball |= adj[j]
-        if ball.bit_count() != _ball_size(lattice):
+        if ball.bit_count() != size:
             raise AssertionError("torus wrap folds a ball of radius 2; dimension guard is wrong")
     columns = [f"{x}," for x in range(width)]
     labels = tuple(x + y for y in map(str, range(height)) for x in columns)
@@ -462,8 +456,7 @@ def search_patterns(
     float could floor the cell count wrongly: 0.29 * 100 == 28.999...).
     """
     _check_lattice(lattice)
-    if not isinstance(kind, Kind):
-        raise InputError(f"kind must be a Kind, got {kind!r}")
+    check_kind(kind)
     mx, my = _period(max_period, "max_period")
     target = target_density
     if (type(target) is not int and not isinstance(target, Fraction)) or target <= 0:

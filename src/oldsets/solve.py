@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InputError
 from .graph import Graph, mask_of, vertices_of
-from .verify import Kind, verify_kind, verify_set
+from .verify import Kind, check_kind, verify_kind, verify_set
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -103,6 +103,9 @@ def propagate(g: Graph, kind: Kind, forced_in: int = 0, forced_out: int = 0) -> 
     """Close rules R1/R2 to a fixpoint: the closed forced_in, or None on a
     conflict (R3).  The rules read only forced_out, which never grows here,
     so one pass over the constraints does."""
+    check_kind(kind)
+    g.check_set(forced_in)
+    g.check_set(forced_out)
     if forced_in & forced_out:
         return None
     k = kind.fold
@@ -245,8 +248,11 @@ def min_set(
     """Minimum OLD / RED:OLD set, optionally with every optimum enumerated.
 
     ``forced_out`` pre-excludes vertices: the optima are those of the sets
-    that avoid it.  Infeasible instances yield a result, not an exception;
-    only an exhausted node budget raises.
+    that avoid it.  Infeasible instances yield a result, not an exception.
+    Only an exhausted node budget raises :class:`BudgetExceededError`, and
+    only bad input :class:`InputError`: a ``kind`` that is not a Kind or a
+    ``forced_out`` that is not a vertex set of ``g`` (the root
+    ``propagate`` checks both), or a ``budget`` that is not an int >= 0.
 
     The verdict comes from the root ``propagate``: it conflicts exactly when
     some constraint keeps fewer than k vertices outside ``forced_out``, that
@@ -254,8 +260,10 @@ def min_set(
     certifies each infeasible verdict, so a feasible solve walks the meeting
     pairs once.
     """
-    top = g.all_mask() & ~forced_out
+    if type(budget) is not int or budget < 0:
+        raise InputError(f"budget must be an int >= 0, got {budget!r}")
     fin = propagate(g, kind, 0, forced_out)
+    top = g.all_mask() & ~forced_out
     if fin is None:
         if verify_kind(g, top, kind).holds:
             raise AssertionError("propagation conflict on a feasible instance")
@@ -275,6 +283,7 @@ def min_set_bruteforce(g: Graph, kind: Kind, enumerate_all: bool = False) -> Sol
     """
     if g.n > _BRUTEFORCE_MAX_N:
         raise InputError(f"brute force is limited to n <= {_BRUTEFORCE_MAX_N}, got {g.n}")
+    check_kind(kind)
     fold = kind.fold
     if not verify_set(g, g.all_mask(), fold).holds:
         return SolveResult(None, None, None)

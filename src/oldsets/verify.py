@@ -43,6 +43,7 @@ from .graph import Graph, meeting_pairs
 
 __all__ = [
     "Kind",
+    "check_kind",
     "VerificationReport",
     "is_open_dominating",
     "verify_set",
@@ -64,6 +65,13 @@ class Kind(enum.Enum):
     def fold(self) -> int:
         """Required domination and separation multiplicity (1 or 2)."""
         return 1 if self is Kind.OLD else 2
+
+
+def check_kind(kind: Kind) -> None:
+    """InputError unless ``kind`` is a :class:`Kind`; a string such as
+    "old" is not one."""
+    if not isinstance(kind, Kind):
+        raise InputError(f"kind must be a Kind, got {kind!r}")
 
 
 Vertex = int | tuple[int, int]
@@ -92,19 +100,11 @@ class VerificationReport:
 _OK = VerificationReport(True)
 
 
-def _check_set(g: Graph, s: int) -> None:
-    # type(...) is int rejects bool and float: True would stand for {0}
-    if type(s) is not int:
-        raise InputError(f"vertex set must be an int bitmask, got {s!r}")
-    if s < 0 or s & ~g.all_mask():
-        raise InputError(f"vertex set {s:#x} has members outside 0..{g.n - 1}")
-
-
 def _check_fold_and_set(g: Graph, s: int, fold: int) -> None:
     # type(...) is int rejects bool and float: a fold of 1.5 would act as 2
     if type(fold) is not int or fold < 1:
         raise InputError(f"fold must be an int >= 1, got {fold!r}")
-    _check_set(g, s)
+    g.check_set(s)
 
 
 def _first_failure(
@@ -202,7 +202,7 @@ def verify_set(g: Graph, s: int, fold: int) -> VerificationReport:
     can fail, so only they are walked.
     """
     _check_fold_and_set(g, s, fold)
-    return _first_failure(g.adj, g.meeting_pairs(s), s, fold)
+    return _first_failure(g.adj, meeting_pairs(g.adj, s), s, fold)
 
 
 def is_old(g: Graph, s: int) -> VerificationReport:
@@ -214,6 +214,7 @@ def is_red_old(g: Graph, s: int) -> VerificationReport:
 
 
 def verify_kind(g: Graph, s: int, kind: Kind) -> VerificationReport:
+    check_kind(kind)
     return verify_set(g, s, kind.fold)
 
 
@@ -223,7 +224,7 @@ def is_locating_dominating(g: Graph, s: int) -> bool:
     Checked on the codes N(v) ∩ S of the vertices v outside S alone, as
     the module docstring explains: none empty, no two equal.
     """
-    _check_set(g, s)
+    g.check_set(s)
     outside = [a for v, a in enumerate(g.adj) if not s >> v & 1]
     keys: set[int] = set()
     return _dominated(outside, s, 1, keys).holds and _codes_apart(keys, len(outside), s, 1)
@@ -231,6 +232,6 @@ def is_locating_dominating(g: Graph, s: int) -> bool:
 
 def is_identifying_code(g: Graph, s: int) -> bool:
     """Collection {N[w] : w in S} must be distinguishing."""
-    _check_set(g, s)
+    g.check_set(s)
     closed = tuple(a | 1 << v for v, a in enumerate(g.adj))
     return _first_failure(closed, meeting_pairs(closed, s), s, 1).holds

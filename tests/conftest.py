@@ -7,6 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from oldsets.graph import Graph, build_graph, mask_of
+from oldsets.sat_reduction import CnfInstance
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -37,6 +38,12 @@ def sparse_set(rng: random.Random, n: int) -> int:
     enough that some meeting pairs share no member of it."""
     density = rng.uniform(0.2, 0.5)
     return mask_of(v for v in range(n) if rng.random() < density)
+
+
+def random_cnf(rng: random.Random, n: int, m: int) -> CnfInstance:
+    """m clauses of three literals drawn over n variables, repeats allowed."""
+    lits = [v for v in range(1, n + 1)] + [-v for v in range(1, n + 1)]
+    return CnfInstance(n, tuple(tuple(rng.choice(lits) for _ in range(3)) for _ in range(m)))
 
 
 @st.composite

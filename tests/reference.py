@@ -16,7 +16,6 @@ from oldsets.solve import DEFAULT_BUDGET, min_set
 from oldsets.verify import (
     Kind,
     VerificationReport,
-    _check_set,
     is_old,
     is_open_dominating,
     verify_kind,
@@ -26,7 +25,7 @@ from oldsets.verify import (
 def domination_count(g: Graph, s: int, v: int) -> int:
     """|N(v) ∩ S|."""
     g.check_vertex(v)
-    _check_set(g, s)
+    g.check_set(s)
     return (g.adj[v] & s).bit_count()
 
 
@@ -34,7 +33,7 @@ def distinguishing_count(g: Graph, s: int, u: int, v: int) -> int:
     """|(N(u) ∩ S) △ (N(v) ∩ S)|; symmetric in u and v."""
     g.check_vertex(u)
     g.check_vertex(v)
-    _check_set(g, s)
+    g.check_set(s)
     if u == v:
         raise InputError("distinguishing_count needs two distinct vertices")
     return ((g.adj[u] ^ g.adj[v]) & s).bit_count()

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from reference import torus_adj
-from oldsets import graph, grids
+from oldsets import grids, verify
 from oldsets.errors import InputError
 from oldsets.graph import MAX_VERTICES, build_graph, vertices_of
 from oldsets.grids import (
@@ -199,9 +199,9 @@ def test_build_torus_shapes():
 
 @pytest.mark.parametrize("lattice", list(Lattice), ids=lambda lattice: lattice.value)
 def test_torus_adj_rotation_matches_the_per_vertex_build(lattice):
-    # sides of 3 and 5 are the table lifts of a side-1 period; odd heights
-    # rotate an odd number of rows past the last one; every HEX row parity
-    # comes from rotating row 0 or row 1
+    # sides below 5 are refused by build_torus but built here all the same;
+    # odd heights rotate an odd number of rows past the last one; every HEX
+    # row parity comes from rotating row 0 or row 1
     for w, h in ((3, 3), (3, 5), (5, 3), (5, 5), (4, 3), (6, 5), (3, 6), (5, 7),
                  (6, 6), (8, 6), (6, 10), (10, 9), (7, 11), (12, 4), (13, 13)):
         assert grids._torus_adj(lattice, w, h) == torus_adj(lattice, w, h), (w, h)
@@ -209,14 +209,12 @@ def test_torus_adj_rotation_matches_the_per_vertex_build(lattice):
 
 @pytest.mark.parametrize("lattice", list(Lattice), ids=lambda lattice: lattice.value)
 def test_torus_check_refuses_sides_of_one_and_two(monkeypatch, lattice):
-    # with the dimension guard out of the way, the check on rows 0 and 1
-    # and on the balls around (0, 0) and (1, 0) still refuses every torus
-    # whose wrap folds the lattice; on HEX a height of 1 or 2 keeps the
-    # torus regular, and only the ball check catches it
+    # with the dimension guard out of the way, the check on the balls
+    # around (0, 0) and (1, 0) still refuses every torus whose wrap folds
+    # the lattice, the HEX tori of height 1 or 2 that stay regular included
     monkeypatch.setattr(grids, "_check_torus", lambda *args: None)
     for w, h in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 6), (2, 6), (6, 1), (6, 2), (1, 7), (7, 2)):
-        regular = lattice is Lattice.HEX and w > 2
-        with pytest.raises(AssertionError, match="ball" if regular else "not regular"):
+        with pytest.raises(AssertionError, match="ball"):
             build_torus(lattice, w, h)
     # the smallest tori the guard admits pass the check
     side = 6 if lattice is Lattice.HEX else 5
@@ -329,7 +327,7 @@ def test_holding_cross_check_draws_no_pair(monkeypatch):
         w, h = cross_check_dims(p)
         torus = build_torus(p.lattice, w, h)
         checks.append((torus, restrict_pattern_to_torus(p, w, h), builtin_pattern_kind(name).fold))
-    monkeypatch.setattr(graph, "meeting_pairs", no_pairs)
+    monkeypatch.setattr(verify, "meeting_pairs", no_pairs)
     for torus, s, fold in checks:
         assert verify_set(torus, s, fold).holds
         with pytest.raises(AssertionError, match="meeting pair was drawn"):

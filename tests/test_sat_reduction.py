@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import random_cnf
 from reference import all_clauses_over
 from oldsets import sat_reduction
 from oldsets.errors import InputError
@@ -175,12 +176,6 @@ def test_unsat_chain_across_variables():
     assert min_set(out.graph, Kind.RED_OLD).value > out.threshold
 
 
-def _random_cnf(rng, n, m):
-    # m clauses of three literals drawn over n variables, repeats allowed
-    lits = [v for v in range(1, n + 1)] + [-v for v in range(1, n + 1)]
-    return CnfInstance(n, tuple(tuple(rng.choice(lits) for _ in range(3)) for _ in range(m)))
-
-
 def test_root_bound_is_the_threshold():
     # the paper's counting argument, found by the solver's packing bound:
     # on top of the forced set, every variable gadget needs u or not-u, and
@@ -188,7 +183,7 @@ def test_root_bound_is_the_threshold():
     rng = random.Random(808)
     for n in range(3, 13):
         for _ in range(3):
-            out = build_reduction(_random_cnf(rng, n, rng.randint(1, 5 * n)))
+            out = build_reduction(random_cnf(rng, n, rng.randint(1, 5 * n)))
             g = out.graph
             fin = propagate(g, Kind.RED_OLD)
             assert _scan(g.n, 2, g.constraint_masks, fin, 0)[0] == out.threshold
@@ -197,7 +192,7 @@ def test_root_bound_is_the_threshold():
 def test_decide_within_node_budget():
     # N = 12, M = 40 (312 vertices): deciding this draw took 2,123 nodes
     # with the domination-only bound
-    cnf = _random_cnf(random.Random(0), 12, 40)
+    cnf = random_cnf(random.Random(0), 12, 40)
     out = build_reduction(cnf)
     assert decide_sat_via_redold(out, budget=1000) == satisfiable_bruteforce(cnf)[0]
 

@@ -19,6 +19,7 @@ from oldsets.graph import (
     path_graph,
     vertices_of,
 )
+from oldsets.grids import builtin_pattern, verify_pattern
 from oldsets.solve import (
     _can_precede,
     _scan,
@@ -46,6 +47,36 @@ def test_bruteforce_rejects_large_graphs():
     g = build_graph(21, [(i, i + 1) for i in range(20)])
     with pytest.raises(InputError):
         min_set_bruteforce(g, Kind.OLD)
+
+
+C5 = cycle_graph(5)
+
+
+@pytest.mark.parametrize("call, match", [
+    # a kind's string value is not a Kind (search_patterns has its own test)
+    (lambda: verify_pattern(builtin_pattern("sq-old"), "old"), "kind must be a Kind"),
+    (lambda: min_set(C5, "old"), "kind must be a Kind"),
+    (lambda: propagate(C5, "redold"), "kind must be a Kind"),
+    (lambda: verify_kind(C5, 0, "old"), "kind must be a Kind"),
+    (lambda: min_set_bruteforce(C5, "old"), "kind must be a Kind"),
+    # a negative mask holds every vertex and more; True is not the set {0}
+    (lambda: propagate(C5, Kind.OLD, forced_in=-1), "vertex set"),
+    (lambda: propagate(C5, Kind.OLD, forced_out=1 << 5), "vertex set"),
+    (lambda: min_set(C5, Kind.OLD, forced_out=-1), "vertex set"),
+    (lambda: min_set(C5, Kind.OLD, forced_out=True), "vertex set"),
+    # a budget is a node count, as the CLI's --budget is
+    (lambda: min_set(C5, Kind.OLD, budget=1.5), "budget"),
+    (lambda: min_set(C5, Kind.OLD, budget=-1), "budget"),
+    (lambda: min_set(C5, Kind.OLD, budget=True), "budget"),
+], ids=[
+    "verify_pattern-kind", "min_set-kind", "propagate-kind", "verify_kind-kind",
+    "min_set_bruteforce-kind", "propagate-forced_in", "propagate-forced_out",
+    "min_set-negative", "min_set-bool", "min_set-float-budget", "min_set-negative-budget",
+    "min_set-bool-budget",
+])
+def test_library_entry_points_refuse_bad_input(call, match):
+    with pytest.raises(InputError, match=match):
+        call()
 
 
 def test_bruteforce_infeasible():

@@ -2,10 +2,13 @@
 
 import ast
 import importlib
+import json
 import re
+import shlex
 from pathlib import Path
 
 import oldsets
+from oldsets import cli
 
 PACKAGE = Path(oldsets.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,20 +47,14 @@ def test_only_cli_main_prints():
 
 def test_no_function_calls_itself():
     # a recursive walk would tie its depth to Python's recursion limit, so
-    # every walk is an explicit loop.  Methods are skipped: Graph.meeting_pairs
-    # calls the module-level meeting_pairs, not itself.
+    # every walk is an explicit loop
     recursive = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        methods = {
-            id(node)
-            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-            for node in cls.body
-        }
         recursive += [
             f"{path.name}:{call.lineno} {fn.name}"
             for fn in ast.walk(tree)
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and id(fn) not in methods
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             for call in ast.walk(fn)
             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
             and call.func.id == fn.name
@@ -101,3 +98,30 @@ def test_readme_python_blocks_run():
     assert len(blocks) >= 1
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_command_tour_runs(tmp_path, monkeypatch, capsys):
+    # every oldsets line of the command tour runs in a directory holding the
+    # tour's f.cnf and exits as its comment says: 1 on the line that
+    # "fails", else 0, and the density that a "# 2/5" comment names
+    tour = re.search(r"^## Command-line tour\n\n```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    cnf = re.search(r"^cat > f\.cnf <<'EOF'\n(.*?)^EOF$", tour.group(1), re.M | re.S)
+    (tmp_path / "f.cnf").write_text(cnf.group(1))
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in tour.group(1).splitlines() if line.startswith("oldsets ")]
+    assert len(lines) == 14
+    densities = 0
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == (1 if comment.strip().startswith("fails") else 0), line
+        density = re.fullmatch(r"\s*(\d+/\d+)\s*", comment)
+        if density:
+            assert f"density: {density.group(1)}\n" in out, line
+            densities += 1
+        if argv[0] == "reduce":
+            report = json.loads(out)
+            assert (report["vertices"], report["threshold"]) == (80, 70), line
+    assert densities == 8
