@@ -102,8 +102,6 @@ def cmd_verify(args) -> tuple[dict, list[str]]:
         }
         return report, [f"{args.kind}: {'holds' if holds else 'fails'}"]
     fold = args.fold if args.fold is not None else Kind(args.kind).fold
-    if fold < 1:
-        raise InputError("--fold must be >= 1")
     rep = verify_set(g, s, fold)
     w = _witness_json(rep, g.label)
     report = {

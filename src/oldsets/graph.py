@@ -173,16 +173,24 @@ def build_graph(
 ) -> Graph:
     """Build a graph from an edge list, deduplicating repeated edges.
 
-    Raises :class:`InputError` for a vertex count outside 0..MAX_VERTICES,
-    self-loops, out-of-range endpoints, or a label list that does not match
-    ``n`` (or has duplicates).
+    Raises :class:`InputError` for a vertex count or an endpoint that is
+    not an int, a vertex count outside 0..MAX_VERTICES, self-loops,
+    out-of-range endpoints, or a label list that is not strings, does not
+    match ``n`` or has duplicates.
     """
+    # type(x) is int rejects bool, which isinstance(x, int) would pass: a
+    # JSON true would stand for vertex 1
+    if type(n) is not int:
+        raise InputError(f'graph "n" must be an integer, got {n!r}')
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
     if n > MAX_VERTICES:
         raise InputError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
     adj = [0] * n
-    for u, v in edges:
+    for e in edges:
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            raise InputError(f"bad edge entry {e!r}: expected a pair of integers")
         if u == v:
             raise InputError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -190,6 +198,8 @@ def build_graph(
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     if labels is not None:
+        if not all(isinstance(s, str) for s in labels):
+            raise InputError(f'graph "labels" must be a list of strings, got {labels!r}')
         labels = tuple(labels)
         if len(labels) != n:
             raise InputError(f"{len(labels)} labels for {n} vertices")
@@ -223,20 +233,16 @@ def graph_from_json(text: str) -> Graph:
     d = decode_json(text, "graph")
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise InputError('graph JSON must be an object with "n" and "edges"')
-    # type(x) is int: a JSON true or false is a bool, which isinstance accepts
+    # the JSON shape only; build_graph checks the values' types
     n, edges, labels = d["n"], d["edges"], d.get("labels")
-    if type(n) is not int:
-        raise InputError(f'graph "n" must be an integer, got {n!r}')
     if not isinstance(edges, list):
         raise InputError(f'graph "edges" must be a list of vertex pairs, got {edges!r}')
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+        if not (isinstance(e, list) and len(e) == 2):
             raise InputError(f"bad edge entry {e!r}: expected a pair of integers")
-    if labels is not None and not (
-        isinstance(labels, list) and all(isinstance(s, str) for s in labels)
-    ):
+    if labels is not None and not isinstance(labels, list):
         raise InputError(f'graph "labels" must be a list of strings, got {labels!r}')
-    return build_graph(n, [tuple(e) for e in edges], labels)
+    return build_graph(n, edges, labels)
 
 
 def graph_from_edge_list(text: str) -> Graph:

@@ -17,11 +17,11 @@ meet (one pair per translation class), because any other pair is separated
 by its dominators alone.  The constraints depend only on the lattice and
 the period, so they are built once into one cached table: for each residue
 of the period, the constraints it counts towards, counted with multiplicity
-as k-layer masks; a pattern's counts are the sum of its cells' rows.
-Verdicts are the graph verifier's VerificationReport, its witness in
-lattice coordinates: the first failure in domain order, as a
-vertex-by-vertex scan would find it.  Densities are exact rationals
-throughout; no floating point.
+as two-layer masks, fold k reading the first k; a pattern's counts are the
+sum of its cells' rows.  Verdicts are the graph verifier's
+VerificationReport, its witness in lattice coordinates: the first failure
+in domain order, as a vertex-by-vertex scan would find it.  Densities are
+exact rationals throughout; no floating point.
 
 :func:`search_patterns` walks cell subsets in the order verifying each would
 take, but depth first, adding each pick's row to the prefix's counts: a
@@ -98,10 +98,11 @@ def _check_lattice(lattice) -> None:
 
 
 # The largest period area px*py a pattern may have.  The table holds one row
-# per residue and one column per constraint, O(area**2) bits in all: a
-# RED:OLD check of a full pattern keeps 14.2 MiB on TRI 64x64, 17.8 MiB on
-# SQ 1x4096 and 44.7 MiB on KING 4096x1 (tracemalloc, cold caches), so a
-# huge period in an input file is an input error rather than a MemoryError.
+# per residue and two layers of one column per constraint, O(area**2) bits
+# in all, whichever kind is checked: a check of a full pattern keeps 14.2 MiB
+# on TRI 64x64, 17.8 MiB on SQ 1x4096 and 44.7 MiB on KING 4096x1
+# (tracemalloc, cold caches), so a huge period in an input file is an input
+# error rather than a MemoryError.
 # Published optimal patterns have periods up to 13x13.
 MAX_PERIOD_AREA = 4096
 
@@ -166,8 +167,8 @@ class PeriodicPattern:
 # constraint it holds, each member counted at its residue mod the period, so
 # a residue that holds two members of one constraint (on a thin period such
 # as 1x5 or 2x1) counts twice, as on the infinite lattice, and no torus is
-# needed.  The table does not depend on the cells: it is built once per
-# (lattice, period, fold).
+# needed.  The table does not depend on the cells or the fold: it is built
+# once per (lattice, period), and OLD reads its first layer.
 
 @lru_cache(maxsize=None)
 def _meeting(lattice: Lattice) -> tuple[Coord, ...]:
@@ -195,11 +196,11 @@ def _shapes(lattice: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 # 128 tables kept: room for every period of a few searches up to 6x6
 @lru_cache(maxsize=128)
-def _cover(lattice: Lattice, px: int, py: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _cover(lattice: Lattice, px: int, py: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(cover, codes): every constraint of a px x py period as one column,
-    and for each residue r the k-layer mask of the columns it counts
-    towards.  Residues and domain vertices are both indexed in domain
-    order, (x, y) at x * py + y.
+    and for each residue r the two-layer mask of the columns it counts
+    towards; fold k reads the first k layers.  Residues and domain
+    vertices are both indexed in domain order, (x, y) at x * py + y.
 
     Column i < area is N(u), u the domain vertex i.  After them come the
     separation columns N(u) △ N(v), u in domain order and v = u + d for d
@@ -213,7 +214,7 @@ def _cover(lattice: Lattice, px: int, py: int, k: int) -> tuple[tuple[int, ...],
     first.  ``codes`` holds the code of each separation column.
 
     With width = area + len(codes), bit t * width + c of cover[r] is set
-    when residue r holds more than t members of column c, t < k.  Each
+    when residue r holds more than t members of column c, t < 2.  Each
     member is counted at its residue, so a residue that holds two members
     (on a period side below 7) counts twice, as on the infinite lattice,
     and no torus is needed.  A set of residues is held the same way, as
@@ -242,11 +243,11 @@ def _cover(lattice: Lattice, px: int, py: int, k: int) -> tuple[tuple[int, ...],
                 hits[box[q]].append(c)
     width = area + len(codes)
     # a column's members are listed together, so its repeats in a residue
-    # are adjacent there; at k <= 2 a repeat sets the top layer
-    top = (k - 1) * width
+    # are adjacent there; a repeat sets the second layer, which the fold-1
+    # mask drops
     cover = []
     for held in hits:
-        bits = [c + top if c == last else c for last, c in zip([-1] + held, held)]
+        bits = [c + width if c == last else c for last, c in zip([-1] + held, held)]
         row = bytearray(max(bits) // 8 + 1)
         for b in bits:
             row[b >> 3] |= 1 << (b & 7)
@@ -285,7 +286,7 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> VerificationReport:
     """
     check_kind(kind)
     lattice, (px, py), k = pattern.lattice, pattern.period, kind.fold
-    cover, codes = _cover(lattice, px, py, k)
+    cover, codes = _cover(lattice, px, py)
     area = px * py
     width = area + len(codes)
     full = (1 << (k * width)) - 1
@@ -479,7 +480,7 @@ def search_patterns(
         min_cells = max(1, -(-k * area // deg))
         if max_cells < min_cells:
             continue
-        cover, codes = _cover(lattice, px, py, k)
+        cover, codes = _cover(lattice, px, py)
         width = area + len(codes)
         avail = _avail(cover, width, k)
         for count in range(min_cells, max_cells + 1):

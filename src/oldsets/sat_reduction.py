@@ -95,12 +95,22 @@ class CnfInstance:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        # one check for the DIMACS and the library paths; type(...) is int
+        # rejects bool and float, which the gadget indexing cannot take
+        if type(self.num_vars) is not int:
+            raise InputError(f"the number of variables must be an int, got {self.num_vars!r}")
+        for clause in self.clauses:
+            if len(clause) != 3:
+                raise InputError(
+                    f"clause {' '.join(map(str, clause))} has {len(clause)} literals; "
+                    "this construction is specific to 3-SAT"
+                )
         if self.num_vars < 1:
             raise InputError("a CNF instance needs at least one variable")
         for clause in self.clauses:
-            if len(clause) != 3:
-                raise InputError(f"clause {clause} does not have exactly 3 literals")
             for lit in clause:
+                if type(lit) is not int:
+                    raise InputError(f"literal {lit!r} is not an int")
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise InputError(f"literal {lit} out of range for {self.num_vars} variables")
 
@@ -153,12 +163,6 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise InputError("last clause is not 0-terminated")
     if num_clauses != len(clauses):
         raise InputError(f"header promises {num_clauses} clauses, found {len(clauses)}")
-    for clause in clauses:
-        if len(clause) != 3:
-            raise InputError(
-                f"clause {' '.join(map(str, clause))} has {len(clause)} literals; "
-                "this construction is specific to 3-SAT"
-            )
     return CnfInstance(num_vars, tuple(clauses))  # type: ignore[arg-type]
 
 

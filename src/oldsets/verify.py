@@ -17,8 +17,8 @@ inc[v] ∩ S also puts it in a set, and when no two are equal (and, at fold
 2, no code is another less one detector) no pair at all can fail, so the
 check holds without drawing a pair.  At fold 2 only codes of three or
 more detectors are probed less one: every code has two.  Otherwise, and
-at fold 3 and up, the pair walk runs as before; it is the only source of
-pair witnesses.
+at fold 3 and up, the pair walk decides; it is the only source of pair
+witnesses.
 
 * OLD sets (fold 1) and RED:OLD sets (fold 2, still correct after losing
   any single detector): inc[v] = N(v), over the graph's meeting pairs.

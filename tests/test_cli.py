@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import oldsets
 from oldsets import grids, sat_reduction
 from oldsets.cli import _build_parser, main
 from oldsets.fixtures import builtin_graph
@@ -434,6 +438,24 @@ def test_text_matches_golden_outputs(capsys, tmp_path, monkeypatch):
             Path(name).write_text(text)
         code, out = run(capsys, *case["argv"])
         assert (code, out) == (case["exit_code"], case["stdout"]), case["argv"]
+
+
+def test_text_goldens_hold_under_python_O(tmp_path):
+    # python -O strips assert statements and sets __debug__ false, so no
+    # answer, witness, error message or exit code may depend on either:
+    # each text golden runs again as `python -O -m oldsets` in a fresh
+    # process, its files in its own directory
+    env = dict(os.environ, PYTHONPATH=str(Path(oldsets.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    for i, case in enumerate(json.loads(GOLDEN_TEXT.read_text())):
+        cwd = tmp_path / str(i)
+        cwd.mkdir()
+        for name, text in case["files"].items():
+            (cwd / name).write_text(text)
+        done = subprocess.run([sys.executable, "-O", "-m", "oldsets", *case["argv"]],
+                              cwd=cwd, env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (case["exit_code"], case["stdout"]), case["argv"]
+        assert done.stderr == "", case["argv"]
 
 
 def test_grid_lattice_mismatch(capsys):

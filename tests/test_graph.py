@@ -1,6 +1,7 @@
 """Graph construction, neighborhoods, and serialization."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -48,6 +49,21 @@ def test_self_loop_rejected():
 def test_out_of_range_endpoint_rejected():
     with pytest.raises(InputError):
         build_graph(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("n, edges, labels, message", [
+    (3, [(0, True)], None, "bad edge entry (0, True): expected a pair of integers"),
+    (3, [(0, 1.0)], None, "bad edge entry (0, 1.0): expected a pair of integers"),
+    (True, [], None, 'graph "n" must be an integer, got True'),
+    (2.0, [], None, 'graph "n" must be an integer, got 2.0'),
+    (2, [(0, 1)], [1, 2], 'graph "labels" must be a list of strings, got [1, 2]'),
+], ids=["bool-endpoint", "float-endpoint", "bool-n", "float-n", "int-labels"])
+def test_build_graph_rejects_non_int_or_non_string_input(n, edges, labels, message):
+    # one check for the JSON and the library paths: bool is not an int
+    # here, as in Graph.check_vertex, and an int label would make label(0)
+    # return an int that index_of could not resolve back
+    with pytest.raises(InputError, match=re.escape(message)):
+        build_graph(n, edges, labels)
 
 
 def test_vertex_count_limit():

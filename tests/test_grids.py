@@ -648,7 +648,7 @@ def test_first_verifying_subset_holds_residue_zero():
                 area = px * py
                 if area > 12:
                     continue
-                cover, codes = grids._cover(lattice, px, py, kind.fold)
+                cover, codes = grids._cover(lattice, px, py)
                 width = area + len(codes)
                 avail = grids._avail(cover, width, kind.fold)
                 for count in range(1, area + 1):
@@ -674,7 +674,7 @@ def test_walk_yields_exactly_the_verifying_subsets_holding_zero():
                 area = px * py
                 if area > 8:
                     continue
-                cover, codes = grids._cover(lattice, px, py, kind.fold)
+                cover, codes = grids._cover(lattice, px, py)
                 width = area + len(codes)
                 avail = grids._avail(cover, width, kind.fold)
                 for count in range(1, area + 1):
@@ -711,11 +711,11 @@ def _reference_constraints(lattice, px, py):
 
 def test_cover_and_avail_match_neighbour_counts():
     # bit t * width + c of cover[r] is set when residue r holds more than t
-    # members of constraint c, and of avail[r] when the residues r, r + 1,
-    # ... hold at least k - t; constraints are the domain vertices'
-    # neighbourhoods, then the first pair of each class of meeting pairs,
-    # whose codes decode to them.  Thin periods put several members of one
-    # constraint in one residue
+    # members of constraint c, t < 2 at every fold, and of avail[r] when
+    # the residues r, r + 1, ... hold at least k - t; constraints are the
+    # domain vertices' neighbourhoods, then the first pair of each class of
+    # meeting pairs, whose codes decode to them.  Thin periods put several
+    # members of one constraint in one residue
     checked = 0
     for lattice in Lattice:
         meeting = grids._meeting(lattice)
@@ -724,24 +724,27 @@ def test_cover_and_avail_match_neighbour_counts():
             for py in range(step, 16 // px + 1, step):
                 area = px * py
                 constraints = _reference_constraints(lattice, px, py)
+                cover, codes = grids._cover(lattice, px, py)
+                width = area + len(codes)
+                assert width == len(constraints)
+                assert len(cover) == area
+                assert all(m >> (2 * width) == 0 for m in cover)
+                for c, code in enumerate(codes, area):
+                    i, j = divmod(code, len(meeting))
+                    (x, y), (dx, dy) = divmod(i, py), meeting[j]
+                    assert constraints[c][0] == ((x, y), (x + dx, y + dy))
                 for k in (1, 2):
-                    cover, codes = grids._cover(lattice, px, py, k)
-                    width = area + len(codes)
                     avail = grids._avail(cover, width, k)
-                    assert width == len(constraints)
-                    assert len(cover) == len(avail) == area
-                    assert all(m >> (k * width) == 0 for m in cover + tuple(avail))
-                    for c, code in enumerate(codes, area):
-                        i, j = divmod(code, len(meeting))
-                        (x, y), (dx, dy) = divmod(i, py), meeting[j]
-                        assert constraints[c][0] == ((x, y), (x + dx, y + dy))
+                    assert len(avail) == area
+                    assert all(m >> (k * width) == 0 for m in avail)
                     for c, (_, members) in enumerate(constraints):
                         held = collections.Counter(x % px * py + y % py for x, y in members)
                         suffix = 0
                         for r in reversed(range(area)):
                             suffix += held[r]
-                            for t in range(k):
+                            for t in range(2):
                                 assert (cover[r] >> (t * width + c) & 1) == (held[r] > t)
+                            for t in range(k):
                                 assert (avail[r] >> (t * width + c) & 1) == (suffix >= k - t)
                     checked += 1
     assert checked == 2 * (3 * 50 + 8)
@@ -763,14 +766,32 @@ def test_meeting_offsets_are_the_same_at_both_parities(lattice):
 
 
 def test_repeat_search_builds_no_table():
-    # the table a search reads depends only on the lattice, the period and
-    # the fold, so an identical second search finds every one cached
+    # the table a search reads depends only on the lattice and the period,
+    # so an identical second search finds every one cached
     args = (Lattice.TRI, Kind.RED_OLD, (4, 5), Fraction(1, 3))
     assert search_patterns(*args) is None
     cover = grids._cover.cache_info()
     assert search_patterns(*args) is None
     assert grids._cover.cache_info().misses == cover.misses
     assert grids._cover.cache_info().hits > cover.hits
+
+
+def test_old_and_redold_read_one_table_per_period():
+    # RED:OLD is OLD with every count required twice, so both kinds read
+    # the one two-layer table of a period: checking a period at OLD and
+    # then at RED:OLD builds one table, and a RED:OLD search after an OLD
+    # search over the same periods builds none
+    grids._cover.cache_clear()
+    pattern = PeriodicPattern(Lattice.TRI, (5, 7), frozenset({(0, 0), (2, 3), (4, 6)}))
+    assert not verify_pattern(pattern, Kind.OLD).holds
+    assert not verify_pattern(pattern, Kind.RED_OLD).holds
+    assert grids._cover.cache_info().misses == 1
+    assert search_patterns(Lattice.HEX, Kind.OLD, (6, 6), Fraction(2, 5)) is None
+    before = grids._cover.cache_info()
+    assert before.misses == 9
+    assert search_patterns(Lattice.HEX, Kind.RED_OLD, (6, 6), Fraction(2, 3)) is not None
+    after = grids._cover.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 # The six searches the benchmark expects to come back empty, each with a

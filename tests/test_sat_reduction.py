@@ -2,6 +2,7 @@
 equivalence (spot checks here; the sweep lives in the acceptance module)."""
 
 import random
+import re
 
 import pytest
 
@@ -45,6 +46,23 @@ def test_parse_repeated_literal_clause():
 def test_parse_rejects_short_clause():
     with pytest.raises(InputError):
         parse_dimacs("p cnf 2 1\n1 -2 0\n")
+
+
+@pytest.mark.parametrize("num_vars, clauses, message", [
+    (2, ((1, True, 2),), "literal True is not an int"),
+    (2, ((1, 2, 2.0),), "literal 2.0 is not an int"),
+    (1, ((1, 1, "1"),), "literal '1' is not an int"),
+    (True, ((1, 1, 1),), "number of variables must be an int, got True"),
+    (1.5, (), "number of variables must be an int, got 1.5"),
+    (2.0, ((1, 2, 2),), "number of variables must be an int, got 2.0"),
+    (2, ((1, 2),), "clause 1 2 has 2 literals; this construction is specific to 3-SAT"),
+], ids=["bool-literal", "float-literal", "str-literal", "bool-vars", "float-vars",
+        "float-vars-with-clause", "short-clause"])
+def test_cnf_instance_rejects_non_int_or_short_input(num_vars, clauses, message):
+    # one check for the DIMACS and the library paths, made before any
+    # gadget is built: bool is not an int here, as in Graph.check_set
+    with pytest.raises(InputError, match=re.escape(message)):
+        CnfInstance(num_vars, clauses)
 
 
 def test_parse_rejects_no_variables():
