@@ -18,6 +18,7 @@ from .errors import InputError, decode_json
 __all__ = [
     "Graph",
     "MAX_VERTICES",
+    "check_graph",
     "build_graph",
     "mask_of",
     "vertices_of",
@@ -134,6 +135,12 @@ class Graph:
         return v
 
 
+def check_graph(g: Graph) -> None:
+    """InputError unless ``g`` is a :class:`Graph`."""
+    if not isinstance(g, Graph):
+        raise InputError(f"expected a Graph, got {type(g).__name__}")
+
+
 def meeting_pairs(masks: Sequence[int], through: int = -1) -> Iterator[tuple[int, int]]:
     """Pairs u < v with masks[u] & masks[v] & through ≠ 0, in lexicographic
     order; the default ``through`` (every vertex) keeps all meeting pairs.
@@ -168,15 +175,16 @@ MAX_VERTICES = 2**15
 
 def build_graph(
     n: int,
-    edges: Iterable[tuple[int, int]],
+    edges: Sequence[tuple[int, int]],
     labels: Sequence[str] | None = None,
 ) -> Graph:
     """Build a graph from an edge list, deduplicating repeated edges.
 
-    Raises :class:`InputError` for a vertex count or an endpoint that is
-    not an int, a vertex count outside 0..MAX_VERTICES, self-loops,
-    out-of-range endpoints, or a label list that is not strings, does not
-    match ``n`` or has duplicates.
+    Raises :class:`InputError` for a vertex count that is not an int or
+    lies outside 0..MAX_VERTICES, edges that are not a list or tuple of
+    int pairs (each pair a 2-element list or tuple), self-loops,
+    out-of-range endpoints, or labels that are not a list or tuple of
+    strings, do not match ``n`` or have duplicates.
     """
     # type(x) is int rejects bool, which isinstance(x, int) would pass: a
     # JSON true would stand for vertex 1
@@ -186,11 +194,14 @@ def build_graph(
         raise InputError(f"vertex count must be non-negative, got {n}")
     if n > MAX_VERTICES:
         raise InputError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
+    if not isinstance(edges, (list, tuple)):
+        raise InputError(f'graph "edges" must be a list of vertex pairs, got {edges!r}')
     adj = [0] * n
     for e in edges:
-        u, v = e
-        if type(u) is not int or type(v) is not int:
+        if not (isinstance(e, (list, tuple)) and len(e) == 2
+                and type(e[0]) is int and type(e[1]) is int):
             raise InputError(f"bad edge entry {e!r}: expected a pair of integers")
+        u, v = e
         if u == v:
             raise InputError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -198,7 +209,7 @@ def build_graph(
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     if labels is not None:
-        if not all(isinstance(s, str) for s in labels):
+        if not (isinstance(labels, (list, tuple)) and all(isinstance(s, str) for s in labels)):
             raise InputError(f'graph "labels" must be a list of strings, got {labels!r}')
         labels = tuple(labels)
         if len(labels) != n:
@@ -233,16 +244,8 @@ def graph_from_json(text: str) -> Graph:
     d = decode_json(text, "graph")
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise InputError('graph JSON must be an object with "n" and "edges"')
-    # the JSON shape only; build_graph checks the values' types
-    n, edges, labels = d["n"], d["edges"], d.get("labels")
-    if not isinstance(edges, list):
-        raise InputError(f'graph "edges" must be a list of vertex pairs, got {edges!r}')
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2):
-            raise InputError(f"bad edge entry {e!r}: expected a pair of integers")
-    if labels is not None and not isinstance(labels, list):
-        raise InputError(f'graph "labels" must be a list of strings, got {labels!r}')
-    return build_graph(n, edges, labels)
+    # build_graph checks the values' types and shapes
+    return build_graph(d["n"], d["edges"], d.get("labels"))
 
 
 def graph_from_edge_list(text: str) -> Graph:

@@ -141,6 +141,8 @@ class PeriodicPattern:
         px, py = _period(self.period, "period")
         if self.lattice is Lattice.HEX and (px % 2 or py % 2):
             raise InputError("HEX patterns need even periods in both directions")
+        if not isinstance(self.cells, frozenset):
+            raise InputError(f"cells must be a frozenset, got {type(self.cells).__name__}")
         for cell in self.cells:
             if not (type(cell) is tuple and len(cell) == 2
                     and type(cell[0]) is int and type(cell[1]) is int):
@@ -285,6 +287,7 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> VerificationReport:
     the column's code, u and its j-th meeting vertex.
     """
     check_kind(kind)
+    _check_pattern(pattern)
     lattice, (px, py), k = pattern.lattice, pattern.period, kind.fold
     cover, codes = _cover(lattice, px, py)
     area = px * py
@@ -306,6 +309,11 @@ def verify_pattern(pattern: PeriodicPattern, kind: Kind) -> VerificationReport:
     u, j = divmod(codes[c - area], len(meeting))
     (x, y), (dx, dy) = divmod(u, py), meeting[j]
     return VerificationReport(False, pair=((x, y), (x + dx, y + dy)), count=count)
+
+
+def _check_pattern(pattern) -> None:
+    if not isinstance(pattern, PeriodicPattern):
+        raise InputError(f"expected a PeriodicPattern, got {type(pattern).__name__}")
 
 
 def _torus_adj(lattice: Lattice, w: int, h: int) -> tuple[int, ...]:
@@ -391,6 +399,7 @@ def restrict_pattern_to_torus(pattern: PeriodicPattern, width: int, height: int)
     bitmask.  The torus must pass build_torus's guards, and its dimensions
     must be multiples of the period and >= 6; all are checked, in that
     order, before the mask is built."""
+    _check_pattern(pattern)
     _check_torus(pattern.lattice, width, height)
     px, py = pattern.period
     if width % px or height % py:

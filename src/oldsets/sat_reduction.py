@@ -99,7 +99,12 @@ class CnfInstance:
         # rejects bool and float, which the gadget indexing cannot take
         if type(self.num_vars) is not int:
             raise InputError(f"the number of variables must be an int, got {self.num_vars!r}")
+        # tuples all the way down, so the frozen instance can be hashed
+        if not isinstance(self.clauses, tuple):
+            raise InputError(f"clauses must be a tuple of 3-tuples, got {self.clauses!r}")
         for clause in self.clauses:
+            if not isinstance(clause, tuple):
+                raise InputError(f"clause {clause!r} is not a tuple")
             if len(clause) != 3:
                 raise InputError(
                     f"clause {' '.join(map(str, clause))} has {len(clause)} literals; "

@@ -62,7 +62,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InputError
-from .graph import Graph, mask_of, vertices_of
+from .graph import Graph, check_graph, mask_of, vertices_of
 from .verify import Kind, check_kind, verify_kind, verify_set
 
 __all__ = [
@@ -104,6 +104,7 @@ def propagate(g: Graph, kind: Kind, forced_in: int = 0, forced_out: int = 0) -> 
     conflict (R3).  The rules read only forced_out, which never grows here,
     so one pass over the constraints does."""
     check_kind(kind)
+    check_graph(g)
     g.check_set(forced_in)
     g.check_set(forced_out)
     if forced_in & forced_out:
@@ -250,9 +251,10 @@ def min_set(
     ``forced_out`` pre-excludes vertices: the optima are those of the sets
     that avoid it.  Infeasible instances yield a result, not an exception.
     Only an exhausted node budget raises :class:`BudgetExceededError`, and
-    only bad input :class:`InputError`: a ``kind`` that is not a Kind or a
-    ``forced_out`` that is not a vertex set of ``g`` (the root
-    ``propagate`` checks both), or a ``budget`` that is not an int >= 0.
+    only bad input :class:`InputError`: a ``g`` that is not a Graph, a
+    ``kind`` that is not a Kind or a ``forced_out`` that is not a vertex
+    set of ``g`` (the root ``propagate`` checks all three), or a
+    ``budget`` that is not an int >= 0.
 
     The verdict comes from the root ``propagate``: it conflicts exactly when
     some constraint keeps fewer than k vertices outside ``forced_out``, that
@@ -281,6 +283,7 @@ def min_set_bruteforce(g: Graph, kind: Kind, enumerate_all: bool = False) -> Sol
     Guarded to n <= 20.  Infeasibility is detected up front from S = V
     (monotonicity); the scan itself stays exhaustive.
     """
+    check_graph(g)
     if g.n > _BRUTEFORCE_MAX_N:
         raise InputError(f"brute force is limited to n <= {_BRUTEFORCE_MAX_N}, got {g.n}")
     check_kind(kind)

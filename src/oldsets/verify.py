@@ -1,45 +1,44 @@
 """Polynomial-time verifiers for distinguishing vertex sets.
 
-Every verifier here but the locating-dominating one is one check,
-``_first_failure(inc, pairs, s, fold)``, where ``inc[v]`` is the mask of
-detectors that see vertex v; :func:`grids.verify_pattern` gives its
-verdict on lattice patterns as the same :class:`VerificationReport`.
-Each vertex needs ``fold`` detectors in S, and each listed pair needs
-``fold`` in (inc[u] △ inc[v]) ∩ S, those that see exactly one of the
-two.  Only pairs whose masks share a detector in S are listed: for any
-other pair (inc[u] △ inc[v]) ∩ S is the disjoint union of inc[u] ∩ S and
-inc[v] ∩ S, with at least 2·fold detectors once both vertices have fold.
-Pairs are drawn only after every vertex passes, so leaving the others out
-changes no witness.
-
-At fold 1 and 2 an accept comes first: the pass that counts every code
-inc[v] ∩ S also puts it in a set, and when no two are equal (and, at fold
-2, no code is another less one detector) no pair at all can fail, so the
-check holds without drawing a pair.  At fold 2 only codes of three or
-more detectors are probed less one: every code has two.  Otherwise, and
-at fold 3 and up, the pair walk decides; it is the only source of pair
-witnesses.
+Each verifier reads ``inc[v]``, the mask of detectors that see vertex v,
+and the codes inc[v] ∩ S; :func:`grids.verify_pattern` gives its verdict
+on lattice patterns as the same :class:`VerificationReport`.
 
 * OLD sets (fold 1) and RED:OLD sets (fold 2, still correct after losing
-  any single detector): inc[v] = N(v), over the graph's meeting pairs.
-* Identifying codes: inc[v] = N[v], over the pairs whose closed
-  neighborhoods meet (distance <= 2).
-* Locating-dominating sets: the same vertex scan and accept, on the codes
-  N(v) ∩ S of the vertices v outside S alone, and no pair walk, since
-  the accept is exact there.  A vertex in S is seen, and told apart from
+  any single detector), in :func:`verify_set`: inc[v] = N(v).  Each
+  vertex needs ``fold`` detectors in S, and each pair needs ``fold`` in
+  (inc[u] △ inc[v]) ∩ S, those that see exactly one of the two.  Only
+  the graph's meeting pairs, whose masks share a detector in S, are
+  walked: for any other pair (inc[u] △ inc[v]) ∩ S is the disjoint union
+  of inc[u] ∩ S and inc[v] ∩ S, with at least 2·fold detectors once both
+  vertices have fold.  Pairs are drawn only after every vertex passes,
+  so leaving the others out changes no witness.
+
+  At fold 1 and 2 an accept comes first: the pass that counts every code
+  also puts it in a set, and when no two are equal (and, at fold 2, no
+  code is another less one detector) no pair at all can fail, so the
+  check holds without drawing a pair.  At fold 2 only codes of three or
+  more detectors are probed less one: every code has two.  Otherwise,
+  and at fold 3 and up, the pair walk decides; it is the only source of
+  pair witnesses.
+* Identifying codes and locating-dominating sets ask only that the codes
+  be non-empty and pairwise distinct, so the accept alone decides them,
+  exactly, with no pair walk (:func:`_codes_distinct`).  An identifying
+  code sees v through inc[v] = N[v], for every vertex.  In a
+  locating-dominating set a vertex in S is seen, and told apart from
   every other vertex, by its own singleton {v}; a vertex outside S is
-  seen only by N(w) for w in N(v) ∩ S.  So the set holds exactly when
-  those codes are not empty and pairwise distinct.
+  seen only by N(w) for w in N(v) ∩ S.  So only the codes N(v) ∩ S of the
+  vertices v outside S are checked.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
-from .graph import Graph, meeting_pairs
+from .graph import Graph, check_graph, meeting_pairs
 
 __all__ = [
     "Kind",
@@ -100,30 +99,16 @@ class VerificationReport:
 _OK = VerificationReport(True)
 
 
+def _check_set(g: Graph, s: int) -> None:
+    check_graph(g)
+    g.check_set(s)
+
+
 def _check_fold_and_set(g: Graph, s: int, fold: int) -> None:
     # type(...) is int rejects bool and float: a fold of 1.5 would act as 2
     if type(fold) is not int or fold < 1:
         raise InputError(f"fold must be an int >= 1, got {fold!r}")
-    g.check_set(s)
-
-
-def _first_failure(
-    inc: Sequence[int], pairs: Iterable[tuple[int, int]], s: int, fold: int
-) -> VerificationReport:
-    """The first vertex v with fewer than ``fold`` detectors of ``inc[v]``
-    in ``s``, else the first pair (u, v) of ``pairs`` with fewer than
-    ``fold`` in ``(inc[u] ^ inc[v]) & s``, else a holding report.  The
-    pairs are drawn only once every vertex passes, and not at all when
-    :func:`_codes_apart` accepts: then no pair of vertices can fail."""
-    keys: set[int] | None = set() if fold <= 2 else None
-    rep = _dominated(inc, s, fold, keys)
-    if not rep.holds or (keys is not None and _codes_apart(keys, len(inc), s, fold)):
-        return rep
-    for u, v in pairs:
-        c = ((inc[u] ^ inc[v]) & s).bit_count()
-        if c < fold:
-            return VerificationReport(False, pair=(u, v), count=c)
-    return _OK
+    _check_set(g, s)
 
 
 def _dominated(
@@ -199,10 +184,20 @@ def verify_set(g: Graph, s: int, fold: int) -> VerificationReport:
     Domination is checked first (witness: first failing vertex), then pairs
     in lexicographic (u, v) order (witness: first failing pair).  Once
     domination holds only pairs whose neighborhoods share a member of S
-    can fail, so only they are walked.
+    can fail, so only they are walked, and not at all when
+    :func:`_codes_apart` accepts: then no pair of vertices can fail.
     """
     _check_fold_and_set(g, s, fold)
-    return _first_failure(g.adj, meeting_pairs(g.adj, s), s, fold)
+    adj = g.adj
+    keys: set[int] | None = set() if fold <= 2 else None
+    rep = _dominated(adj, s, fold, keys)
+    if not rep.holds or (keys is not None and _codes_apart(keys, len(adj), s, fold)):
+        return rep
+    for u, v in meeting_pairs(adj, s):
+        c = ((adj[u] ^ adj[v]) & s).bit_count()
+        if c < fold:
+            return VerificationReport(False, pair=(u, v), count=c)
+    return _OK
 
 
 def is_old(g: Graph, s: int) -> VerificationReport:
@@ -218,20 +213,22 @@ def verify_kind(g: Graph, s: int, kind: Kind) -> VerificationReport:
     return verify_set(g, s, kind.fold)
 
 
-def is_locating_dominating(g: Graph, s: int) -> bool:
-    """Collection {{w}, N(w) : w in S} must be distinguishing.
-
-    Checked on the codes N(v) ∩ S of the vertices v outside S alone, as
-    the module docstring explains: none empty, no two equal.
-    """
-    g.check_set(s)
-    outside = [a for v, a in enumerate(g.adj) if not s >> v & 1]
+def _codes_distinct(masks: Sequence[int], s: int) -> bool:
+    """Are the codes masks[v] & s all non-empty and pairwise distinct?"""
     keys: set[int] = set()
-    return _dominated(outside, s, 1, keys).holds and _codes_apart(keys, len(outside), s, 1)
+    return _dominated(masks, s, 1, keys).holds and len(keys) == len(masks)
+
+
+def is_locating_dominating(g: Graph, s: int) -> bool:
+    """Collection {{w}, N(w) : w in S} must be distinguishing: the codes
+    N(v) ∩ S of the vertices v outside S alone decide it, as the module
+    docstring explains."""
+    _check_set(g, s)
+    return _codes_distinct([a for v, a in enumerate(g.adj) if not s >> v & 1], s)
 
 
 def is_identifying_code(g: Graph, s: int) -> bool:
-    """Collection {N[w] : w in S} must be distinguishing."""
-    g.check_set(s)
-    closed = tuple(a | 1 << v for v, a in enumerate(g.adj))
-    return _first_failure(closed, meeting_pairs(closed, s), s, 1).holds
+    """Collection {N[w] : w in S} must be distinguishing: every code
+    N[v] ∩ S non-empty, no two equal."""
+    _check_set(g, s)
+    return _codes_distinct([a | 1 << v for v, a in enumerate(g.adj)], s)

@@ -24,6 +24,8 @@ from oldsets.graph import (
     path_graph,
     vertices_of,
 )
+from oldsets.grids import Lattice, PeriodicPattern
+from oldsets.sat_reduction import CnfInstance
 
 
 def test_p3_construction():
@@ -64,6 +66,43 @@ def test_build_graph_rejects_non_int_or_non_string_input(n, edges, labels, messa
     # return an int that index_of could not resolve back
     with pytest.raises(InputError, match=re.escape(message)):
         build_graph(n, edges, labels)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_graph(3, [(0, 1, 2)]), "bad edge entry (0, 1, 2): expected a pair of integers"),
+    (lambda: build_graph(3, [5]), "bad edge entry 5: expected a pair of integers"),
+    (lambda: build_graph(3, None), 'graph "edges" must be a list of vertex pairs, got None'),
+    (lambda: build_graph(2, [], "ab"), 'graph "labels" must be a list of strings, got \'ab\''),
+    (lambda: CnfInstance(1, (5,)), "clause 5 is not a tuple"),
+    (lambda: CnfInstance(1, ([1, 1, 1],)), "clause [1, 1, 1] is not a tuple"),
+    (lambda: CnfInstance(1, None), "clauses must be a tuple of 3-tuples, got None"),
+    (lambda: CnfInstance(1, [[1, 1, 1]]), "clauses must be a tuple of 3-tuples, got [[1, 1, 1]]"),
+    (lambda: PeriodicPattern(Lattice.SQ, (2, 2), [(0, 0)]), "cells must be a frozenset, got list"),
+    (lambda: PeriodicPattern(Lattice.SQ, (2, 2), {(0, 0)}), "cells must be a frozenset, got set"),
+], ids=["triple-edge", "int-edge", "none-edges", "string-labels", "int-clause", "list-clause",
+        "none-clauses", "list-clauses", "list-cells", "set-cells"])
+def test_constructors_refuse_bad_container_shapes(build, message):
+    # each constructor checks its containers once, so a wrong shape is an
+    # InputError, not a ValueError or TypeError from unpacking, and what it
+    # accepts is tuples and frozensets that can be hashed
+    with pytest.raises(InputError, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("read, message", [
+    (lambda: build_graph(-1, []), "vertex count must be non-negative, got -1"),
+    (lambda: graph_from_json('{"n": 2, "edges": [[0]]}'),
+     "bad edge entry [0]: expected a pair of integers"),
+    (lambda: graph_from_json('{"n": 2, "edges": [], "labels": "a"}'),
+     'graph "labels" must be a list of strings, got \'a\''),
+    (lambda: graph_from_edge_list("a b"), 'expected header "n m", got \'a b\''),
+    (lambda: graph_from_edge_list("2 1\n0 1 2"), "bad edge line '0 1 2'"),
+    (lambda: graph_from_edge_list("2 1\n0 x"), "bad edge line '0 x'"),
+], ids=["negative-n", "json-short-edge", "json-string-labels", "text-bad-header",
+        "text-long-edge", "text-non-int-edge"])
+def test_graph_readers_refuse_bad_input(read, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        read()
 
 
 def test_vertex_count_limit():

@@ -65,6 +65,16 @@ def test_cnf_instance_rejects_non_int_or_short_input(num_vars, clauses, message)
         CnfInstance(num_vars, clauses)
 
 
+@pytest.mark.parametrize("read, message", [
+    (lambda: parse_dimacs("p cnf x 1\n"), "malformed DIMACS header 'p cnf x 1'"),
+    (lambda: assignment_from_set(build_reduction(CnfInstance(1, ((1, 1, 1),))), 1 << 22),
+     "set contains vertices outside the reduction graph"),
+], ids=["non-int-header", "set-outside-graph"])
+def test_reduction_inputs_refused(read, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        read()
+
+
 def test_parse_rejects_no_variables():
     with pytest.raises(InputError):
         parse_dimacs("p cnf 0 0\n")

@@ -166,6 +166,13 @@ def test_propagate_respects_forced_out():
     assert propagate(g, Kind.RED_OLD, 0, 1 << g.index_of("v2")) is None
 
 
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("forced_in, forced_out", [(1, 1), (0b110, 0b100), (0b1, 0b11)])
+def test_propagate_refuses_a_vertex_both_forced_in_and_out(kind, forced_in, forced_out):
+    # a vertex both required and excluded is a conflict before any rule runs
+    assert propagate(g11(), kind, forced_in, forced_out) is None
+
+
 def test_propagation_soundness_against_exhaustion():
     # anything propagation forces must be in every accepted set that is
     # consistent with the branch; a conflict means no such set exists

@@ -27,6 +27,15 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10, so no package file
+    # may use later syntax such as except* or PEP 695 type parameters
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_only_cli_main_prints():
     # every command returns its report, and cli.main makes the one write
     printing = []

@@ -32,9 +32,11 @@ from reference import (
 from oldsets import graph, verify
 from oldsets.errors import InputError
 from oldsets.fixtures import g11
-from oldsets.grids import Lattice, build_torus
+from oldsets.grids import Lattice, build_torus, restrict_pattern_to_torus, verify_pattern
 from oldsets.graph import build_graph, complete_graph, cycle_graph, mask_of, path_graph, vertices_of
+from oldsets.solve import min_set, min_set_bruteforce, propagate
 from oldsets.verify import (
+    Kind,
     VerificationReport,
     is_identifying_code,
     is_locating_dominating,
@@ -94,6 +96,28 @@ def test_fold_must_be_a_plain_int(fold):
         verify_set(g, g.all_mask(), fold)
     with pytest.raises(InputError, match="fold"):
         is_open_dominating(g, g.all_mask(), fold)
+
+
+_NON_GRAPH_CALLS = [
+    (verify_set, ("g", 1, 1)),
+    (is_open_dominating, (None, 1)),
+    (is_locating_dominating, ([1, 2], 1)),
+    (is_identifying_code, ("g", 1)),
+    (propagate, ("g", Kind.OLD)),
+    (min_set, (None, Kind.OLD)),
+    (min_set_bruteforce, ("g", Kind.OLD)),
+    (verify_pattern, ("sq-old", Kind.OLD)),
+    (restrict_pattern_to_torus, ("sq-old", 6, 6)),
+]
+
+
+@pytest.mark.parametrize("call, args", _NON_GRAPH_CALLS,
+                         ids=[call.__name__ for call, _ in _NON_GRAPH_CALLS])
+def test_entry_points_refuse_a_non_graph_or_non_pattern(call, args):
+    # the set, fold and Kind arguments are checked, and so is the graph or
+    # pattern they belong to, rather than an AttributeError from its use
+    with pytest.raises(InputError, match=r"expected a (Graph|PeriodicPattern), got"):
+        call(*args)
 
 
 def test_is_old_examples():
@@ -224,17 +248,16 @@ def test_ld_and_ic_match_the_collection_route():
     assert min(verdicts["ld"] + verdicts["ic"]) > 300, verdicts
 
 
-def test_ld_accept_is_exact(monkeypatch):
-    # LD is decided by the codes of the vertices outside S alone: none
-    # empty, no two equal.  That is exact, so no meeting pair is drawn, for
-    # holding sets and failing ones alike
+def _assert_decided_without_pairs(monkeypatch, check, reference):
+    # ``check`` agrees with ``reference`` on holding and failing sets, with
+    # the meeting pairs made to raise
     rng = random.Random(37)
     sparse = random.Random(41)
     cases = []
     for _ in range(1000):
         g = random_graph(rng, rng.randint(5, 14), rng.choice([0.2, 0.4, 0.6]))
         for s in (rng.getrandbits(g.n) | rng.getrandbits(g.n), sparse_set(sparse, g.n)):
-            cases.append((g, s, is_locating_dominating_via_collection(g, s)))
+            cases.append((g, s, reference(g, s)))
 
     def no_pairs(*args):
         raise AssertionError("a meeting pair was asked for")
@@ -243,9 +266,24 @@ def test_ld_accept_is_exact(monkeypatch):
     monkeypatch.setattr(verify, "meeting_pairs", no_pairs)
     verdicts = collections.Counter()
     for g, s, expected in cases:
-        assert is_locating_dominating(g, s) == expected, (g, s)
+        assert check(g, s) == expected, (g, s)
         verdicts[expected] += 1
     assert min(verdicts.values()) > 300, verdicts
+
+
+def test_ld_accept_is_exact(monkeypatch):
+    # LD is decided by the codes of the vertices outside S alone: none
+    # empty, no two equal.  That is exact, so no meeting pair is drawn, for
+    # holding sets and failing ones alike
+    _assert_decided_without_pairs(
+        monkeypatch, is_locating_dominating, is_locating_dominating_via_collection)
+
+
+def test_ic_accept_is_exact(monkeypatch):
+    # IC is decided the same way on the codes N[v] ∩ S of every vertex;
+    # about 650 of the cases fail on two equal codes, not an empty one
+    _assert_decided_without_pairs(
+        monkeypatch, is_identifying_code, is_identifying_code_via_collection)
 
 
 def test_ld_and_ic_on_a_king_torus():
