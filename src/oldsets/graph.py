@@ -29,7 +29,6 @@ __all__ = [
     "graph_to_json",
     "graph_from_json",
     "graph_from_edge_list",
-    "graph_to_edge_list",
     "graph_from_text",
 ]
 
@@ -79,20 +78,6 @@ class Graph:
         if s < 0 or s & ~self.all_mask():
             raise InputError(f"vertex set {s:#x} has members outside 0..{self.n - 1}")
 
-    def open_neighborhood(self, v: int) -> int:
-        """N(v) as a bitmask; never contains v."""
-        self.check_vertex(v)
-        return self.adj[v]
-
-    def closed_neighborhood(self, v: int) -> int:
-        """N[v] = N(v) | {v}."""
-        self.check_vertex(v)
-        return self.adj[v] | (1 << v)
-
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return self.adj[v].bit_count()
-
     def all_mask(self) -> int:
         """Bitmask of the full vertex set V."""
         return (1 << self.n) - 1
@@ -108,9 +93,6 @@ class Graph:
         index order, then N(u) △ N(v) for every meeting pair in
         :func:`meeting_pairs` order.  Built once per graph."""
         return self.adj + tuple(self.adj[u] ^ self.adj[v] for u, v in meeting_pairs(self.adj))
-
-    def num_edges(self) -> int:
-        return sum(a.bit_count() for a in self.adj) // 2
 
     def label(self, v: int) -> str:
         self.check_vertex(v)
@@ -234,6 +216,7 @@ def complete_graph(n: int) -> Graph:
 
 
 def graph_to_json(g: Graph) -> str:
+    check_graph(g)
     d: dict = {"n": g.n, "edges": [list(e) for e in g.edges()]}
     if g.labels is not None:
         d["labels"] = list(g.labels)
@@ -273,12 +256,6 @@ def graph_from_edge_list(text: str) -> Graph:
         except ValueError:
             raise InputError(f"bad edge line {ln!r}") from None
     return build_graph(n, edges)
-
-
-def graph_to_edge_list(g: Graph) -> str:
-    es = g.edges()
-    lines = [f"{g.n} {len(es)}"] + [f"{u} {v}" for u, v in es]
-    return "\n".join(lines) + "\n"
 
 
 def graph_from_text(text: str) -> Graph:

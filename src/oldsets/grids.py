@@ -153,9 +153,6 @@ class PeriodicPattern:
         if self.name is not None and not isinstance(self.name, str):
             raise InputError(f"pattern name must be a string, got {self.name!r}")
 
-    def contains(self, x: int, y: int) -> bool:
-        return (x % self.period[0], y % self.period[1]) in self.cells
-
     def density(self) -> Fraction:
         return Fraction(len(self.cells), self.period[0] * self.period[1])
 
@@ -421,12 +418,6 @@ def restrict_pattern_to_torus(pattern: PeriodicPattern, width: int, height: int)
     return mask
 
 
-def cross_check_dims(pattern: PeriodicPattern) -> tuple[int, int]:
-    """Smallest period multiples that are >= 3x the period and >= 6."""
-    px, py = pattern.period
-    return max(3 * px, px * -(-6 // px)), max(3 * py, py * -(-6 // py))
-
-
 def search_patterns(
     lattice: Lattice,
     kind: Kind,
@@ -643,20 +634,16 @@ def _builtin_specs() -> dict[str, tuple[Kind, PeriodicPattern, Fraction]]:
 BUILTIN_PATTERN_NAMES = tuple(_builtin_specs())
 
 
-def _builtin_spec(name: str) -> tuple[Kind, PeriodicPattern, Fraction]:
+@lru_cache(maxsize=None)
+def builtin_pattern(name: str) -> PeriodicPattern:
+    """Fetch a builtin pattern, re-verifying it (and its exact density) on
+    first access; a failing table raises rather than returning bad data."""
     specs = _builtin_specs()
     if name not in specs:
         raise InputError(
             f"unknown builtin pattern {name!r}; choices: {', '.join(BUILTIN_PATTERN_NAMES)}"
         )
-    return specs[name]
-
-
-@lru_cache(maxsize=None)
-def builtin_pattern(name: str) -> PeriodicPattern:
-    """Fetch a builtin pattern, re-verifying it (and its exact density) on
-    first access; a failing table raises rather than returning bad data."""
-    kind, pattern, expected_density = _builtin_spec(name)
+    kind, pattern, expected_density = specs[name]
     if pattern.density() != expected_density:
         raise RuntimeError(f"builtin pattern {name} has density {pattern.density()}, "
                            f"expected {expected_density}")
@@ -666,12 +653,8 @@ def builtin_pattern(name: str) -> PeriodicPattern:
     return pattern
 
 
-def builtin_pattern_kind(name: str) -> Kind:
-    """The kind a builtin pattern is verified for."""
-    return _builtin_spec(name)[0]
-
-
 def pattern_to_json(pattern: PeriodicPattern) -> str:
+    _check_pattern(pattern)
     d: dict = {
         "lattice": pattern.lattice.value,
         "period": list(pattern.period),

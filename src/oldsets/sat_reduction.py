@@ -175,8 +175,14 @@ def _clause_satisfied(clause: tuple[int, int, int], assignment: tuple[bool, ...]
     return any((lit > 0) == assignment[abs(lit) - 1] for lit in clause)
 
 
+def _check_cnf(cnf) -> None:
+    if not isinstance(cnf, CnfInstance):
+        raise InputError(f"expected a CnfInstance, got {type(cnf).__name__}")
+
+
 def satisfiable_bruteforce(cnf: CnfInstance) -> tuple[bool, tuple[bool, ...] | None]:
     """Try all 2^N assignments; returns (satisfiable, first witness or None)."""
+    _check_cnf(cnf)
     if cnf.num_vars > _SAT_BRUTEFORCE_MAX_VARS:
         raise InputError(f"SAT brute force is limited to N <= {_SAT_BRUTEFORCE_MAX_VARS}")
     for bits in range(1 << cnf.num_vars):
@@ -209,9 +215,6 @@ class ReductionOutput:
     def neg_literal_index(self, var: int) -> int:
         return VAR_GADGET_SIZE * var + _NEG
 
-    def forcing_index(self, var: int) -> int:
-        return VAR_GADGET_SIZE * var + _FRC
-
     def clause_vertex_index(self, j: int) -> int:
         return VAR_GADGET_SIZE * self.num_vars + CLAUSE_GADGET_SIZE * j + _CLS
 
@@ -232,6 +235,7 @@ def build_reduction(cnf: CnfInstance) -> ReductionOutput:
 
     More than MAX_VERTICES vertices is an InputError, raised before any
     gadget is built."""
+    _check_cnf(cnf)
     n_vars, n_clauses = cnf.num_vars, cnf.num_clauses
     total = VAR_GADGET_SIZE * n_vars + CLAUSE_GADGET_SIZE * n_clauses
     if total > MAX_VERTICES:
@@ -266,11 +270,14 @@ def build_reduction(cnf: CnfInstance) -> ReductionOutput:
     return out
 
 
+def _check_output(out) -> None:
+    if not isinstance(out, ReductionOutput):
+        raise InputError(f"expected a ReductionOutput, got {type(out).__name__}")
+
+
 def _check_structure(out: ReductionOutput) -> None:
-    g, cnf = out.graph, out.cnf
-    if g.n != VAR_GADGET_SIZE * cnf.num_vars + CLAUSE_GADGET_SIZE * cnf.num_clauses:
-        raise AssertionError("reduction graph has the wrong vertex count")
-    for j, clause in enumerate(cnf.clauses):
+    g = out.graph
+    for j, clause in enumerate(out.cnf.clauses):
         c = out.clause_vertex_index(j)
         in_gadget = g.adj[c] & mask_of(range(c, c + CLAUSE_GADGET_SIZE))
         if in_gadget.bit_count() != 1:
@@ -283,6 +290,7 @@ def _check_structure(out: ReductionOutput) -> None:
 def decide_sat_via_redold(out: ReductionOutput, budget: int = DEFAULT_BUDGET) -> bool:
     """Is the reduced formula satisfiable?  Yes iff the reduction graph's
     minimum RED:OLD set hits the 16N + 3M threshold."""
+    _check_output(out)
     result = min_set(out.graph, Kind.RED_OLD, budget=budget)
     if not result.feasible:
         raise AssertionError("reduction graphs always admit a RED:OLD set")
@@ -301,6 +309,7 @@ def validate_gadget_forcing(out: ReductionOutput, budget: int = DEFAULT_BUDGET) 
     b. propagation from the empty state already forces all of them;
     c. every minimum set contains u_i or not_u_i for each variable i.
     """
+    _check_output(out)
     if out.num_vars > 5 or out.num_clauses > 7 * out.num_vars:
         raise InputError("gadget validation is intended for instances up to N=5, M=7N")
     g = out.graph
@@ -310,9 +319,9 @@ def validate_gadget_forcing(out: ReductionOutput, budget: int = DEFAULT_BUDGET) 
     if fin is None or fin & required != required:
         return False
 
+    # min_set's feasibility verdict is this same root propagate, which
+    # found a set, so the instance is feasible
     optima = min_set(g, Kind.RED_OLD, enumerate_all=True, budget=budget)
-    if not optima.feasible:
-        return False
     # a. and c. over the complete list of optima: the required vertices
     # still in every optimum so far, and a literal of each variable
     common = required
@@ -328,8 +337,8 @@ def validate_gadget_forcing(out: ReductionOutput, budget: int = DEFAULT_BUDGET) 
 def assignment_from_set(output: ReductionOutput, s: int) -> tuple[bool, ...]:
     """Read a truth assignment off a threshold-sized RED:OLD set: variable i
     is true iff its positive literal vertex is in the set."""
-    if s & ~output.graph.all_mask():
-        raise InputError("set contains vertices outside the reduction graph")
+    _check_output(output)
+    output.graph.check_set(s)
     if s.bit_count() != output.threshold:
         raise InputError(
             f"set has {s.bit_count()} vertices, threshold is {output.threshold}"

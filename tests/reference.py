@@ -1,8 +1,10 @@
 """Reference checks that only the tests use: the definitional and
 collection formulations the package's verifiers are tested against, single
 domination and separation counts, the feasibility and forced-vertex
-queries, a per-vertex torus builder, and a clause enumerator for
-exhaustive desk-scale sweeps."""
+queries, a per-vertex torus builder, the torus dimensions a pattern is
+cross-checked at (``cross_check_dims``), the kind each builtin pattern is
+named for (``builtin_kind``), and a clause enumerator for exhaustive
+desk-scale sweeps."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from typing import Sequence
 
 from oldsets.errors import InputError
 from oldsets.graph import Graph, vertices_of
-from oldsets.grids import Lattice, neighbors
+from oldsets.grids import Lattice, PeriodicPattern, neighbors
 from oldsets.solve import DEFAULT_BUDGET, min_set
 from oldsets.verify import (
     Kind,
@@ -133,7 +135,7 @@ def is_locating_dominating_via_collection(g: Graph, s: int) -> bool:
 
 def is_identifying_code_via_collection(g: Graph, s: int) -> bool:
     """IC via the collection route: {N[w] : w in S}."""
-    return is_distinguishing_collection(g.n, [g.closed_neighborhood(w) for w in vertices_of(s)])
+    return is_distinguishing_collection(g.n, [g.adj[w] | 1 << w for w in vertices_of(s)])
 
 
 def torus_adj(lattice: Lattice, w: int, h: int) -> tuple[int, ...]:
@@ -148,6 +150,18 @@ def torus_adj(lattice: Lattice, w: int, h: int) -> tuple[int, ...]:
                 a |= 1 << (ny % h * w + nx % w)
             adj.append(a)
     return tuple(adj)
+
+
+def cross_check_dims(pattern: PeriodicPattern) -> tuple[int, int]:
+    """Smallest period multiples that are >= 3x the period and >= 6."""
+    px, py = pattern.period
+    return max(3 * px, px * -(-6 // px)), max(3 * py, py * -(-6 // py))
+
+
+def builtin_kind(name: str) -> Kind:
+    """The kind a builtin pattern is named for: "sq-old" is OLD and
+    "sq-redold" RED:OLD."""
+    return Kind(name.rsplit("-", 1)[1])
 
 
 def all_clauses_over(num_vars: int) -> list[tuple[int, int, int]]:

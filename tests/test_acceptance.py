@@ -13,6 +13,8 @@ from fractions import Fraction
 from conftest import named_fixture_graphs, random_graph, set_of
 from reference import (
     all_clauses_over,
+    builtin_kind,
+    cross_check_dims,
     is_old_definitional,
     is_old_via_collection,
     is_red_old_definitional,
@@ -22,8 +24,6 @@ from oldsets.grids import (
     BUILTIN_PATTERN_NAMES,
     build_torus,
     builtin_pattern,
-    builtin_pattern_kind,
-    cross_check_dims,
     restrict_pattern_to_torus,
     search_patterns,
     verify_pattern,
@@ -253,7 +253,7 @@ def test_criterion_6_grid_densities():
         p = builtin_pattern(name)
         if p.density() != expected[name]:
             failures.append(f"{name} density")
-        if not verify_pattern(p, builtin_pattern_kind(name)).holds:
+        if not verify_pattern(p, builtin_kind(name)).holds:
             failures.append(f"{name} verification")
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 60.0
@@ -267,7 +267,7 @@ def test_criterion_7_torus_cross_check():
     disagreements = 0
     for name in BUILTIN_PATTERN_NAMES:
         p = builtin_pattern(name)
-        kind = builtin_pattern_kind(name)
+        kind = builtin_kind(name)
         w, h = cross_check_dims(p)
         torus = build_torus(p.lattice, w, h)
         s = restrict_pattern_to_torus(p, w, h)

@@ -108,6 +108,14 @@ def test_verify_set_from_json_file(capsys, tmp_path):
     assert code == 0 and rep["holds"]
 
 
+@pytest.mark.parametrize("text", ['{"a": 1}', '"v2,v3"', "7"])
+def test_verify_set_file_must_hold_a_list(capsys, tmp_path, text):
+    f = tmp_path / "set.json"
+    f.write_text(text)
+    code, rep = run_json(capsys, "verify", "builtin:g11", str(f), "--kind", "old")
+    assert code == 2 and rep["error"] == "set JSON must be a list of labels or indices"
+
+
 def test_solve_g11(capsys):
     code, rep = run_json(capsys, "solve", "builtin:g11", "--kind", "old")
     assert code == 0 and rep["value"] == 6

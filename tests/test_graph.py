@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from conftest import graphs, random_graph_with_twins
+from oldsets import fixtures
 from oldsets.errors import InputError
 from oldsets.fixtures import builtin_graph, g11
 from oldsets.graph import (
@@ -17,7 +18,6 @@ from oldsets.graph import (
     graph_from_edge_list,
     graph_from_json,
     graph_from_text,
-    graph_to_edge_list,
     graph_to_json,
     mask_of,
     meeting_pairs,
@@ -30,17 +30,17 @@ from oldsets.sat_reduction import CnfInstance
 
 def test_p3_construction():
     g = build_graph(3, [(0, 1), (1, 2)])
-    assert g.open_neighborhood(1) == mask_of([0, 2])
+    assert g.adj[1] == mask_of([0, 2])
 
 
 def test_k4_construction():
     g = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    assert all(g.degree(v) == 3 for v in range(4))
+    assert all(a.bit_count() == 3 for a in g.adj)
 
 
 def test_duplicate_edges_are_deduplicated():
     g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
-    assert g.num_edges() == 1
+    assert g.edges() == [(0, 1)]
 
 
 def test_self_loop_rejected():
@@ -98,8 +98,9 @@ def test_constructors_refuse_bad_container_shapes(build, message):
     (lambda: graph_from_edge_list("a b"), 'expected header "n m", got \'a b\''),
     (lambda: graph_from_edge_list("2 1\n0 1 2"), "bad edge line '0 1 2'"),
     (lambda: graph_from_edge_list("2 1\n0 x"), "bad edge line '0 x'"),
+    (lambda: cycle_graph(2), "a cycle needs at least 3 vertices"),
 ], ids=["negative-n", "json-short-edge", "json-string-labels", "text-bad-header",
-        "text-long-edge", "text-non-int-edge"])
+        "text-long-edge", "text-non-int-edge", "cycle-of-two"])
 def test_graph_readers_refuse_bad_input(read, message):
     with pytest.raises(InputError, match=re.escape(message)):
         read()
@@ -118,29 +119,36 @@ def test_vertex_count_limit():
 def test_bad_vertex_query_rejected():
     g = path_graph(3)
     with pytest.raises(InputError):
-        g.open_neighborhood(5)
+        g.label(5)
 
 
 def test_open_neighborhood_examples():
-    assert path_graph(3).open_neighborhood(1) == mask_of([0, 2])
-    assert complete_graph(4).open_neighborhood(0) == mask_of([1, 2, 3])
-    assert cycle_graph(5).open_neighborhood(0) == mask_of([1, 4])
-
-
-def test_closed_neighborhood_examples():
-    assert path_graph(3).closed_neighborhood(1) == mask_of([0, 1, 2])
-    assert complete_graph(4).closed_neighborhood(0) == mask_of([0, 1, 2, 3])
-    assert cycle_graph(5).closed_neighborhood(2) == mask_of([1, 2, 3])
+    assert path_graph(3).adj[1] == mask_of([0, 2])
+    assert complete_graph(4).adj[0] == mask_of([1, 2, 3])
+    assert cycle_graph(5).adj[0] == mask_of([1, 4])
+    assert cycle_graph(5).adj[2] == mask_of([1, 3])
 
 
 def test_g11_fixture_loads_and_validates():
     g = g11()
     assert g.n == 11
-    assert g.num_edges() == 13
+    assert len(g.edges()) == 13
     # the triangles named in the uniqueness argument
     for tri in (("v1", "v2", "v3"), ("v5", "v6", "v7"), ("v9", "v10", "v11")):
         a, b, c = (g.index_of(x) for x in tri)
         assert g.adj[a] >> b & 1 and g.adj[a] >> c & 1 and g.adj[b] >> c & 1
+
+
+@pytest.mark.parametrize("drop, message", [
+    ((1, 2), "g11 fixture broken: ('v1', 'v2', 'v3') is not a triangle"),
+    ((7, 8), "g11 fixture broken: code of v8 is wrong"),
+], ids=["triangle-edge", "bridge-edge"])
+def test_g11_validation_refuses_a_broken_fixture(drop, message):
+    # without the bridge v7 - v8, v8 is seen by v9 alone
+    edges = [(u - 1, v - 1) for u, v in fixtures._G11_EDGES_1BASED if (u, v) != drop]
+    g = build_graph(11, edges, labels=[f"v{i}" for i in range(1, 12)])
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        fixtures._validate_g11(g)
 
 
 def test_g11_codes_of_known_locating_set():
@@ -163,13 +171,12 @@ def test_builtin_graph_names():
 @given(graphs())
 def test_open_neighborhood_never_contains_self(g):
     for v in range(g.n):
-        assert not g.open_neighborhood(v) >> v & 1
-        assert g.closed_neighborhood(v) == g.open_neighborhood(v) | 1 << v
+        assert not g.adj[v] >> v & 1
 
 
 @given(graphs())
 def test_handshake(g):
-    assert sum(g.degree(v) for v in range(g.n)) == 2 * g.num_edges()
+    assert sum(a.bit_count() for a in g.adj) == 2 * len(g.edges())
 
 
 @given(graphs())
@@ -178,16 +185,22 @@ def test_json_round_trip(g):
     assert back.n == g.n and back.adj == g.adj and back.labels == g.labels
 
 
+def _edge_list(g):
+    """The plain-text format: a line ``n m``, then one line ``u v`` per edge."""
+    edges = g.edges()
+    return "".join(f"{u} {v}\n" for u, v in [(g.n, len(edges)), *edges])
+
+
 @given(graphs())
 def test_edge_list_round_trip(g):
-    back = graph_from_edge_list(graph_to_edge_list(g))
+    back = graph_from_edge_list(_edge_list(g))
     assert back.n == g.n and back.adj == g.adj
 
 
 def test_text_sniffing():
     g = cycle_graph(4)
     assert graph_from_text(graph_to_json(g)).adj == g.adj
-    assert graph_from_text(graph_to_edge_list(g)).adj == g.adj
+    assert graph_from_text(_edge_list(g)).adj == g.adj
 
 
 def test_edge_list_errors():
@@ -211,7 +224,7 @@ def test_labels_resolution():
 def test_vertex_arguments_must_be_plain_ints(v):
     # isinstance(True, int) holds, so a bool would name vertex 1 or 0
     g = g11()
-    for method in (g.check_vertex, g.label, g.open_neighborhood, g.degree):
+    for method in (g.check_vertex, g.label):
         with pytest.raises(InputError):
             method(v)
 
@@ -244,7 +257,7 @@ def test_meeting_pairs_are_the_pairs_with_a_common_neighbor(g):
 
 @given(graphs(max_n=9))
 def test_closed_meeting_pairs_are_the_pairs_within_distance_two(g):
-    closed = tuple(g.closed_neighborhood(v) for v in range(g.n))
+    closed = tuple(a | 1 << v for v, a in enumerate(g.adj))
     expected = [
         (u, v)
         for u in range(g.n)
@@ -258,7 +271,7 @@ def test_meeting_pairs_through_is_the_brute_force_filter():
     rng = random.Random(17)
     for _ in range(300):
         g = random_graph_with_twins(rng, rng.randint(1, 12), rng.choice([0.15, 0.3, 0.6]))
-        closed = tuple(g.closed_neighborhood(v) for v in range(g.n))
+        closed = tuple(a | 1 << v for v, a in enumerate(g.adj))
         through = rng.getrandbits(g.n) & rng.getrandbits(g.n) if rng.random() < 0.9 else -1
         for masks in (g.adj, closed):
             expected = [

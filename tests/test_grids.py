@@ -5,13 +5,14 @@ import collections
 import itertools
 import json
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from reference import torus_adj
+from reference import builtin_kind, cross_check_dims, torus_adj
 from oldsets import grids, verify
 from oldsets.errors import InputError
 from oldsets.graph import MAX_VERTICES, build_graph, vertices_of
@@ -22,8 +23,6 @@ from oldsets.grids import (
     PeriodicPattern,
     build_torus,
     builtin_pattern,
-    builtin_pattern_kind,
-    cross_check_dims,
     lattice_degree,
     neighbors,
     pattern_from_json,
@@ -130,20 +129,36 @@ def test_builtin_densities_exact():
         assert builtin_pattern(name).density() == EXPECTED_DENSITIES[name]
 
 
-def test_builtin_pattern_kind_reads_the_table():
+def test_builtin_names_give_the_kind_in_the_table():
+    # the tests read a builtin's kind off its name
     for name in BUILTIN_PATTERN_NAMES:
-        assert builtin_pattern_kind(name) is grids._builtin_specs()[name][0]
-    assert builtin_pattern_kind("sq-redold") is Kind.RED_OLD
-    assert builtin_pattern_kind("tri-old") is Kind.OLD
+        assert builtin_kind(name) is grids._builtin_specs()[name][0]
+    assert builtin_kind("sq-redold") is Kind.RED_OLD
+    assert builtin_kind("tri-old") is Kind.OLD
     for name in ("nope", "sq-redold ", "redold", ""):
-        with pytest.raises(InputError):
-            builtin_pattern_kind(name)
+        with pytest.raises(InputError, match="unknown builtin pattern"):
+            builtin_pattern(name)
 
 
 def test_builtin_patterns_verify():
     for name in BUILTIN_PATTERN_NAMES:
-        rep = verify_pattern(builtin_pattern(name), builtin_pattern_kind(name))
+        rep = verify_pattern(builtin_pattern(name), builtin_kind(name))
         assert rep.holds, name
+
+
+@pytest.mark.parametrize("name, kind, density, message", [
+    ("bad-density", Kind.OLD, Fraction(1, 2), "bad-density has density 2/5, expected 1/2"),
+    ("bad-cells", Kind.RED_OLD, Fraction(2, 5), "bad-cells fails its redold check"),
+])
+def test_builtin_pattern_refuses_a_bad_table(monkeypatch, name, kind, density, message):
+    # sq-old's cells, with a density that disagrees, or checked as RED:OLD,
+    # which they fail; each case has its own name, as builtin_pattern
+    # caches what it returns
+    cells = builtin_pattern("sq-old").cells
+    spec = (kind, PeriodicPattern(Lattice.SQ, (1, 5), cells, name), density)
+    monkeypatch.setattr(grids, "_builtin_specs", lambda: {name: spec})
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        builtin_pattern(name)
 
 
 def test_full_pattern_is_red_old_on_sq():
@@ -173,13 +188,13 @@ def test_density_trivial():
 
 def test_build_torus_shapes():
     sq = build_torus(Lattice.SQ, 5, 5)
-    assert sq.n == 25 and all(sq.degree(v) == 4 for v in range(25))
+    assert sq.n == 25 and all(a.bit_count() == 4 for a in sq.adj)
     king = build_torus(Lattice.KING, 6, 6)
-    assert king.n == 36 and all(king.degree(v) == 8 for v in range(36))
+    assert king.n == 36 and all(a.bit_count() == 8 for a in king.adj)
     hexa = build_torus(Lattice.HEX, 6, 6)
-    assert all(hexa.degree(v) == 3 for v in range(36))
+    assert hexa.n == 36 and all(a.bit_count() == 3 for a in hexa.adj)
     tri = build_torus(Lattice.TRI, 5, 5)
-    assert all(tri.degree(v) == 6 for v in range(25))
+    assert tri.n == 25 and all(a.bit_count() == 6 for a in tri.adj)
     # the whole graph is the edge-list construction of the wrapped neighbor
     # relation; HEX at both dimension parities mod 4, the others non-square
     for lattice, w, h in ((Lattice.SQ, 5, 7), (Lattice.SQ, 9, 6), (Lattice.TRI, 7, 5),
@@ -270,7 +285,7 @@ def test_restrict_pattern_matches_the_per_vertex_scan():
             expected = 0
             for y in range(h):
                 for x in range(w):
-                    if p.contains(x, y):
+                    if (x % px, y % py) in p.cells:
                         expected |= 1 << (y * w + x)
             assert restrict_pattern_to_torus(p, w, h) == expected, (p, w, h)
 
@@ -306,7 +321,7 @@ def test_builtin_torus_cross_check():
     # the infinite local check and the finite verifier must agree
     for name in BUILTIN_PATTERN_NAMES:
         p = builtin_pattern(name)
-        kind = builtin_pattern_kind(name)
+        kind = builtin_kind(name)
         w, h = cross_check_dims(p)
         torus = build_torus(p.lattice, w, h)
         s = restrict_pattern_to_torus(p, w, h)
@@ -326,7 +341,7 @@ def test_holding_cross_check_draws_no_pair(monkeypatch):
         p = builtin_pattern(name)
         w, h = cross_check_dims(p)
         torus = build_torus(p.lattice, w, h)
-        checks.append((torus, restrict_pattern_to_torus(p, w, h), builtin_pattern_kind(name).fold))
+        checks.append((torus, restrict_pattern_to_torus(p, w, h), builtin_kind(name).fold))
     monkeypatch.setattr(verify, "meeting_pairs", no_pairs)
     for torus, s, fold in checks:
         assert verify_set(torus, s, fold).holds
@@ -440,7 +455,7 @@ def test_search_accepts_int_target():
 ])
 def test_search_reproduces_builtin_first_pattern(name, max_period):
     builtin = builtin_pattern(name)
-    p = search_patterns(builtin.lattice, builtin_pattern_kind(name), max_period,
+    p = search_patterns(builtin.lattice, builtin_kind(name), max_period,
                         builtin.density())
     assert p.period == builtin.period and p.cells == builtin.cells
 
@@ -487,7 +502,9 @@ def _reference_ball2(lattice, x, y):
 
 
 def _reference_code(pattern, v):
-    return frozenset(w for w in neighbors(pattern.lattice, *v) if pattern.contains(*w))
+    px, py = pattern.period
+    return frozenset(
+        (x, y) for x, y in neighbors(pattern.lattice, *v) if (x % px, y % py) in pattern.cells)
 
 
 def reference_verify_pattern(pattern, kind):

@@ -10,7 +10,8 @@ from conftest import random_cnf
 from reference import all_clauses_over
 from oldsets import sat_reduction
 from oldsets.errors import InputError
-from oldsets.graph import vertices_of
+from oldsets.graph import graph_to_json, vertices_of
+from oldsets.grids import pattern_to_json
 from oldsets.sat_reduction import (
     CnfInstance,
     ROLE_CLAUSE,
@@ -19,6 +20,8 @@ from oldsets.sat_reduction import (
     ROLE_POSITIVE,
     ROLE_SHADED,
     ROLE_TRIANGLE,
+    VAR_GADGET_SIZE,
+    ReductionOutput,
     assignment_from_set,
     build_reduction,
     decide_sat_via_redold,
@@ -68,11 +71,31 @@ def test_cnf_instance_rejects_non_int_or_short_input(num_vars, clauses, message)
 @pytest.mark.parametrize("read, message", [
     (lambda: parse_dimacs("p cnf x 1\n"), "malformed DIMACS header 'p cnf x 1'"),
     (lambda: assignment_from_set(build_reduction(CnfInstance(1, ((1, 1, 1),))), 1 << 22),
-     "set contains vertices outside the reduction graph"),
+     "vertex set 0x400000 has members outside 0..21"),
 ], ids=["non-int-header", "set-outside-graph"])
 def test_reduction_inputs_refused(read, message):
     with pytest.raises(InputError, match=re.escape(message)):
         read()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_reduction("p cnf"), "expected a CnfInstance, got str"),
+    (lambda: satisfiable_bruteforce("x"), "expected a CnfInstance, got str"),
+    (lambda: validate_gadget_forcing("x"), "expected a ReductionOutput, got str"),
+    (lambda: decide_sat_via_redold("x"), "expected a ReductionOutput, got str"),
+    (lambda: assignment_from_set("x", 1), "expected a ReductionOutput, got str"),
+    (lambda: assignment_from_set(build_reduction(CnfInstance(1, ((1, 1, 1),))), 1.5),
+     "vertex set must be an int bitmask, got 1.5"),
+    (lambda: graph_to_json("g"), "expected a Graph, got str"),
+    (lambda: pattern_to_json("p"), "expected a PeriodicPattern, got str"),
+], ids=["build_reduction", "satisfiable_bruteforce", "validate_gadget_forcing",
+        "decide_sat_via_redold", "assignment_from_set", "assignment_from_set-float-set",
+        "graph_to_json", "pattern_to_json"])
+def test_entry_points_refuse_an_argument_of_the_wrong_type(call, message):
+    # an InputError with a message, where each raised an AttributeError
+    # (a TypeError for the float set)
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()
 
 
 def test_parse_rejects_no_variables():
@@ -146,7 +169,7 @@ def test_reduction_roles():
     g = out.graph
     assert g.label(out.pos_literal_index(0)) == "u_1"
     assert g.label(out.neg_literal_index(2)) == "not_u_3"
-    assert g.label(out.forcing_index(3)) == "v_4"
+    assert g.label(VAR_GADGET_SIZE * 3 + 2) == "v_4"
     assert g.label(out.clause_vertex_index(1)) == "c_2"
 
 
@@ -161,7 +184,15 @@ def test_clause_vertex_attachments():
 def test_repeated_literal_gets_single_edge():
     out = build_reduction(CnfInstance(1, ((1, 1, 1),)))
     c = out.clause_vertex_index(0)
-    assert out.graph.degree(c) == 2  # one triangle vertex + one literal vertex
+    assert out.graph.adj[c].bit_count() == 2  # one triangle vertex + one literal vertex
+
+
+def test_check_structure_refuses_a_clause_wired_to_a_wrong_literal():
+    # the graph of (x1 or x2 or x2), read as (x1 or not x2 or not x2)
+    out = build_reduction(CnfInstance(2, ((1, 2, 2),)))
+    wrong = ReductionOutput(out.graph, out.roles, out.threshold, CnfInstance(2, ((1, -2, -2),)))
+    with pytest.raises(AssertionError, match="clause vertex attached to the wrong literals"):
+        sat_reduction._check_structure(wrong)
 
 
 def test_propagation_forces_exactly_the_shaded_and_triangles():
@@ -239,6 +270,21 @@ def test_validate_gadget_forcing_four_variable_instance():
     assert validate_gadget_forcing(build_reduction(parse_dimacs(TWO_CLAUSE_DIMACS)))
 
 
+def test_validate_gadget_forcing_fails_a_free_vertex_labelled_shaded(monkeypatch):
+    # propagation leaves u_1 free when its clause has three distinct
+    # literals, so roles that call it shaded fail check b., before any search
+    out = build_reduction(CnfInstance(3, ((1, 2, 3),)))
+    u1 = out.pos_literal_index(0)
+    assert not propagate(out.graph, Kind.RED_OLD) >> u1 & 1
+    roles = out.roles[:u1] + (ROLE_SHADED,) + out.roles[u1 + 1:]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("min_set ran")
+
+    monkeypatch.setattr(sat_reduction, "min_set", no_search)
+    assert validate_gadget_forcing(ReductionOutput(out.graph, roles, out.threshold, out.cnf)) is False
+
+
 def test_validate_gadget_forcing_guard():
     # the cap is N <= 5 and M <= 7N
     with pytest.raises(InputError):
@@ -268,7 +314,7 @@ def test_assignment_from_set_rejects_non_redold():
     out = build_reduction(CnfInstance(1, ((1, 1, 1),)))
     # right size, wrong set: drop one forced vertex, add the forcing vertex
     bad = (out.forced_mask() | 1 << out.pos_literal_index(0)) & ~(1 << out.graph.index_of("g_1_1"))
-    bad |= 1 << out.forcing_index(0)
+    bad |= 1 << out.graph.index_of("v_1")
     assert bad.bit_count() == out.threshold
     with pytest.raises(InputError):
         assignment_from_set(out, bad)

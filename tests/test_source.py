@@ -134,3 +134,91 @@ def test_readme_command_tour_runs(tmp_path, monkeypatch, capsys):
             report = json.loads(out)
             assert (report["vertices"], report["threshold"]) == (80, 70), line
     assert densities == 8
+
+
+def _uses(tree: ast.AST, imported: dict[str, str] | None = None) -> list[tuple[str, bool, int]]:
+    """(name, is_attribute, line) of each Name read and each Attribute in
+    ``tree``.  Given ``imported`` (local name → the package's name), only
+    the uses that reach one of those names count: the name itself, or an
+    attribute of it, such as ``grids.search_patterns``."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if imported is None or node.id in imported:
+                uses.append((imported[node.id] if imported else node.id, False, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            if imported is None or (isinstance(node.value, ast.Name) and node.value.id in imported):
+                uses.append((node.attr, True, node.lineno))
+    return uses
+
+
+def _surface(tree: ast.Module) -> dict[str, tuple[str, bool, int, int]]:
+    """The public surface of a module with ``__all__``, else {}: every name
+    in ``__all__``, every public top-level function and every public method
+    or property of an exported class, each as qualified name → (name,
+    reached only as an attribute, first and last line of its definition)."""
+    exported = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    ]
+    if not exported:
+        return {}
+    surface = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        for name in names:
+            if name in exported[0] or (isinstance(node, ast.FunctionDef) and not name.startswith("_")):
+                surface[name] = (name, False, node.lineno, node.end_lineno)
+        if isinstance(node, ast.ClassDef) and node.name in exported[0]:
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    surface[f"{node.name}.{member.name}"] = (
+                        member.name, True, member.lineno, member.end_lineno)
+    assert set(exported[0]) <= set(surface), "an __all__ name that is not a def, class or assignment"
+    return surface
+
+
+def test_every_public_name_has_a_caller():
+    # the library surface is what the CLI, the benchmark and the README
+    # reach, so each name of a module's _surface must be used outside its
+    # own definition: in package code (an import alone is no use), in
+    # bench/*.py only where it reaches the package's own object, or in
+    # README.md, in backticks or a code block.  Uses in tests do not count
+    uses = []  # (name, is_attribute, file, line)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses += [(name, attr, path.name, line) for name, attr, line in _uses(tree)]
+    for path in sorted((README.parent / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "oldsets"
+            for alias in node.names
+        }
+        uses += [(name, attr, f"bench/{path.name}", line) for name, attr, line in _uses(tree, imported)]
+    readme = README.read_text()
+    blocks = re.findall(r"^```.*?\n(.*?)^```", readme, re.M | re.S)
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S))
+    documented = set(re.findall(r"\w+", " ".join(blocks + spans)))
+
+    unused = []
+    exporting = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        surface = _surface(ast.parse(path.read_text(), filename=str(path)))
+        exporting += bool(surface)
+        for qualified, (name, method, first, last) in surface.items():
+            used = any(
+                use == name and (attr or not method)
+                and not (where == path.name and first <= line <= last)
+                for use, attr, where, line in uses
+            )
+            if not used and name not in documented:
+                unused.append(f"{path.stem}.{qualified}")
+    assert exporting >= 6
+    assert unused == [], f"public names that nothing but tests reaches: {unused}"

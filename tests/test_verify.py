@@ -211,7 +211,7 @@ def _locating_dominating_direct(g, s):
 
 
 def _identifying_code_direct(g, s):
-    codes = [g.closed_neighborhood(v) & s for v in range(g.n)]
+    codes = [(g.adj[v] | 1 << v) & s for v in range(g.n)]
     return all(codes) and len(set(codes)) == g.n
 
 
@@ -295,13 +295,13 @@ def test_ld_and_ic_on_a_king_torus():
     # columns x = 4 and x = 7, rows 4..6) is left out; LD also needs u and
     # v themselves out
     u, v = g.index_of("5,5"), g.index_of("6,5")
-    diff = g.closed_neighborhood(u) ^ g.closed_neighborhood(v)
+    diff = (g.adj[u] | 1 << u) ^ (g.adj[v] | 1 << v)
     assert diff.bit_count() == 6
     assert not is_identifying_code(g, full & ~diff)
     assert is_locating_dominating(g, full & ~diff)
     assert not is_locating_dominating(g, full & ~diff & ~(1 << u | 1 << v))
     # every vertex needs a detector in N[v]; in N(v) or itself for LD
-    hole = g.closed_neighborhood(u)
+    hole = g.adj[u] | 1 << u
     assert not is_identifying_code(g, full & ~hole)
     assert not is_locating_dominating(g, full & ~hole)
 
