@@ -126,7 +126,14 @@ def test_open_neighborhood_examples():
     assert path_graph(3).adj[1] == mask_of([0, 2])
     assert complete_graph(4).adj[0] == mask_of([1, 2, 3])
     assert cycle_graph(5).adj[0] == mask_of([1, 4])
-    assert cycle_graph(5).adj[2] == mask_of([1, 3])
+
+
+def test_closed_neighborhood_examples():
+    # N[v] is the row of adj with v's own bit added
+    closed = lambda g, v: g.adj[v] | 1 << v
+    assert closed(path_graph(3), 1) == mask_of([0, 1, 2])
+    assert closed(complete_graph(4), 0) == mask_of([0, 1, 2, 3])
+    assert closed(cycle_graph(5), 2) == mask_of([1, 2, 3])
 
 
 def test_g11_fixture_loads_and_validates():
