@@ -156,7 +156,7 @@ def cmd_reduce(args) -> tuple[dict, list[str]]:
         f"-> {out.graph.n} vertices, threshold {out.threshold}"
     ]
     if args.validate_gadgets:
-        ok = sat_reduction.validate_gadget_forcing(out, budget=args.budget)
+        ok = sat_reduction.validate_gadget_forcing(out)
         report["gadget_validation"] = ok
         lines.append(f"  gadget forcing validation: {'pass' if ok else 'FAIL'}")
         if not ok:
@@ -281,8 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decide", action="store_true",
                    help="solve the instance and cross-check against the SAT oracle")
     p.add_argument("--validate-gadgets", action="store_true",
-                   help="run the gadget forcing validation (small instances)")
-    p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
+                   help="check the gadget forcing lemmas (no search, any size)")
+    p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET,
+                   help="search node budget of --decide")
     add_common(p)
     p.set_defaults(func=cmd_reduce)
 

@@ -34,16 +34,23 @@ __all__ = [
 
 
 def mask_of(vertices: Iterable[int]) -> int:
-    """Bitmask with one bit set per vertex index."""
+    """Bitmask with one bit set per vertex index; an index that is not an
+    int >= 0 is an input error."""
     m = 0
     for v in vertices:
+        # type(v) is int rejects bool and float: True would stand for 1
+        if type(v) is not int or v < 0:
+            raise InputError(f"vertex index {v!r} is not an int >= 0")
         m |= 1 << v
     return m
 
 
 def vertices_of(mask: int) -> list[int]:
-    """Sorted list of the indices set in ``mask``; a negative mask (an
-    infinite set in two's complement) is an input error."""
+    """Sorted list of the indices set in ``mask``; a mask that is not an
+    int, or a negative one (an infinite set in two's complement), is an
+    input error."""
+    if type(mask) is not int:
+        raise InputError(f"vertex set must be an int bitmask, got {mask!r}")
     if mask < 0:
         raise InputError(f"vertex set {mask:#x} is negative")
     out = []
@@ -201,17 +208,26 @@ def build_graph(
     return Graph(n, tuple(adj), labels)
 
 
+def _check_count(n: int) -> None:
+    # the constructors range over n before build_graph can check it
+    if type(n) is not int:
+        raise InputError(f"vertex count must be an int, got {n!r}")
+
+
 def path_graph(n: int) -> Graph:
+    _check_count(n)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
+    _check_count(n)
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
+    _check_count(n)
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 

@@ -82,8 +82,11 @@ _OFFSETS: dict[Lattice, tuple[tuple[Coord, ...], tuple[Coord, ...]]] = {
 
 
 def neighbors(lattice: Lattice, x: int, y: int) -> tuple[Coord, ...]:
-    """Open neighborhood of (x, y) as absolute coordinates."""
+    """Open neighborhood of (x, y) as absolute coordinates; x and y must be
+    ints (not bool), else InputError."""
     _check_lattice(lattice)
+    if type(x) is not int or type(y) is not int:
+        raise InputError(f"lattice coordinates must be ints, got ({x!r}, {y!r})")
     return tuple((x + dx, y + dy) for dx, dy in _OFFSETS[lattice][(x + y) % 2])
 
 

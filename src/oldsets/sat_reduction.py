@@ -28,8 +28,11 @@ Clause gadget: a pendant triangle t1,t2,t3 (all three forced the same way)
 plus the clause vertex c adjacent to t1 only; c's second dominator must be
 one of the clause's literal vertices, i.e. a satisfied literal.
 
-The wiring is treated as untrusted and is validated computationally by
-:func:`validate_gadget_forcing` and the solver sweeps in the test suite.
+The wiring is treated as untrusted.  :func:`validate_gadget_forcing`
+checks both forcing arguments on the built graph without search: one
+propagation pass for the forced vertices, and each forcing vertex's
+neighbours for the literal choice.  The solver sweeps in the test suite
+check the threshold equivalence.
 """
 
 from __future__ import annotations
@@ -299,39 +302,41 @@ def decide_sat_via_redold(out: ReductionOutput, budget: int = DEFAULT_BUDGET) ->
     return result.value == out.threshold
 
 
-def validate_gadget_forcing(out: ReductionOutput, budget: int = DEFAULT_BUDGET) -> bool:
-    """Computational check that the gadget tables behave as designed.
+def validate_gadget_forcing(out: ReductionOutput) -> bool:
+    """Check the reduction's two gadget lemmas, with no search.
 
-    For the reduction of a small instance (up to N=5, M=7N) this demands:
+    a. Every shaded internal and clause-triangle vertex (``forced_mask()``)
+       lies in every RED:OLD set of the reduction graph.
+    b. Proof of a: one ``propagate`` pass from the empty state forces all
+       of them.  With nothing excluded it forces the members of each
+       constraint (an N(v), or an N(u) △ N(v) whose sides meet) that has
+       only two; a RED:OLD set must hold both, so what the pass forces lies
+       in every RED:OLD set, not only in every minimum one.
+    c. Every RED:OLD set holds u_i or not_u_i for each variable i.  Proof:
+       the forcing vertex v_i has at most one neighbour in
+       ``forced_mask()`` and no other neighbour but u_i and not_u_i, so
+       at most one of its neighbours is neither literal.  A RED:OLD set
+       double-dominates v_i, so one of its two dominators there is u_i or
+       not_u_i.
 
-    a. every shaded internal and clause-triangle vertex is in every minimum
-       RED:OLD set of the reduction graph;
-    b. propagation from the empty state already forces all of them;
-    c. every minimum set contains u_i or not_u_i for each variable i.
+    Neither check searches, so both run at any size the reduction
+    accepts.  Every ``build_reduction`` output passes them.  On a
+    hand-wired graph check c. is stricter than its lemma: an extra edge
+    from v_1 to a vertex of the triangle of clause (1 1 1) fails it, though
+    that clause forces u_1 into every set anyway.
     """
     _check_output(out)
-    if out.num_vars > 5 or out.num_clauses > 7 * out.num_vars:
-        raise InputError("gadget validation is intended for instances up to N=5, M=7N")
     g = out.graph
     required = out.forced_mask()
-
     fin = propagate(g, Kind.RED_OLD)
     if fin is None or fin & required != required:
         return False
-
-    # min_set's feasibility verdict is this same root propagate, which
-    # found a set, so the instance is feasible
-    optima = min_set(g, Kind.RED_OLD, enumerate_all=True, budget=budget)
-    # a. and c. over the complete list of optima: the required vertices
-    # still in every optimum so far, and a literal of each variable
-    common = required
-    for s in optima.all_minimum_sets:
-        common &= s
-        for i in range(out.num_vars):
-            pair = (1 << out.pos_literal_index(i)) | (1 << out.neg_literal_index(i))
-            if not s & pair:
-                return False
-    return common == required
+    for i in range(out.num_vars):
+        pair = (1 << out.pos_literal_index(i)) | (1 << out.neg_literal_index(i))
+        seen = g.adj[VAR_GADGET_SIZE * i + _FRC]
+        if seen & ~pair & ~required or (seen & required).bit_count() > 1:
+            return False
+    return True
 
 
 def assignment_from_set(output: ReductionOutput, s: int) -> tuple[bool, ...]:

@@ -3,8 +3,9 @@ collection formulations the package's verifiers are tested against, single
 domination and separation counts, the feasibility and forced-vertex
 queries, a per-vertex torus builder, the torus dimensions a pattern is
 cross-checked at (``cross_check_dims``), the kind each builtin pattern is
-named for (``builtin_kind``), and a clause enumerator for exhaustive
-desk-scale sweeps."""
+named for (``builtin_kind``), a clause enumerator for exhaustive
+desk-scale sweeps, and the gadget lemmas checked over every optimum
+(``gadget_lemmas_by_enumeration``)."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from typing import Sequence
 from oldsets.errors import InputError
 from oldsets.graph import Graph, vertices_of
 from oldsets.grids import Lattice, PeriodicPattern, neighbors
-from oldsets.solve import DEFAULT_BUDGET, min_set
+from oldsets.sat_reduction import ReductionOutput
+from oldsets.solve import DEFAULT_BUDGET, min_set, propagate
 from oldsets.verify import (
     Kind,
     VerificationReport,
@@ -170,3 +172,23 @@ def all_clauses_over(num_vars: int) -> list[tuple[int, int, int]]:
     lits = [v for v in range(1, num_vars + 1)] + [-v for v in range(1, num_vars + 1)]
     lits.sort(key=lambda l: (abs(l), l < 0))
     return list(itertools.combinations_with_replacement(lits, 3))
+
+
+def gadget_lemmas_by_enumeration(out: ReductionOutput) -> bool:
+    """The gadget lemmas checked over the complete list of optima: the root
+    propagation forces ``forced_mask()``, those vertices lie in every
+    minimum RED:OLD set, and every minimum set holds u_i or not_u_i for
+    each variable i.  Exponential in N; desk-scale instances only."""
+    g = out.graph
+    required = out.forced_mask()
+    fin = propagate(g, Kind.RED_OLD)
+    if fin is None or fin & required != required:
+        return False
+    common = required
+    for s in min_set(g, Kind.RED_OLD, enumerate_all=True).all_minimum_sets:
+        common &= s
+        for i in range(out.num_vars):
+            pair = (1 << out.pos_literal_index(i)) | (1 << out.neg_literal_index(i))
+            if not s & pair:
+                return False
+    return common == required

@@ -15,6 +15,7 @@ from reference import (
     all_clauses_over,
     builtin_kind,
     cross_check_dims,
+    gadget_lemmas_by_enumeration,
     is_old_definitional,
     is_old_via_collection,
     is_red_old_definitional,
@@ -175,9 +176,11 @@ def test_criterion_4_reduction_iff_at_desk_scale():
 def test_criterion_5_gadget_forcing():
     """validate_gadget_forcing passes on N <= 2, M <= 2 instances and on
     seeded random N = 4 and N = 5 instances with M from N to 7N, some of
-    them unsatisfiable; propagation from the empty state forces exactly the
-    shaded/triangle role set when clauses have three distinct literals, and
-    at least one literal vertex per variable sits in every optimum."""
+    them unsatisfiable, and so does the check over every optimum
+    (gadget_lemmas_by_enumeration): the forced vertices sit in every
+    optimum, and at least one literal vertex per variable does too.
+    Propagation from the empty state forces exactly the shaded/triangle
+    role set when clauses have three distinct literals."""
     instances = []
     clauses1 = all_clauses_over(1)
     instances += [CnfInstance(1, (c,)) for c in clauses1]
@@ -208,7 +211,7 @@ def test_criterion_5_gadget_forcing():
     exact_checked = 0
     for cnf in instances:
         out = build_reduction(cnf)
-        if not validate_gadget_forcing(out):
+        if not (validate_gadget_forcing(out) and gadget_lemmas_by_enumeration(out)):
             failures += 1
             continue
         fin = propagate(out.graph, Kind.RED_OLD)

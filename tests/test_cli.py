@@ -320,10 +320,12 @@ def test_reduce_decide_unsat_agreement(capsys, tmp_path):
 
 
 def test_reduce_validate_gadgets(capsys, tmp_path):
+    # N = 6 is past the N <= 5 cap the validation had while it searched
     cnf = tmp_path / "f.cnf"
-    cnf.write_text("p cnf 1 1\n1 1 1 0\n")
-    code, rep = run_json(capsys, "reduce", str(cnf), "--validate-gadgets")
-    assert code == 0 and rep["gadget_validation"] is True
+    for dimacs in ("p cnf 1 1\n1 1 1 0\n", "p cnf 6 0\n"):
+        cnf.write_text(dimacs)
+        code, rep = run_json(capsys, "reduce", str(cnf), "--validate-gadgets")
+        assert code == 0 and rep["gadget_validation"] is True
 
 
 def test_reduce_builds_the_reduction_once(capsys, tmp_path, monkeypatch):

@@ -63,7 +63,7 @@ dimacs = st.lists(
 
 @st.composite
 def cnf_3(draw):
-    # a well-formed 3-CNF of the size the gadget validation accepts
+    # a well-formed 3-CNF small enough for --decide to finish quickly
     n = draw(st.integers(1, 5))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
     clauses = draw(st.lists(st.tuples(literal, literal, literal), max_size=7 * n))

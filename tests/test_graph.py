@@ -24,7 +24,7 @@ from oldsets.graph import (
     path_graph,
     vertices_of,
 )
-from oldsets.grids import Lattice, PeriodicPattern
+from oldsets.grids import Lattice, PeriodicPattern, neighbors
 from oldsets.sat_reduction import CnfInstance
 
 
@@ -225,6 +225,25 @@ def test_labels_resolution():
     assert g.index_of("3") == 3
     with pytest.raises(InputError):
         g.index_of("w9")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: path_graph(1.5), "vertex count must be an int, got 1.5"),
+    (lambda: complete_graph(2.5), "vertex count must be an int, got 2.5"),
+    (lambda: cycle_graph(3.5), "vertex count must be an int, got 3.5"),
+    (lambda: mask_of([-1]), "vertex index -1 is not an int >= 0"),
+    (lambda: mask_of([True]), "vertex index True is not an int >= 0"),
+    (lambda: mask_of([2.0]), "vertex index 2.0 is not an int >= 0"),
+    (lambda: vertices_of(True), "vertex set must be an int bitmask, got True"),
+    (lambda: vertices_of(1.5), "vertex set must be an int bitmask, got 1.5"),
+    (lambda: neighbors(Lattice.SQ, 1.5, 0), "lattice coordinates must be ints, got (1.5, 0)"),
+    (lambda: neighbors(Lattice.SQ, True, 0), "lattice coordinates must be ints, got (True, 0)"),
+], ids=["path-float", "complete-float", "cycle-float", "mask-negative", "mask-bool",
+        "mask-float", "vertices-bool", "vertices-float", "neighbors-float", "neighbors-bool"])
+def test_helpers_refuse_an_index_that_is_not_a_plain_int(call, message):
+    # each raised a TypeError or ValueError, or took True as 1
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("v", [True, False, 1.0, "1", None])

@@ -7,10 +7,10 @@ import re
 import pytest
 
 from conftest import random_cnf
-from reference import all_clauses_over
+from reference import all_clauses_over, gadget_lemmas_by_enumeration
 from oldsets import sat_reduction
 from oldsets.errors import InputError
-from oldsets.graph import graph_to_json, vertices_of
+from oldsets.graph import build_graph, graph_to_json, vertices_of
 from oldsets.grids import pattern_to_json
 from oldsets.sat_reduction import (
     CnfInstance,
@@ -285,14 +285,54 @@ def test_validate_gadget_forcing_fails_a_free_vertex_labelled_shaded(monkeypatch
     assert validate_gadget_forcing(ReductionOutput(out.graph, roles, out.threshold, out.cnf)) is False
 
 
-def test_validate_gadget_forcing_guard():
-    # the cap is N <= 5 and M <= 7N
-    with pytest.raises(InputError):
-        validate_gadget_forcing(build_reduction(CnfInstance(6, ())))
-    with pytest.raises(InputError):
-        validate_gadget_forcing(build_reduction(CnfInstance(2, ((1, -2, 2),) * 15)))
+def test_validate_gadget_forcing_has_no_size_cap(monkeypatch):
+    # no search, so no N <= 5 / M <= 7N cap: one propagation pass and the
+    # forcing vertices' wiring check the lemmas at any size
     assert validate_gadget_forcing(build_reduction(CnfInstance(5, ())))
     assert validate_gadget_forcing(build_reduction(CnfInstance(2, ((1, -2, 2),) * 14)))
+    assert validate_gadget_forcing(build_reduction(CnfInstance(6, ())))
+    assert validate_gadget_forcing(build_reduction(CnfInstance(2, ((1, -2, 2),) * 15)))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("min_set ran")
+
+    monkeypatch.setattr(sat_reduction, "min_set", no_search)
+    assert validate_gadget_forcing(build_reduction(random_cnf(random.Random(40), 40, 170)))
+
+
+def _with_edge(out: ReductionOutput, a: str, b: str) -> ReductionOutput:
+    g = out.graph
+    graph = build_graph(g.n, g.edges() + [(g.index_of(a), g.index_of(b))], g.labels)
+    return ReductionOutput(graph, out.roles, out.threshold, out.cnf)
+
+
+@pytest.mark.parametrize("clauses, shaded", [
+    (((1, 1, 1),), "g_1_2"),
+    (((1, -2, 2),), "g_1_2"),
+    (((1, 2, 3),), "g_1_2"),
+    (((1, 2, 3), (-1, -2, -3)), "g_1_2"),
+    (((1, -2, 2),), "g_1_6"),
+    (((1, 2, 3),), "g_1_6"),
+    (((1, 2, 3), (-1, -2, -3)), "g_1_6"),
+], ids=["1-1-1", "1-neg2-2", "1-2-3", "1-2-3-and-negations",
+        "anchor-1-neg2-2", "anchor-1-2-3", "anchor-1-2-3-and-negations"])
+def test_validate_gadget_forcing_agrees_with_enumeration_on_a_tampered_output(clauses, shaded):
+    # an edge from v_1 to a shaded vertex gives v_1 two forced dominators,
+    # and both the new check and the optima refuse it: through propagation
+    # for g_1_2, whose pendant triangle loses its forcing, and through the
+    # literal lemma alone for the anchor g_1_6, which propagation still forces
+    out = build_reduction(CnfInstance(max(abs(lit) for c in clauses for lit in c), clauses))
+    assert validate_gadget_forcing(out) is gadget_lemmas_by_enumeration(out) is True
+    tampered = _with_edge(out, "v_1", shaded)
+    assert validate_gadget_forcing(tampered) is gadget_lemmas_by_enumeration(tampered) is False
+
+
+def test_validate_gadget_forcing_is_stricter_than_the_lemma_on_hand_wiring():
+    # clause (1 1 1) forces u_1 into every set, so every optimum still holds
+    # a literal of x1; the wiring check refuses the extra edge all the same
+    out = _with_edge(build_reduction(CnfInstance(1, ((1, 1, 1),))), "v_1", "t_1_1")
+    assert gadget_lemmas_by_enumeration(out) is True
+    assert validate_gadget_forcing(out) is False
 
 
 def test_assignment_from_set():

@@ -222,3 +222,24 @@ def test_every_public_name_has_a_caller():
                 unused.append(f"{path.stem}.{qualified}")
     assert exporting >= 6
     assert unused == [], f"public names that nothing but tests reaches: {unused}"
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is a knob that does
+    # nothing; self and cls are exempt, and so are lambdas, whose signature
+    # their caller fixes
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [
+                f"{path.name}:{fn.lineno} {fn.name}({a.arg})"
+                for a in params if a.arg not in read and a.arg not in ("self", "cls")
+            ]
+    assert unread == []
