@@ -4,29 +4,34 @@ Every variable becomes an 18-vertex gadget, every clause a 4-vertex gadget,
 and the built graph has a RED:OLD set of size 16N + 3M exactly when the
 formula is satisfiable.
 
-Variable gadget: a positive literal vertex ``u``, a negated literal vertex
-``nu``, a forcing vertex ``w``, and 15 shaded internals arranged as five
-pendant triangles, the third vertex of each being its outward "anchor"::
+Variable gadget i: a positive literal vertex ``u_i``, a negated literal
+vertex ``not_u_i``, a forcing vertex ``v_i``, and 15 shaded internals
+arranged as five pendant triangles, the third vertex of each being its
+outward "anchor"::
 
     a_t -- b_t       pendant triangle t = 0..4; a_t, b_t have degree 2
      \    /
      anchor_t
 
-    N(w)  = {u, nu, anchor_0}
-    N(u)  = {w, anchor_1, anchor_2} + its clause vertices
-    N(nu) = {w, anchor_3, anchor_4} + its clause vertices
+    N(v_i)     = {u_i, not_u_i, anchor_0}
+    N(u_i)     = {v_i, anchor_1, anchor_2} + its clause vertices
+    N(not_u_i) = {v_i, anchor_3, anchor_4} + its clause vertices
+
+The DIMACS literal +i is the vertex u_i and -i is not_u_i
+(:meth:`ReductionOutput.literal_index`).
 
 Each pendant triangle has two degree-2 vertices, so a double-domination
 argument forces all three of its members into every acceptable set: the 15
-shaded internals are unconditionally required.  The forcing vertex ``w``
-sees only {u, nu, anchor_0}, so once anchor_0 is in, double-dominating
-``w`` still needs u or nu — the truth assignment.  The literal vertices are
-themselves double-dominated by their two anchors, whichever polarity is
-chosen.
+shaded internals are unconditionally required.  The forcing vertex ``v_i``
+sees only {u_i, not_u_i, anchor_0}, so once anchor_0 is in,
+double-dominating ``v_i`` still needs u_i or not_u_i — the truth
+assignment.  The literal vertices are themselves double-dominated by their
+two anchors, whichever polarity is chosen.
 
-Clause gadget: a pendant triangle t1,t2,t3 (all three forced the same way)
-plus the clause vertex c adjacent to t1 only; c's second dominator must be
-one of the clause's literal vertices, i.e. a satisfied literal.
+Clause gadget j: a pendant triangle t_j_1, t_j_2, t_j_3 (all three forced
+the same way) plus the clause vertex c_j adjacent to t_j_1 only; c_j's
+second dominator must be one of the clause's literal vertices, i.e. a
+satisfied literal.
 
 The wiring is treated as untrusted.  :func:`validate_gadget_forcing`
 checks both forcing arguments on the built graph without search: one
@@ -117,14 +122,24 @@ class CnfInstance:
             raise InputError("a CNF instance needs at least one variable")
         for clause in self.clauses:
             for lit in clause:
-                if type(lit) is not int:
-                    raise InputError(f"literal {lit!r} is not an int")
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise InputError(f"literal {lit} out of range for {self.num_vars} variables")
+                _check_literal(lit, self.num_vars)
 
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
+
+
+def _check_literal(lit, num_vars: int) -> None:
+    if type(lit) is not int:
+        raise InputError(f"literal {lit!r} is not an int")
+    if lit == 0 or abs(lit) > num_vars:
+        raise InputError(f"literal {lit} out of range for {num_vars} variables")
+
+
+def _literal_vertex(lit: int) -> int:
+    """The vertex of DIMACS literal ``lit``: u_i for +i, not_u_i for -i.
+    Unchecked; callers pass literals already in range."""
+    return VAR_GADGET_SIZE * (abs(lit) - 1) + (_POS if lit > 0 else _NEG)
 
 
 def parse_dimacs(text: str) -> CnfInstance:
@@ -204,26 +219,19 @@ class ReductionOutput:
     threshold: int
     cnf: CnfInstance
 
-    @property
-    def num_vars(self) -> int:
-        return self.cnf.num_vars
-
-    @property
-    def num_clauses(self) -> int:
-        return self.cnf.num_clauses
-
-    def pos_literal_index(self, var: int) -> int:
-        return VAR_GADGET_SIZE * var + _POS
-
-    def neg_literal_index(self, var: int) -> int:
-        return VAR_GADGET_SIZE * var + _NEG
+    def literal_index(self, lit: int) -> int:
+        """The vertex of DIMACS literal ``lit``, 1 <= |lit| <= N: u_i for
+        +i, not_u_i for -i."""
+        _check_literal(lit, self.cnf.num_vars)
+        return _literal_vertex(lit)
 
     def clause_vertex_index(self, j: int) -> int:
-        return VAR_GADGET_SIZE * self.num_vars + CLAUSE_GADGET_SIZE * j + _CLS
-
-    def literal_index(self, lit: int) -> int:
-        var = abs(lit) - 1
-        return self.pos_literal_index(var) if lit > 0 else self.neg_literal_index(var)
+        """The clause vertex c_{j+1} of the 0-based clause index j."""
+        if type(j) is not int:
+            raise InputError(f"clause index {j!r} is not an int")
+        if not 0 <= j < self.cnf.num_clauses:
+            raise InputError(f"clause index {j} out of range for {self.cnf.num_clauses} clauses")
+        return VAR_GADGET_SIZE * self.cnf.num_vars + CLAUSE_GADGET_SIZE * j + _CLS
 
     def forced_mask(self) -> int:
         """All vertices required in every acceptable set: shaded internals
@@ -262,10 +270,8 @@ def build_reduction(cnf: CnfInstance) -> ReductionOutput:
         labels.append(f"c_{j + 1}")
         labels.extend(f"t_{j + 1}_{k}" for k in range(1, 4))
         roles.extend([ROLE_CLAUSE] + [ROLE_TRIANGLE] * 3)
-        for lit in sorted(set(clause), key=clause.index):
-            var = abs(lit) - 1
-            lit_vertex = VAR_GADGET_SIZE * var + (_POS if lit > 0 else _NEG)
-            edges.append((base + _CLS, lit_vertex))
+        edges.extend((base + _CLS, _literal_vertex(lit))
+                     for lit in sorted(set(clause), key=clause.index))
 
     graph = build_graph(total, edges, labels)
     out = ReductionOutput(graph, tuple(roles), 16 * n_vars + 3 * n_clauses, cnf)
@@ -285,7 +291,7 @@ def _check_structure(out: ReductionOutput) -> None:
         in_gadget = g.adj[c] & mask_of(range(c, c + CLAUSE_GADGET_SIZE))
         if in_gadget.bit_count() != 1:
             raise AssertionError("clause vertex must touch exactly one triangle vertex")
-        lits = {out.literal_index(lit) for lit in clause}
+        lits = {_literal_vertex(lit) for lit in clause}
         if g.adj[c] & ~in_gadget != mask_of(lits):
             raise AssertionError("clause vertex attached to the wrong literals")
 
@@ -331,8 +337,8 @@ def validate_gadget_forcing(out: ReductionOutput) -> bool:
     fin = propagate(g, Kind.RED_OLD)
     if fin is None or fin & required != required:
         return False
-    for i in range(out.num_vars):
-        pair = (1 << out.pos_literal_index(i)) | (1 << out.neg_literal_index(i))
+    for i in range(out.cnf.num_vars):
+        pair = 1 << _literal_vertex(i + 1) | 1 << _literal_vertex(-(i + 1))
         seen = g.adj[VAR_GADGET_SIZE * i + _FRC]
         if seen & ~pair & ~required or (seen & required).bit_count() > 1:
             return False
@@ -351,7 +357,7 @@ def assignment_from_set(output: ReductionOutput, s: int) -> tuple[bool, ...]:
     if not is_red_old(output.graph, s).holds:
         raise InputError("set is not a RED:OLD set of the reduction graph")
     assignment = tuple(
-        bool(s >> output.pos_literal_index(i) & 1) for i in range(output.num_vars)
+        bool(s >> _literal_vertex(i + 1) & 1) for i in range(output.cnf.num_vars)
     )
     if not all(_clause_satisfied(c, assignment) for c in output.cnf.clauses):
         raise AssertionError("threshold-sized RED:OLD set decoded to a non-model")

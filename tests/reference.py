@@ -4,8 +4,9 @@ domination and separation counts, the feasibility and forced-vertex
 queries, a per-vertex torus builder, the torus dimensions a pattern is
 cross-checked at (``cross_check_dims``), the kind each builtin pattern is
 named for (``builtin_kind``), a clause enumerator for exhaustive
-desk-scale sweeps, and the gadget lemmas checked over every optimum
-(``gadget_lemmas_by_enumeration``)."""
+desk-scale sweeps, the gadget lemmas checked over every optimum
+(``gadget_lemmas_by_enumeration``) and the paper's set for a truth
+assignment (``set_from_assignment``)."""
 
 from __future__ import annotations
 
@@ -187,8 +188,18 @@ def gadget_lemmas_by_enumeration(out: ReductionOutput) -> bool:
     common = required
     for s in min_set(g, Kind.RED_OLD, enumerate_all=True).all_minimum_sets:
         common &= s
-        for i in range(out.num_vars):
-            pair = (1 << out.pos_literal_index(i)) | (1 << out.neg_literal_index(i))
+        for i in range(out.cnf.num_vars):
+            pair = (1 << out.literal_index(i + 1)) | (1 << out.literal_index(-(i + 1)))
             if not s & pair:
                 return False
     return common == required
+
+
+def set_from_assignment(out: ReductionOutput, assignment: Sequence[bool]) -> int:
+    """The set the paper builds from a truth assignment: ``forced_mask()``
+    plus the true literal vertex of each variable, u_i if variable i is
+    true and not_u_i if it is false.  No search."""
+    s = out.forced_mask()
+    for i, value in enumerate(assignment):
+        s |= 1 << out.literal_index(i + 1 if value else -(i + 1))
+    return s

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -12,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import oldsets
-from oldsets import grids, sat_reduction
+from oldsets import cli, grids, sat_reduction
 from oldsets.cli import _build_parser, main
 from oldsets.fixtures import builtin_graph
 from oldsets.graph import MAX_VERTICES, graph_to_json, path_graph
+from oldsets.verify import VerificationReport
 
 TWO_CLAUSE_DIMACS = "p cnf 4 2\n1 2 -3 0\n-1 2 -4 0\n"
 
@@ -343,6 +345,33 @@ def test_reduce_builds_the_reduction_once(capsys, tmp_path, monkeypatch):
     code, rep = run_json(capsys, "reduce", str(cnf), "--decide", "--validate-gadgets")
     assert code == 0 and rep["gadget_validation"] is True and rep["decide"]["agree"] is True
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("target, patched, wrong, argv, field, code, word", [
+    # f.cnf is satisfiable, its gadgets are sound and builtin:king-redold
+    # holds on the 9x9 torus: each patch gives the other answer
+    (sat_reduction, "validate_gadget_forcing", False, ("reduce", "{cnf}", "--validate-gadgets"),
+     ("gadget_validation",), 1, "FAIL"),
+    (sat_reduction, "decide_sat_via_redold", False, ("reduce", "{cnf}", "--decide"),
+     ("decide", "agree"), 4, "DISAGREEMENT"),
+    (cli, "verify_set", VerificationReport(False, vertex=0, count=1),
+     ("grid", "king", "builtin:king-redold", "--kind", "redold", "--cross-check", "9x9"),
+     ("cross_check", "agree"), 1, "DISAGREE"),
+], ids=["gadget-validation", "decision", "torus-cross-check"])
+def test_alarm_branches_report_and_exit(capsys, tmp_path, monkeypatch,
+                                        target, patched, wrong, argv, field, code, word):
+    # each check that never fails on correct code, made to fail: the exit
+    # code, the JSON field and the text line all carry the alarm
+    monkeypatch.setattr(target, patched, lambda *args, **kwargs: wrong)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(TWO_CLAUSE_DIMACS)
+    argv = [arg.format(cnf=cnf) for arg in argv]
+    got, rep = run_json(capsys, *argv)
+    for key in field:
+        rep = rep[key]
+    assert (got, rep) == (code, False)
+    got, out = run(capsys, *argv)
+    assert got == code and re.search(rf"\b{word}\b", out)
 
 
 def test_reduce_parse_error(capsys, tmp_path):

@@ -1,13 +1,14 @@
 """The 3-SAT reduction: parsing, construction, forcing, and the threshold
 equivalence (spot checks here; the sweep lives in the acceptance module)."""
 
+import itertools
 import random
 import re
 
 import pytest
 
 from conftest import random_cnf
-from reference import all_clauses_over, gadget_lemmas_by_enumeration
+from reference import all_clauses_over, gadget_lemmas_by_enumeration, set_from_assignment
 from oldsets import sat_reduction
 from oldsets.errors import InputError
 from oldsets.graph import build_graph, graph_to_json, vertices_of
@@ -30,7 +31,7 @@ from oldsets.sat_reduction import (
     validate_gadget_forcing,
 )
 from oldsets.solve import _scan, min_set, propagate
-from oldsets.verify import Kind
+from oldsets.verify import Kind, verify_set
 
 TWO_CLAUSE_DIMACS = "p cnf 4 2\n1 2 -3 0\n-1 2 -4 0\n"
 
@@ -167,10 +168,30 @@ def test_reduction_roles():
     assert counts[ROLE_POSITIVE] == counts[ROLE_NEGATIVE] == 4
     # spec'd deterministic labeling
     g = out.graph
-    assert g.label(out.pos_literal_index(0)) == "u_1"
-    assert g.label(out.neg_literal_index(2)) == "not_u_3"
+    assert g.label(out.literal_index(1)) == "u_1"
+    assert g.label(out.literal_index(-3)) == "not_u_3"
     assert g.label(VAR_GADGET_SIZE * 3 + 2) == "v_4"
     assert g.label(out.clause_vertex_index(1)) == "c_2"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda out: out.literal_index(0), "literal 0 out of range for 2 variables"),
+    (lambda out: out.literal_index(3), "literal 3 out of range for 2 variables"),
+    (lambda out: out.literal_index(-3), "literal -3 out of range for 2 variables"),
+    (lambda out: out.literal_index(True), "literal True is not an int"),
+    (lambda out: out.literal_index(1.0), "literal 1.0 is not an int"),
+    (lambda out: out.clause_vertex_index(-1), "clause index -1 out of range for 1 clauses"),
+    (lambda out: out.clause_vertex_index(1), "clause index 1 out of range for 1 clauses"),
+    (lambda out: out.clause_vertex_index(False), "clause index False is not an int"),
+    (lambda out: out.clause_vertex_index(0.0), "clause index 0.0 is not an int"),
+], ids=["literal-0", "literal-past-N", "literal-below-minus-N", "literal-bool", "literal-float",
+        "clause-negative", "clause-past-M", "clause-bool", "clause-float"])
+def test_index_helpers_refuse_what_names_no_vertex_of_theirs(call, message):
+    # each would name a vertex of another kind or none: literal 3 is the
+    # arithmetic of c_1, clause -1 of a shaded vertex, True that of u_1
+    out = build_reduction(CnfInstance(2, ((1, -2, 2),)))
+    with pytest.raises(InputError, match=re.escape(message)):
+        call(out)
 
 
 def test_clause_vertex_attachments():
@@ -207,7 +228,7 @@ def test_degenerate_clause_forces_its_literal():
     # {u1,u1,u1} leaves the clause vertex with 2 candidate dominators only
     out = build_reduction(CnfInstance(1, ((1, 1, 1),)))
     fin = propagate(out.graph, Kind.RED_OLD)
-    assert fin & (1 << out.pos_literal_index(0))
+    assert fin & (1 << out.literal_index(1))
     assert fin & out.forced_mask() == out.forced_mask()
 
 
@@ -274,7 +295,7 @@ def test_validate_gadget_forcing_fails_a_free_vertex_labelled_shaded(monkeypatch
     # propagation leaves u_1 free when its clause has three distinct
     # literals, so roles that call it shaded fail check b., before any search
     out = build_reduction(CnfInstance(3, ((1, 2, 3),)))
-    u1 = out.pos_literal_index(0)
+    u1 = out.literal_index(1)
     assert not propagate(out.graph, Kind.RED_OLD) >> u1 & 1
     roles = out.roles[:u1] + (ROLE_SHADED,) + out.roles[u1 + 1:]
 
@@ -353,7 +374,7 @@ def test_assignment_from_set_rejects_wrong_size():
 def test_assignment_from_set_rejects_non_redold():
     out = build_reduction(CnfInstance(1, ((1, 1, 1),)))
     # right size, wrong set: drop one forced vertex, add the forcing vertex
-    bad = (out.forced_mask() | 1 << out.pos_literal_index(0)) & ~(1 << out.graph.index_of("g_1_1"))
+    bad = (out.forced_mask() | 1 << out.literal_index(1)) & ~(1 << out.graph.index_of("g_1_1"))
     bad |= 1 << out.graph.index_of("v_1")
     assert bad.bit_count() == out.threshold
     with pytest.raises(InputError):
@@ -368,9 +389,38 @@ def test_unique_literal_choice_at_threshold():
     for s in res.all_minimum_sets:
         assert s.bit_count() == out.threshold
         for i in range(cnf.num_vars):
-            pos = s >> out.pos_literal_index(i) & 1
-            neg = s >> out.neg_literal_index(i) & 1
+            pos = s >> out.literal_index(i + 1) & 1
+            neg = s >> out.literal_index(-(i + 1)) & 1
             assert pos + neg == 1
+
+
+def test_set_from_assignment_decides_every_assignment_without_search():
+    # both directions of the reduction at the set level: a model gives a
+    # threshold-sized RED:OLD set that decodes back to it, and a non-model
+    # leaves the clause vertex of its first unsatisfied clause with one
+    # dominator, its triangle neighbour
+    rng = random.Random(2201)
+    models = non_models = 0
+    for n in range(1, 9):
+        for ratio in (1, 3, 4.26, 6):
+            cnf = random_cnf(rng, n, round(ratio * n))
+            out = build_reduction(cnf)
+            for assignment in itertools.product((False, True), repeat=n):
+                s = set_from_assignment(out, assignment)
+                unsatisfied = [
+                    j for j, clause in enumerate(cnf.clauses)
+                    if not any((lit > 0) == assignment[abs(lit) - 1] for lit in clause)
+                ]
+                rep = verify_set(out.graph, s, 2)
+                if unsatisfied:
+                    non_models += 1
+                    assert not rep.holds
+                    assert (rep.vertex, rep.count) == (out.clause_vertex_index(unsatisfied[0]), 1)
+                else:
+                    models += 1
+                    assert rep.holds and s.bit_count() == out.threshold
+                    assert assignment_from_set(out, s) == assignment
+    assert models > 0 and non_models > 0
 
 
 def test_all_clauses_over_counts():
