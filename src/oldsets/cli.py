@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import grids, sat_reduction
-from .errors import BudgetExceededError, InputError, decode_json
+from .errors import BudgetExceededError, InputError, decimal_int, decode_json
 from .fixtures import BUILTIN_GRAPH_NAMES, builtin_graph
 from .graph import Graph, graph_from_text, graph_to_json, mask_of, vertices_of
 from .solve import DEFAULT_BUDGET, min_set
@@ -219,7 +219,7 @@ def cmd_grid(args) -> tuple[dict, list[str]]:
         lines.append(f"  density: {pattern.density()}")
     if args.cross_check:
         try:
-            w, h = (int(part) for part in args.cross_check.lower().split("x"))
+            w, h = (decimal_int(part) for part in args.cross_check.lower().split("x"))
         except ValueError:
             raise InputError(f"--cross-check expects WxH, got {args.cross_check!r}") from None
         # the set first: its guards, the period check included, come before
@@ -236,7 +236,7 @@ def cmd_grid(args) -> tuple[dict, list[str]]:
 
 
 def non_negative_int(text: str) -> int:
-    value = int(text)
+    value = decimal_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help=f"graph file or builtin:{{{','.join(BUILTIN_GRAPH_NAMES)}}}")
     p.add_argument("set", help="comma list of labels/indices, or a JSON file")
     p.add_argument("--kind", choices=("old", "redold", "ld", "ic"), required=True)
-    p.add_argument("--fold", type=int, default=None,
+    p.add_argument("--fold", type=decimal_int, default=None,
                    help="override the domination/distinguishing fold (old/redold only)")
     add_common(p)
     p.set_defaults(func=cmd_verify)

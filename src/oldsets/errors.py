@@ -1,4 +1,5 @@
-"""Shared exception types, and the JSON decoder for every input file."""
+"""Shared exception types, the JSON decoder for every input file, and the
+reader of an integer given as text."""
 
 from __future__ import annotations
 
@@ -22,12 +23,26 @@ class BudgetExceededError(RuntimeError):
 
 
 def decode_json(text: str, what: str) -> object:
-    """``json.loads(text)``; malformed JSON, or JSON nested deeper than the
-    decoder's recursion limit, is an :class:`InputError` about the ``what``
-    input."""
+    """``json.loads(text)``; malformed JSON, an integer with more digits
+    than ``int()`` converts, or JSON nested deeper than the decoder's
+    recursion limit, is an :class:`InputError` about the ``what`` input."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError is a ValueError, and so is the digit limit's refusal
         raise InputError(f"invalid {what} JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"invalid {what} JSON: nested too deeply") from None
+
+
+def decimal_int(text: str) -> int:
+    """``int(text)`` for ASCII text without "_", else ValueError: int()
+    alone also takes "1_0" and non-ASCII digits such as "٢"."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return int(text)
+
+
+# argparse names a ``type`` that raises ValueError by its __name__, so a bad
+# --fold still reads "invalid int value", as with type=int
+decimal_int.__name__ = "int"

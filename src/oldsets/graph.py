@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, decode_json
+from .errors import InputError, decimal_int, decode_json
 
 __all__ = [
     "Graph",
@@ -117,7 +117,7 @@ class Graph:
         if v is not None:
             return v
         try:
-            v = int(name)
+            v = decimal_int(name)
         except ValueError:
             raise InputError(f"unknown vertex label {name!r}") from None
         self.check_vertex(v)
@@ -254,7 +254,8 @@ def graph_from_edge_list(text: str) -> Graph:
     if not lines:
         raise InputError("empty edge-list input")
     head = lines[0].split()
-    if len(head) != 2:
+    # int() alone also takes "1_0" and non-ASCII digits such as "２"
+    if len(head) != 2 or "_" in lines[0] or not (head[0] + head[1]).isascii():
         raise InputError(f'expected header "n m", got {lines[0]!r}')
     try:
         n, m = int(head[0]), int(head[1])
@@ -265,7 +266,9 @@ def graph_from_edge_list(text: str) -> Graph:
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
+        # the header's test, once per line: ln.isascii() reads one flag, so
+        # the tokens are joined only on a line with non-ASCII text
+        if len(parts) != 2 or "_" in ln or not (ln.isascii() or "".join(parts).isascii()):
             raise InputError(f"bad edge line {ln!r}")
         try:
             edges.append((int(parts[0]), int(parts[1])))

@@ -120,6 +120,11 @@ def _period(value, what: str) -> tuple[int, int]:
     px, py = value
     if px < 1 or py < 1:
         raise InputError(f"{what} must be positive, got {value}")
+    if max(px, py) > MAX_PERIOD_AREA:
+        # no sides or area in the message: two 4000-digit sides parse, but
+        # their product has more digits than str() converts
+        raise InputError(f"{what} has a side above {MAX_PERIOD_AREA}, so its area is "
+                         f"above the limit of {MAX_PERIOD_AREA}")
     if px * py > MAX_PERIOD_AREA:
         raise InputError(
             f"{what} {px}x{py} has area {px * py}, above the limit of {MAX_PERIOD_AREA}")

@@ -602,3 +602,50 @@ def test_deeply_nested_json_is_input_error(capsys, tmp_path, argv):
     deep.write_text('{"a": ' * 100_000)
     code, rep = run_json(capsys, *(arg.format(deep=deep) for arg in argv))
     assert code == 2 and rep["exit_code"] == 2 and "nested too deeply" in rep["error"]
+
+
+LONG = "9" * 5000  # past int()'s default limit of 4300 digits
+HUGE = "1" + "0" * 4000  # parses, but HUGE * HUGE has 8001 digits
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("solve", "{file}", "--kind", "old"), f'{{"n": {LONG}, "edges": []}}', "invalid graph JSON"),
+    (("verify", "builtin:g11", "{file}", "--kind", "old"), f"[{LONG}]", "invalid set JSON"),
+    (("grid", "sq", "{file}", "--kind", "old"),
+     f'{{"lattice": "sq", "period": [{LONG}, 1], "cells": []}}', "invalid pattern JSON"),
+    (("grid", "sq", "{file}", "--kind", "old"),
+     f'{{"lattice": "sq", "period": [{HUGE}, {HUGE}], "cells": []}}', "above the limit of 4096"),
+], ids=["graph-n", "set-item", "pattern-period", "pattern-area"])
+def test_number_too_long_is_input_error(capsys, tmp_path, argv, text, message):
+    # json.dumps cannot write such an int, so the file is written as text
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, rep = run_json(capsys, *(arg.format(file=path) for arg in argv))
+    assert code == 2 and rep["exit_code"] == 2 and message in rep["error"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("grid", "sq", "builtin:sq-old", "--kind", "old", "--cross-check", "1_0x1_0"), None,
+     "--cross-check expects WxH, got '1_0x1_0'"),
+    (("solve", "{file}", "--kind", "old"), "3 1\n1 ２\n", "bad edge line"),
+    (("solve", "{file}", "--kind", "old"), "1_1 1\n0 1\n", 'expected header "n m"'),
+    (("reduce", "{file}"), "p cnf 1_0 1\n1 2 3 0\n", "malformed DIMACS header"),
+    (("reduce", "{file}"), "p cnf 3 1\n1 -٢ 3 0\n", "malformed literal '-٢'"),
+    (("verify", "builtin:k4", "0,٢", "--kind", "old"), None, "unknown vertex label '٢'"),
+    (("verify", "builtin:k4", "0,1,2,3", "--kind", "old", "--fold", "1_0"), None,
+     "argument --fold: invalid int value: '1_0'"),
+    (("solve", "builtin:k4", "--kind", "old", "--budget", "٢"), None,
+     "argument --budget: invalid non_negative_int value: '٢'"),
+], ids=["cross-check", "edge-line", "edge-header", "dimacs-header", "dimacs-literal",
+        "set-item", "fold", "budget"])
+def test_text_integer_takes_only_ascii_decimal_digits(capsys, tmp_path, argv, text, message):
+    # int() alone would read each of these as a number: 1_0 as 10, ٢ and ２
+    # as 2
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code = main([*(arg.format(file=path) for arg in argv), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in out + err
+    # argparse refuses a flag value on stderr; the rest is a JSON report
+    assert message in (err if "--fold" in argv or "--budget" in argv else json.loads(out)["error"])

@@ -1,10 +1,12 @@
 """CLI fuzzing: no input, however malformed, ends in a traceback.
 
-Every subcommand is driven with random bytes, JSON of the wrong shape or
-nested too deeply, near-valid and valid graph, set, DIMACS and pattern
-files, and good and bad flags.  The exit code must be one of the
-documented ones, and exit 1 ("property fails") must come with the failure
-it reports.
+Every subcommand is driven with random bytes, JSON of the wrong shape,
+nested too deeply or holding integers too long to convert, near-valid and
+valid graph, set, DIMACS and pattern files, and good and bad flags, their
+integers now and then written with "_" or non-ASCII digits.  The exit code
+must be one of the documented ones, and exit 1 ("property fails") must
+come with the failure it reports.  A valid command with one integer so
+written must exit 2.
 """
 
 import contextlib
@@ -29,7 +31,13 @@ LATTICES = ("sq", "hex", "tri", "king")
 
 junk = st.text(max_size=12)
 small_int = st.integers(-3, 12)
-json_scalar = st.none() | st.booleans() | st.integers(-5, 40) | st.floats() | junk
+# integers as text that int() alone would read: "1_0" as 10, "٢" and "２" as 2
+odd_int = st.text(alphabet="0123456789_٢२２+-", min_size=1, max_size=4)
+small_int_text = small_int.map(str) | odd_int
+# up to 4001 digits, which parse; the product of two such periods does not
+# convert back to text
+json_int = st.integers(-5, 40) | st.integers(-10**4000, 10**4000)
+json_scalar = st.none() | st.booleans() | json_int | st.floats() | junk
 json_value = st.recursive(
     json_scalar,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(junk, inner, max_size=4),
@@ -39,6 +47,15 @@ json_value = st.recursive(
 deep_json = st.integers(500, 20000).flatmap(
     lambda d: st.sampled_from(["[" * d + "]" * d, '{"a":' * d + "1" + "}" * d, "[" * d])
 )
+# an integer past int()'s limit of 4300 digits in each JSON input; written
+# as text, since json.dumps cannot write such an int
+long_json = st.integers(4301, 6000).map(lambda d: "9" * d).flatmap(lambda num: st.sampled_from([
+    f'{{"n": {num}, "edges": []}}',
+    f'{{"n": 3, "edges": [[0, {num}]]}}',
+    f"[{num}]",
+    f'{{"lattice": "sq", "period": [{num}, 1], "cells": []}}',
+    f'{{"lattice": "sq", "period": [1, 1], "cells": [[0, -{num}]]}}',
+]))
 
 graph_json = st.fixed_dictionaries(
     {
@@ -48,13 +65,13 @@ graph_json = st.fixed_dictionaries(
     optional={"labels": st.lists(junk, max_size=6) | json_value},
 ).map(json.dumps)
 edge_list = st.lists(
-    st.lists(small_int.map(str) | junk, max_size=3).map(" ".join), max_size=8
+    st.lists(small_int_text | junk, max_size=3).map(" ".join), max_size=8
 ).map("\n".join)
 set_json = st.lists(small_int | junk | json_scalar, max_size=6).map(json.dumps)
 dimacs = st.lists(
     st.one_of(
-        st.tuples(small_int, small_int).map(lambda h: f"p cnf {h[0]} {h[1]}"),
-        st.lists(st.integers(-7, 7).map(str) | junk, max_size=5).map(" ".join),
+        st.tuples(small_int_text, small_int_text).map(lambda h: f"p cnf {h[0]} {h[1]}"),
+        st.lists(st.integers(-7, 7).map(str) | odd_int | junk, max_size=5).map(" ".join),
         st.sampled_from(["c comment", "%", "0", "p cnf", "p dnf 3 1"]),
     ),
     max_size=10,
@@ -102,6 +119,7 @@ def contents(*structured):
         st.binary(max_size=64),
         json_value.map(json.dumps).map(str.encode),
         deep_json.map(str.encode),
+        long_json.map(str.encode),
     )
     return garbage | st.one_of(*structured).map(str.encode)
 
@@ -124,7 +142,7 @@ def kind_flag(*kinds):
     return flag("--kind", st.sampled_from(kinds * 3 + ("bogus",)))
 
 
-budget_flag = flag("--budget", st.integers(-2, 500).map(str) | junk)
+budget_flag = flag("--budget", st.integers(-2, 500).map(str) | odd_int | junk)
 format_flag = flag("--format", st.sampled_from(["text", "json", "json", "xml"]))
 
 
@@ -198,12 +216,12 @@ def test_fuzz_verify(files, data, fmt):
     graph = data.draw(_graph_spec(files))
     items = data.draw(
         contents(set_json).map(files.write)
-        | st.lists(small_int.map(str) | st.sampled_from(["v1", "v2", "v3"]) | junk, max_size=5)
+        | st.lists(small_int_text | st.sampled_from(["v1", "v2", "v3"]) | junk, max_size=5)
         .map(",".join)
         | st.lists(st.integers(0, 10), min_size=1, max_size=10).map(lambda s: ",".join(map(str, s)))
     )
     kind = data.draw(kind_flag("old", "redold", "ld", "ic"))
-    opts = data.draw(flags(flag("--fold", small_int.map(str) | junk), format_flag))
+    opts = data.draw(flags(flag("--fold", small_int_text | junk), format_flag))
     _check(["verify", graph, items, *kind, *opts], fmt)
 
 
@@ -238,7 +256,55 @@ def test_fuzz_grid(files, data, fmt):
         | st.sampled_from([f"builtin:{lat}-{k}" for lat in (lattice, "sq") for k in ("old", "redold")])
         | st.sampled_from(["builtin:bogus", "missing.json"])
     )
-    dims = st.tuples(small_int, small_int).map(lambda d: f"{d[0]}x{d[1]}") | junk
+    dims = st.tuples(small_int_text, small_int_text).map(lambda d: f"{d[0]}x{d[1]}") | junk
     kind = data.draw(kind_flag("old", "redold"))
     opts = data.draw(flags(format_flag, st.just(["--density"]), flag("--cross-check", dims)))
     _check(["grid", lattice, pattern, *kind, *opts], fmt)
+
+
+OTHER_DIGITS = ("٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９")
+
+
+@st.composite
+def disguised(draw, text):
+    """``text`` with one of its runs of ASCII digits written so that int()
+    still reads the same number: in another script's digits, or with "_"
+    between two of them."""
+    i, j = draw(st.sampled_from([m.span() for m in re.finditer("[0-9]+", text)]))
+    if j - i > 1 and draw(st.booleans()):
+        k = draw(st.integers(i + 1, j - 1))
+        return text[:k] + "_" + text[k:]
+    script = draw(st.sampled_from(OTHER_DIGITS))
+    return text[:i] + text[i:j].translate(str.maketrans("0123456789", script)) + text[j:]
+
+
+def _edge_list_text(g):
+    edges = g.edges()
+    return "\n".join([f"{g.n} {len(edges)}", *(f"{u} {v}" for u, v in edges)])
+
+
+@FUZZ
+@given(data=st.data(), fmt=formats)
+def test_fuzz_text_integers_take_only_ascii_digits(files, data, fmt):
+    # a valid command but for one integer that int() alone would read:
+    # every reader refuses it as input
+    where = data.draw(st.sampled_from(["edges", "dimacs", "set", "fold", "budget", "cross-check"]))
+    if where == "edges":
+        text = data.draw(graphs(max_n=8).map(_edge_list_text).flatmap(disguised))
+        argv = ["solve", files.write(text.encode()), "--kind", "old"]
+    elif where == "dimacs":
+        argv = ["reduce", files.write(data.draw(cnf_3().flatmap(disguised)).encode())]
+    elif where == "set":
+        items = st.lists(st.integers(0, 3).map(str), min_size=1, max_size=4).map(",".join)
+        argv = ["verify", "builtin:k4", data.draw(items.flatmap(disguised)), "--kind", "old"]
+    elif where == "fold":
+        fold = data.draw(small_int.filter(lambda k: k >= 0).map(str).flatmap(disguised))
+        argv = ["verify", "builtin:k4", "0,1,2,3", "--kind", "old", "--fold", fold]
+    elif where == "budget":
+        budget = data.draw(st.integers(0, 500).map(str).flatmap(disguised))
+        argv = ["solve", "builtin:k4", "--kind", "old", "--budget", budget]
+    else:
+        dims = data.draw(st.sampled_from(["10x10", "15x10", "10x20"]).flatmap(disguised))
+        argv = ["grid", "sq", "builtin:sq-old", "--kind", "old", "--cross-check", dims]
+    code, out, err = _run(argv + ["--format", fmt])
+    assert code == 2 and "Traceback" not in out + err, (argv, out, err)

@@ -208,14 +208,6 @@ def test_repeated_literal_gets_single_edge():
     assert out.graph.adj[c].bit_count() == 2  # one triangle vertex + one literal vertex
 
 
-def test_check_structure_refuses_a_clause_wired_to_a_wrong_literal():
-    # the graph of (x1 or x2 or x2), read as (x1 or not x2 or not x2)
-    out = build_reduction(CnfInstance(2, ((1, 2, 2),)))
-    wrong = ReductionOutput(out.graph, out.roles, out.threshold, CnfInstance(2, ((1, -2, -2),)))
-    with pytest.raises(AssertionError, match="clause vertex attached to the wrong literals"):
-        sat_reduction._check_structure(wrong)
-
-
 def test_propagation_forces_exactly_the_shaded_and_triangles():
     # all clauses have three distinct literals, so nothing else is forced
     out = build_reduction(parse_dimacs(TWO_CLAUSE_DIMACS))
