@@ -1,5 +1,6 @@
-"""Shared exception types, the JSON decoder for every input file, and the
-reader of an integer given as text."""
+"""Shared exception types, the JSON decoder for every input file, the
+reader of an integer given as text and the writer of a value in a
+message."""
 
 from __future__ import annotations
 
@@ -33,6 +34,17 @@ def decode_json(text: str, what: str) -> object:
         raise InputError(f"invalid {what} JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"invalid {what} JSON: nested too deeply") from None
+
+
+def shown(value: object) -> str:
+    """``repr(value)`` for a message, or a stand-in where that would write
+    an int with more digits than int-to-str converts (4,300 by default):
+    such an input is refused with an :class:`InputError`, not a
+    ValueError from the message."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "<an integer too long to print>"
 
 
 def decimal_int(text: str) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InputError
-from .graph import Graph, build_graph, complete_graph, cycle_graph, mask_of
+from .graph import Graph, build_graph, complete_graph, cycle_graph
 
 __all__ = ["g11", "builtin_graph", "BUILTIN_GRAPH_NAMES"]
 
@@ -22,43 +22,14 @@ _G11_EDGES_1BASED = [
 
 @lru_cache(maxsize=None)
 def g11() -> Graph:
-    """The 11-vertex triangle-chain fixture.
-
-    Construction is self-validated: the loader checks the three triangles and
-    the exact detector codes of the known 6-vertex locating set, and refuses
-    to return a graph that violates them.
-    """
-    g = build_graph(
+    """The 11-vertex triangle-chain fixture.  Its three triangles and the
+    detector codes of its known 6-vertex locating set are checked by the
+    tests."""
+    return build_graph(
         11,
         [(u - 1, v - 1) for u, v in _G11_EDGES_1BASED],
         labels=[f"v{i}" for i in range(1, 12)],
     )
-    _validate_g11(g)
-    return g
-
-
-def _validate_g11(g: Graph) -> None:
-    def idx(name: str) -> int:
-        return g.index_of(name)
-
-    for tri in (("v1", "v2", "v3"), ("v5", "v6", "v7"), ("v9", "v10", "v11")):
-        a, b, c = (idx(x) for x in tri)
-        for u, v in ((a, b), (a, c), (b, c)):
-            if not g.adj[u] >> v & 1:
-                raise RuntimeError(f"g11 fixture broken: {tri} is not a triangle")
-    s = mask_of(idx(x) for x in ("v2", "v3", "v6", "v7", "v9", "v10"))
-    expected_codes = {
-        "v1": ("v2", "v3"),
-        "v2": ("v3",),
-        "v3": ("v2",),
-        "v4": ("v3", "v7"),
-        "v8": ("v7", "v9"),
-    }
-    for name, code in expected_codes.items():
-        got = g.adj[idx(name)] & s
-        want = mask_of(idx(x) for x in code)
-        if got != want:
-            raise RuntimeError(f"g11 fixture broken: code of {name} is wrong")
 
 
 _BUILTINS = {

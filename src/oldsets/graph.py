@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, decimal_int, decode_json
+from .errors import InputError, decimal_int, decode_json, shown
 
 __all__ = [
     "Graph",
@@ -40,7 +40,7 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         # type(v) is int rejects bool and float: True would stand for 1
         if type(v) is not int or v < 0:
-            raise InputError(f"vertex index {v!r} is not an int >= 0")
+            raise InputError(f"vertex index {shown(v)} is not an int >= 0")
         m |= 1 << v
     return m
 
@@ -76,7 +76,7 @@ class Graph:
     def check_vertex(self, v: int) -> None:
         # type(v) is int rejects bool, which isinstance(v, int) would pass
         if type(v) is not int or not 0 <= v < self.n:
-            raise InputError(f"vertex {v!r} out of range 0..{self.n - 1}")
+            raise InputError(f"vertex {shown(v)} out of range 0..{self.n - 1}")
 
     def check_set(self, s: int) -> None:
         # type(s) is int rejects bool and float: True would stand for {0}
@@ -180,26 +180,27 @@ def build_graph(
     if type(n) is not int:
         raise InputError(f'graph "n" must be an integer, got {n!r}')
     if n < 0:
-        raise InputError(f"vertex count must be non-negative, got {n}")
+        raise InputError(f"vertex count must be non-negative, got {shown(n)}")
     if n > MAX_VERTICES:
-        raise InputError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
+        raise InputError(f"vertex count {shown(n)} is above the limit of {MAX_VERTICES}")
     if not isinstance(edges, (list, tuple)):
-        raise InputError(f'graph "edges" must be a list of vertex pairs, got {edges!r}')
+        raise InputError(f'graph "edges" must be a list of vertex pairs, got {shown(edges)}')
     adj = [0] * n
     for e in edges:
         if not (isinstance(e, (list, tuple)) and len(e) == 2
                 and type(e[0]) is int and type(e[1]) is int):
-            raise InputError(f"bad edge entry {e!r}: expected a pair of integers")
+            raise InputError(f"bad edge entry {shown(e)}: expected a pair of integers")
         u, v = e
         if u == v:
             raise InputError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge ({u},{v}) has an endpoint out of range 0..{n - 1}")
+            raise InputError(
+                f"edge ({shown(u)},{shown(v)}) has an endpoint out of range 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     if labels is not None:
         if not (isinstance(labels, (list, tuple)) and all(isinstance(s, str) for s in labels)):
-            raise InputError(f'graph "labels" must be a list of strings, got {labels!r}')
+            raise InputError(f'graph "labels" must be a list of strings, got {shown(labels)}')
         labels = tuple(labels)
         if len(labels) != n:
             raise InputError(f"{len(labels)} labels for {n} vertices")

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError, decode_json
+from .errors import InputError, decode_json, shown
 from .graph import MAX_VERTICES, Graph, vertices_of
 from .verify import Kind, VerificationReport, check_kind
 
@@ -86,7 +86,7 @@ def neighbors(lattice: Lattice, x: int, y: int) -> tuple[Coord, ...]:
     ints (not bool), else InputError."""
     _check_lattice(lattice)
     if type(x) is not int or type(y) is not int:
-        raise InputError(f"lattice coordinates must be ints, got ({x!r}, {y!r})")
+        raise InputError(f"lattice coordinates must be ints, got ({shown(x)}, {shown(y)})")
     return tuple((x + dx, y + dy) for dx, dy in _OFFSETS[lattice][(x + y) % 2])
 
 
@@ -116,10 +116,10 @@ def _period(value, what: str) -> tuple[int, int]:
     rejects bool; the residue arithmetic assumes integers."""
     if not (type(value) is tuple and len(value) == 2
             and type(value[0]) is int and type(value[1]) is int):
-        raise InputError(f"{what} must be a pair of integers, got {value!r}")
+        raise InputError(f"{what} must be a pair of integers, got {shown(value)}")
     px, py = value
     if px < 1 or py < 1:
-        raise InputError(f"{what} must be positive, got {value}")
+        raise InputError(f"{what} must be positive, got ({shown(px)}, {shown(py)})")
     if max(px, py) > MAX_PERIOD_AREA:
         # no sides or area in the message: two 4000-digit sides parse, but
         # their product has more digits than str() converts
@@ -154,10 +154,11 @@ class PeriodicPattern:
         for cell in self.cells:
             if not (type(cell) is tuple and len(cell) == 2
                     and type(cell[0]) is int and type(cell[1]) is int):
-                raise InputError(f"cells must be pairs of integers, got {cell!r}")
+                raise InputError(f"cells must be pairs of integers, got {shown(cell)}")
             cx, cy = cell
             if not (0 <= cx < px and 0 <= cy < py):
-                raise InputError(f"cell ({cx},{cy}) outside fundamental domain {px}x{py}")
+                raise InputError(
+                    f"cell ({shown(cx)},{shown(cy)}) outside fundamental domain {px}x{py}")
         if self.name is not None and not isinstance(self.name, str):
             raise InputError(f"pattern name must be a string, got {self.name!r}")
 
@@ -358,9 +359,10 @@ def _check_torus(lattice: Lattice, width: int, height: int) -> None:
     if type(width) is not int or type(height) is not int:
         raise InputError(f"torus dimensions must be integers, got {width!r}x{height!r}")
     if width < 5 or height < 5:
-        raise InputError(f"torus dimensions must be >= 5, got {width}x{height}")
+        raise InputError(f"torus dimensions must be >= 5, got {shown(width)}x{shown(height)}")
     if width * height > MAX_VERTICES:
-        raise InputError(f"torus {width}x{height} is above the limit of {MAX_VERTICES} vertices")
+        raise InputError(
+            f"torus {shown(width)}x{shown(height)} is above the limit of {MAX_VERTICES} vertices")
     if lattice is Lattice.HEX and (width % 2 or height % 2):
         raise InputError("HEX tori need even dimensions")
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, shown
 from .graph import MAX_VERTICES, Graph, build_graph, mask_of
 from .solve import DEFAULT_BUDGET, min_set, propagate
 from .verify import Kind, is_red_old
@@ -111,13 +111,13 @@ class CnfInstance:
             raise InputError(f"the number of variables must be an int, got {self.num_vars!r}")
         # tuples all the way down, so the frozen instance can be hashed
         if not isinstance(self.clauses, tuple):
-            raise InputError(f"clauses must be a tuple of 3-tuples, got {self.clauses!r}")
+            raise InputError(f"clauses must be a tuple of 3-tuples, got {shown(self.clauses)}")
         for clause in self.clauses:
             if not isinstance(clause, tuple):
-                raise InputError(f"clause {clause!r} is not a tuple")
+                raise InputError(f"clause {shown(clause)} is not a tuple")
             if len(clause) != 3:
                 raise InputError(
-                    f"clause {' '.join(map(str, clause))} has {len(clause)} literals; "
+                    f"clause {' '.join(map(shown, clause))} has {len(clause)} literals; "
                     "this construction is specific to 3-SAT"
                 )
         if self.num_vars < 1:
@@ -135,7 +135,7 @@ def _check_literal(lit, num_vars: int) -> None:
     if type(lit) is not int:
         raise InputError(f"literal {lit!r} is not an int")
     if lit == 0 or abs(lit) > num_vars:
-        raise InputError(f"literal {lit} out of range for {num_vars} variables")
+        raise InputError(f"literal {shown(lit)} out of range for {num_vars} variables")
 
 
 def _literal_vertex(lit: int) -> int:
@@ -241,7 +241,8 @@ class ReductionOutput:
         if type(j) is not int:
             raise InputError(f"clause index {j!r} is not an int")
         if not 0 <= j < self.cnf.num_clauses:
-            raise InputError(f"clause index {j} out of range for {self.cnf.num_clauses} clauses")
+            raise InputError(
+                f"clause index {shown(j)} out of range for {self.cnf.num_clauses} clauses")
         return VAR_GADGET_SIZE * self.cnf.num_vars + CLAUSE_GADGET_SIZE * j + _CLS
 
     def forced_mask(self) -> int:
@@ -261,8 +262,8 @@ def build_reduction(cnf: CnfInstance) -> ReductionOutput:
     n_vars, n_clauses = cnf.num_vars, cnf.num_clauses
     total = VAR_GADGET_SIZE * n_vars + CLAUSE_GADGET_SIZE * n_clauses
     if total > MAX_VERTICES:
-        raise InputError(f"reduction of {n_vars} vars and {n_clauses} clauses has "
-                         f"{total} vertices, above the limit of {MAX_VERTICES}")
+        raise InputError(f"reduction of {shown(n_vars)} vars and {n_clauses} clauses has "
+                         f"{shown(total)} vertices, above the limit of {MAX_VERTICES}")
     edges: list[tuple[int, int]] = []
     labels: list[str] = []
     roles: list[str] = []

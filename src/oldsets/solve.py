@@ -35,21 +35,31 @@ rules read only forced_out, so the include child (forced_in | {v}) of a
 fixpoint is itself one.  The exclude child (forced_out | {v}) can only
 change the live constraints containing v: those keeping exactly k + 1
 force their other candidates, and nothing conflicts.  Only the root takes
-a full ``propagate``.
+a full ``propagate``; fixing (below) runs the same pass, ``_close``, over
+a state's live constraints alone.
 
 Each visited state takes one ``_scan`` of its parent's live constraints
 (forced_in only grows down the tree, so the rest stay satisfied) for its
 bound, branch vertex and own live list.  The same pass closes the
 exclude child: it collects the live constraints keeping exactly k + 1 and
 adds the candidates of those containing the branch vertex, so both
-children are pushed as fixpoints.  The bound packs the deficits of
-constraints with disjoint undecided candidates: on the 3-SAT reduction
-graphs this is the paper's counting argument, and the root bound is the
-16N + 3M threshold.
+children are pushed as fixpoints, and the exclude child is visited first.
+The bound packs the deficits of constraints with disjoint undecided
+candidates: on the 3-SAT reduction graphs this is the paper's counting
+argument, and the root bound is the 16N + 3M threshold.
+
+Where that packing gives a bound equal to the best size so far, the
+bound also fixes: a set below the state that holds an undecided vertex
+outside the packed constraints' candidates has at least one more vertex,
+as each packed constraint still needs its deficit from its own
+candidates.  Such a state excludes all those vertices, closes the
+exclusions over its live constraints (a conflict prunes it) and takes a
+second ``_scan``.
 
 One pass finds the optimum and its optima.  A state is pruned only when
 its bound exceeds the best size so far, so ties are kept and every
-optimum is reached, each at exactly one leaf; the witness is the first
+optimum is reached, each at exactly one leaf; fixing at a tie removes
+only vertices that no set of that size holds.  The witness is the first
 optimum in sorted order.  A witness-only solve also prunes a tie when no
 set below it can come before the best set so far.  The search is an
 explicit-stack loop, so its depth is not limited by Python's recursion
@@ -60,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import BudgetExceededError, InputError
 from .graph import Graph, check_graph, mask_of, vertices_of
@@ -101,39 +112,46 @@ class SolveResult:
 
 def propagate(g: Graph, kind: Kind, forced_in: int = 0, forced_out: int = 0) -> int | None:
     """Close rules R1/R2 to a fixpoint: the closed forced_in, or None on a
-    conflict (R3).  The rules read only forced_out, which never grows here,
-    so one pass over the constraints does."""
+    conflict (R3), by one ``_close`` pass over every constraint."""
     check_kind(kind)
     check_graph(g)
     g.check_set(forced_in)
     g.check_set(forced_out)
     if forced_in & forced_out:
         return None
-    k = kind.fold
-    keep = ~forced_out
-    for need in g.constraint_masks:
+    return _close(g.constraint_masks, kind.fold, forced_in, forced_out)
+
+
+def _close(masks: Sequence[int], k: int, fin: int, fout: int) -> int | None:
+    """R1/R2 over ``masks``: fin plus the candidates of every mask keeping
+    exactly k vertices outside fout, or None when one keeps fewer (R3).
+    The rules read only fout, which never grows here, so one pass closes
+    them."""
+    keep = ~fout
+    for need in masks:
         avail = need & keep
         c = avail.bit_count()
         if c <= k:
             if c < k:
                 return None
-            forced_in |= avail
-    return forced_in
+            fin |= avail
+    return fin
 
 
 def _scan(
-    n: int, k: int, masks: tuple[int, ...], fin: int, fout: int
-) -> tuple[int, int | None, tuple[int, ...], int]:
-    """(bound, branch vertex, live, exclude_fin) of a propagation fixpoint,
-    in one pass over ``masks``.  ``live``: the masks with deficit
+    n: int, k: int, masks: Sequence[int], fin: int, fout: int
+) -> tuple[int, int | None, list[int], int, int]:
+    """(bound, branch vertex, live, exclude_fin, taken) of a propagation
+    fixpoint, in one pass over ``masks``.  ``live``: the masks with deficit
     d = k - |need ∩ fin| > 0, in order.  Branch vertex: the lowest undecided
     one of the tightest live mask (fewest vertices not excluded), None if
     none is live.  Bound: |fin| plus the larger of the worst d and the d
     summed, greedily in order, over masks whose undecided candidates are
-    pairwise disjoint.  ``exclude_fin``: the forced_in of the branch
-    vertex's exclude child, fin plus the other candidates of every live
-    mask that keeps exactly k + 1 and contains the vertex (fin if none is
-    live)."""
+    pairwise disjoint (the packing).  ``exclude_fin``: the forced_in of the
+    branch vertex's exclude child, fin plus the other candidates of every
+    live mask that keeps exactly k + 1 and contains the vertex (fin if none
+    is live).  ``taken``: the union of the packed masks' undecided
+    candidates, or -1 when the worst d gives the bound or none is live."""
     keep, undecided = ~fout, ~(fin | fout)
     live = []
     # undecided candidates of the live masks keeping exactly k + 1, the
@@ -164,7 +182,7 @@ def _scan(
     if best_v is None:
         if live:
             raise AssertionError("live constraint with no candidates at a fixpoint")
-        return fin.bit_count(), None, (), fin
+        return fin.bit_count(), None, live, fin, -1
     # the branch vertex lies in a tightest mask, so tight is empty unless
     # best_cnt == k + 1
     bit = 1 << best_v
@@ -172,7 +190,19 @@ def _scan(
     for cand in tight:
         if cand & bit:
             exclude_fin |= cand ^ bit
-    return fin.bit_count() + max(packed, worst), best_v, tuple(live), exclude_fin
+    if packed < worst:
+        return fin.bit_count() + worst, best_v, live, exclude_fin, -1
+    return fin.bit_count() + packed, best_v, live, exclude_fin, taken
+
+
+def _ruled_out(full: int, ub: int, bound: int, taken: int, fin: int, fout: int) -> int:
+    """Undecided vertices of the fixpoint (fin, fout) that no set of size
+    <= ``ub`` below it holds, from its ``_scan`` bound and ``taken``.  When
+    the bound is ``ub`` and the packing gives it, these are the vertices
+    outside ``taken``: every packed mask still needs its deficit from its
+    own candidates, so a set holding one of them has at least ub + 1.  A
+    ``taken`` of -1, or a bound other than ``ub``, names none."""
+    return full & ~(fin | fout | taken) if bound == ub else 0
 
 
 def _can_precede(n: int, fout: int, w: int) -> bool:
@@ -197,13 +227,15 @@ def _optima(
     some known-feasible set; visiting more than ``budget`` nodes raises
     :class:`BudgetExceededError`.
 
-    Each visited state takes one ``_scan``: its bound prunes, and the
-    search branches on its vertex, include before exclude; the scan also
-    gives the exclude child's closed forced_in, so both children are
-    pushed as fixpoints.  A state with no live constraint is a leaf whose
-    forced_in is accepted.  The path that follows an optimum's membership
-    ends at a leaf inside it, which is no larger, so each optimum is that
-    one leaf.
+    Each visited state takes one ``_scan``.  Where its bound is ``ub``
+    and the packing gives it, the state first excludes the vertices that
+    ``_ruled_out`` names, closes R1/R3 over its live masks (a conflict
+    prunes it) and scans again.  Its bound prunes, and the search branches
+    on its vertex, exclude before include; the scan also gives the exclude
+    child's closed forced_in, so both children are pushed as fixpoints.  A
+    state with no live constraint is a leaf whose forced_in is accepted.
+    The path that follows an optimum's membership ends at a leaf inside it,
+    which is no larger, so each optimum is that one leaf.
     """
     n, full = g.n, g.all_mask()
     sets: list[int] = []
@@ -215,7 +247,14 @@ def _optima(
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(budget, nodes)
-        bound, v, live, exclude_fin = _scan(n, k, live, fin, fout)
+        bound, v, live, exclude_fin, taken = _scan(n, k, live, fin, fout)
+        out = _ruled_out(full, ub, bound, taken, fin, fout)
+        if out:
+            fout |= out
+            fin = _close(live, k, fin, fout)
+            if fin is None:
+                continue
+            bound, v, live, exclude_fin, _ = _scan(n, k, live, fin, fout)
         if bound > ub or (
             bound == ub and sets and not enumerate_all
             and not _can_precede(n, fout, sets[0])
@@ -233,8 +272,8 @@ def _optima(
                 sets[0] = fin
             continue
         bit = 1 << v
-        stack.append((exclude_fin, fout | bit, live))
         stack.append((fin | bit, fout, live))
+        stack.append((exclude_fin, fout | bit, live))
     sets.sort(key=vertices_of)
     return ub, sets, nodes
 

@@ -37,7 +37,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, shown
 from .graph import Graph, check_graph, meeting_pairs
 
 __all__ = [
@@ -107,7 +107,7 @@ def _check_set(g: Graph, s: int) -> None:
 def _check_fold_and_set(g: Graph, s: int, fold: int) -> None:
     # type(...) is int rejects bool and float: a fold of 1.5 would act as 2
     if type(fold) is not int or fold < 1:
-        raise InputError(f"fold must be an int >= 1, got {fold!r}")
+        raise InputError(f"fold must be an int >= 1, got {shown(fold)}")
     _check_set(g, s)
 
 

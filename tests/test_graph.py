@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 
 from conftest import graphs, random_graph_with_twins
-from oldsets import fixtures
 from oldsets.errors import InputError
 from oldsets.fixtures import builtin_graph, g11
 from oldsets.graph import (
@@ -24,8 +23,9 @@ from oldsets.graph import (
     path_graph,
     vertices_of,
 )
-from oldsets.grids import Lattice, PeriodicPattern, neighbors
-from oldsets.sat_reduction import CnfInstance
+from oldsets.grids import Lattice, PeriodicPattern, build_torus, neighbors
+from oldsets.sat_reduction import CnfInstance, build_reduction
+from oldsets.verify import verify_set
 
 
 def test_p3_construction():
@@ -116,6 +116,45 @@ def test_vertex_count_limit():
             build_graph(n, [])
 
 
+HUGE = 10**5000  # more digits than int-to-str converts by default
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_graph(HUGE, []), "is above the limit of"),
+    (lambda: build_graph(-HUGE, []), "vertex count must be non-negative"),
+    (lambda: build_graph(3, [(0, HUGE)]), "has an endpoint out of range 0..2"),
+    (lambda: build_graph(3, {(0, HUGE)}), "must be a list of vertex pairs"),
+    (lambda: build_graph(3, [(0, 1, HUGE)]), "bad edge entry"),
+    (lambda: build_graph(1, [], labels=[HUGE]), "must be a list of strings"),
+    (lambda: mask_of([-HUGE]), "is not an int >= 0"),
+    (lambda: path_graph(3).label(HUGE), "out of range 0..2"),
+    (lambda: build_torus(Lattice.SQ, HUGE, 6), "vertices"),
+    (lambda: build_torus(Lattice.SQ, 6, -HUGE), "torus dimensions must be >= 5"),
+    (lambda: PeriodicPattern(Lattice.SQ, (-HUGE, 1), frozenset()), "period must be positive"),
+    (lambda: PeriodicPattern(Lattice.SQ, [HUGE, 1], frozenset()), "must be a pair of integers"),
+    (lambda: PeriodicPattern(Lattice.SQ, (2, 2), frozenset({(HUGE, 0)})), "outside fundamental"),
+    (lambda: PeriodicPattern(Lattice.SQ, (2, 2), frozenset({(HUGE, 0, 0)})), "pairs of integers"),
+    (lambda: neighbors(Lattice.SQ, 0.5, HUGE), "lattice coordinates must be ints"),
+    (lambda: verify_set(path_graph(3), 7, -HUGE), "fold must be an int >= 1"),
+    (lambda: CnfInstance(3, ((1, 2, HUGE),)), "out of range for 3 variables"),
+    (lambda: CnfInstance(3, [(1, 2, HUGE)]), "must be a tuple of 3-tuples"),
+    (lambda: CnfInstance(3, ([1, 2, HUGE],)), "is not a tuple"),
+    (lambda: CnfInstance(3, ((1, 2, 3, HUGE),)), "has 4 literals"),
+    (lambda: build_reduction(CnfInstance(HUGE, ((1, 2, 3),))), "above the limit of"),
+    (lambda: build_reduction(CnfInstance(3, ((1, 2, 3),))).clause_vertex_index(HUGE),
+     "out of range for 1 clauses"),
+], ids=["n", "negative-n", "endpoint", "edges", "edge-entry", "labels", "vertex-index",
+        "label", "torus-width", "torus-height", "period", "period-type", "cell", "cell-type",
+        "coordinates", "fold", "literal", "clauses", "clause-type", "clause-length",
+        "reduction-vars", "clause-index"])
+def test_message_about_a_huge_int_is_input_error(call, message):
+    # the message names the number without writing its digits, which
+    # str() refuses past 4,300, so the refusal stays an InputError
+    with pytest.raises(InputError, match=message) as refused:
+        call()
+    assert "too long to print" in str(refused.value)
+
+
 def test_bad_vertex_query_rejected():
     g = path_graph(3)
     with pytest.raises(InputError):
@@ -144,18 +183,6 @@ def test_g11_fixture_loads_and_validates():
     for tri in (("v1", "v2", "v3"), ("v5", "v6", "v7"), ("v9", "v10", "v11")):
         a, b, c = (g.index_of(x) for x in tri)
         assert g.adj[a] >> b & 1 and g.adj[a] >> c & 1 and g.adj[b] >> c & 1
-
-
-@pytest.mark.parametrize("drop, message", [
-    ((1, 2), "g11 fixture broken: ('v1', 'v2', 'v3') is not a triangle"),
-    ((7, 8), "g11 fixture broken: code of v8 is wrong"),
-], ids=["triangle-edge", "bridge-edge"])
-def test_g11_validation_refuses_a_broken_fixture(drop, message):
-    # without the bridge v7 - v8, v8 is seen by v9 alone
-    edges = [(u - 1, v - 1) for u, v in fixtures._G11_EDGES_1BASED if (u, v) != drop]
-    g = build_graph(11, edges, labels=[f"v{i}" for i in range(1, 12)])
-    with pytest.raises(RuntimeError, match=re.escape(message)):
-        fixtures._validate_g11(g)
 
 
 def test_g11_codes_of_known_locating_set():

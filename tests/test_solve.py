@@ -22,6 +22,7 @@ from oldsets.graph import (
 from oldsets.grids import builtin_pattern, verify_pattern
 from oldsets.solve import (
     _can_precede,
+    _ruled_out,
     _scan,
     min_set,
     min_set_bruteforce,
@@ -386,7 +387,7 @@ def test_scan_bound_is_valid_and_tighter_than_domination():
         for kind in Kind:
             k = kind.fold
             for fin, fout in _random_fixpoints(rng, g, kind, 6):
-                bound, v, live, exclude_fin = _scan(g.n, k, g.constraint_masks, fin, fout)
+                bound, v, live, exclude_fin, taken = _scan(g.n, k, g.constraint_masks, fin, fout)
                 old = _bound_domination(g, k, fin)
                 assert bound >= old
                 best = _min_accepted_superset(g, k, fin, fout)
@@ -397,8 +398,10 @@ def test_scan_bound_is_valid_and_tighter_than_domination():
                 assert v == _branch_vertex_all_pairs(g, k, fin, fout)
                 counts["inner"] += v is not None
                 if v is None:
-                    assert exclude_fin == fin
+                    assert exclude_fin == fin and taken == -1
                 else:
+                    # taken, where it is not -1, holds undecided vertices only
+                    assert taken == -1 or not taken & (fin | fout)
                     child = propagate(g, kind, fin, fout | 1 << v)
                     assert exclude_fin == child, (g.adj, kind, fin, fout)
                     excludes["forced" if exclude_fin != fin else "unchanged"] += 1
@@ -421,7 +424,7 @@ def test_child_steps_match_propagate():
         for kind in Kind:
             k = kind.fold
             for fin, fout in _random_fixpoints(rng, g, kind, 6):
-                _, branch, live, exclude_fin = _scan(g.n, k, g.constraint_masks, fin, fout)
+                _, branch, live, exclude_fin, _ = _scan(g.n, k, g.constraint_masks, fin, fout)
                 # a fixpoint is a leaf exactly when forced_in is accepted
                 leaf = branch is None
                 assert leaf == (not live) == verify_set(g, fin, k).holds
@@ -439,11 +442,72 @@ def test_child_steps_match_propagate():
                         scan = _scan(g.n, k, live, cfin, cfout)
                         assert propagate(g, kind, cfin, cfout) == cfin
                         assert scan == _scan(g.n, k, g.constraint_masks, cfin, cfout)
-                        assert scan[2] == tuple(
-                            m for m in g.constraint_masks if (m & cfin).bit_count() < k)
+                        assert scan[2] == [
+                            m for m in g.constraint_masks if (m & cfin).bit_count() < k]
                     outcomes["forced" if exclude != fin else "unchanged"] += 1
     assert min(outcomes.values()) > 150, outcomes
     assert min(fixpoints.values()) > 60, fixpoints
+
+
+def _descent_fixpoints(rng, g, kind, count):
+    # the fixpoints along random root-to-leaf paths, each step including or
+    # excluding a random undecided vertex and closing with propagate
+    root = propagate(g, kind)
+    for _ in range(count):
+        fin, fout = root, 0
+        while fin is not None:
+            yield fin, fout
+            free = vertices_of(g.all_mask() & ~(fin | fout))
+            if not free:
+                break
+            bit = 1 << rng.choice(free)
+            if rng.random() < 0.5:
+                fin |= bit
+            else:
+                fout |= bit
+            fin = propagate(g, kind, fin, fout)
+
+
+def test_fixing_keeps_every_set_within_ub():
+    # on fixpoints of seeded graphs (n <= 10), ub being the brute-force
+    # value: no accepted set of size <= ub below the state holds a vertex
+    # that _ruled_out names, closing the exclusions over the live masks is
+    # a full propagate pass, and the closed state keeps every such set;
+    # below ub nothing is named
+    rng = random.Random(61)
+    counts = {"sets kept": 0, "no set left": 0, "none named": 0, "below ub": 0}
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(4, 10), rng.choice([0.3, 0.5, 0.7]))
+        full = g.all_mask()
+        for kind in Kind:
+            k = kind.fold
+            ub = min_set_bruteforce(g, kind).value
+            if ub is None:
+                continue
+            masks = _all_pair_masks(g)
+            small = [
+                s for size in range(ub + 1)
+                for s in map(mask_of, itertools.combinations(range(g.n), size))
+                if all((m & s).bit_count() >= k for m in masks)
+            ]
+            for fin, fout in _descent_fixpoints(rng, g, kind, 8):
+                bound, _, live, _, taken = _scan(g.n, k, g.constraint_masks, fin, fout)
+                out = _ruled_out(full, ub, bound, taken, fin, fout)
+                below = [s for s in small if s & fin == fin and not s & fout]
+                assert not any(s & out for s in below), (g.adj, kind, fin, fout, out)
+                if bound < ub:
+                    assert out == 0
+                    counts["below ub"] += 1
+                    continue
+                if not out:
+                    counts["none named"] += bound == ub
+                    continue
+                closed = propagate(g, kind, fin, fout | out)
+                assert solve._close(live, k, fin, fout | out) == closed
+                # the fixed state keeps every one of those sets
+                assert all(closed is not None and s & closed == closed for s in below)
+                counts["sets kept" if below else "no set left"] += 1
+    assert min(counts.values()) > 50, counts
 
 
 def test_can_precede_matches_definition():
