@@ -49,7 +49,9 @@ def shown(value: object) -> str:
 
 def decimal_int(text: str) -> int:
     """``int(text)`` for ASCII text without "_", else ValueError: int()
-    alone also takes "1_0" and non-ASCII digits such as "٢"."""
+    alone also takes "1_0" and non-ASCII digits such as "٢".  Every text
+    input reads its integers here: edge lists, DIMACS and the CLI's flags
+    and vertex lists."""
     if "_" in text or not text.isascii():
         raise ValueError(text)
     return int(text)

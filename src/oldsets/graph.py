@@ -35,12 +35,13 @@ __all__ = [
 
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask with one bit set per vertex index; an index that is not an
-    int >= 0 is an input error."""
+    int >= 0 and below MAX_VERTICES, the most vertices a graph may have, is
+    an input error."""
     m = 0
     for v in vertices:
         # type(v) is int rejects bool and float: True would stand for 1
-        if type(v) is not int or v < 0:
-            raise InputError(f"vertex index {shown(v)} is not an int >= 0")
+        if type(v) is not int or not 0 <= v < MAX_VERTICES:
+            raise InputError(f"vertex index {shown(v)} is not an int >= 0 and < {MAX_VERTICES}")
         m |= 1 << v
     return m
 
@@ -254,27 +255,19 @@ def graph_from_edge_list(text: str) -> Graph:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise InputError("empty edge-list input")
-    head = lines[0].split()
-    # int() alone also takes "1_0" and non-ASCII digits such as "２"
-    if len(head) != 2 or "_" in lines[0] or not (head[0] + head[1]).isascii():
-        raise InputError(f'expected header "n m", got {lines[0]!r}')
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(decimal_int, lines[0].split())
     except ValueError:
         raise InputError(f'expected header "n m", got {lines[0]!r}') from None
     if len(lines) - 1 != m:
         raise InputError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        # the header's test, once per line: ln.isascii() reads one flag, so
-        # the tokens are joined only on a line with non-ASCII text
-        if len(parts) != 2 or "_" in ln or not (ln.isascii() or "".join(parts).isascii()):
-            raise InputError(f"bad edge line {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = map(decimal_int, ln.split())
         except ValueError:
             raise InputError(f"bad edge line {ln!r}") from None
+        edges.append((u, v))
     return build_graph(n, edges)
 
 

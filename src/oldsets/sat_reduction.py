@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, shown
+from .errors import InputError, decimal_int, shown
 from .graph import MAX_VERTICES, Graph, build_graph, mask_of
 from .solve import DEFAULT_BUDGET, min_set, propagate
 from .verify import Kind, is_red_old
@@ -163,27 +163,17 @@ def parse_dimacs(text: str) -> CnfInstance:
             if num_vars is not None:
                 raise InputError("duplicate DIMACS header")
             parts = line.split()
-            # int() alone also takes "1_0" and non-ASCII digits such as "٢"
-            if (len(parts) != 4 or parts[1] != "cnf"
-                    or "_" in line or not (parts[2] + parts[3]).isascii()):
-                raise InputError(f"malformed DIMACS header {line!r}")
+            counts = parts[2:] if parts[:2] == ["p", "cnf"] else []
             try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
+                num_vars, num_clauses = map(decimal_int, counts)
             except ValueError:
                 raise InputError(f"malformed DIMACS header {line!r}") from None
             continue
         if num_vars is None:
             raise InputError("clause data before the DIMACS header")
-        tokens = line.split()
-        if "_" in line or not line.isascii():
-            # the header's test, made per token only on a line that fails
-            # it, so the common line pays one test
-            for tok in tokens:
-                if "_" in tok or not tok.isascii():
-                    raise InputError(f"malformed literal {tok!r}")
-        for tok in tokens:
+        for tok in line.split():
             try:
-                lit = int(tok)
+                lit = decimal_int(tok)
             except ValueError:
                 raise InputError(f"malformed literal {tok!r}") from None
             if lit == 0:

@@ -273,6 +273,18 @@ def test_helpers_refuse_an_index_that_is_not_a_plain_int(call, message):
         call()
 
 
+@pytest.mark.parametrize("v", [MAX_VERTICES, 2**40, HUGE], ids=["limit", "2**40", "huge"])
+def test_mask_of_refuses_an_index_no_graph_has(v):
+    # 1 << v at 2**40 asks for 128 GiB, and past that it overflows; no graph
+    # has more than MAX_VERTICES vertices, so no mask needs such a bit
+    with pytest.raises(InputError, match="is not an int >= 0"):
+        mask_of([v])
+
+
+def test_mask_of_takes_the_last_index_a_graph_can_have():
+    assert mask_of([MAX_VERTICES - 1]) == 1 << (MAX_VERTICES - 1)
+
+
 @pytest.mark.parametrize("v", [True, False, 1.0, "1", None])
 def test_vertex_arguments_must_be_plain_ints(v):
     # isinstance(True, int) holds, so a bool would name vertex 1 or 0

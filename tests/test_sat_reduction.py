@@ -71,9 +71,11 @@ def test_cnf_instance_rejects_non_int_or_short_input(num_vars, clauses, message)
 
 @pytest.mark.parametrize("read, message", [
     (lambda: parse_dimacs("p cnf x 1\n"), "malformed DIMACS header 'p cnf x 1'"),
+    (lambda: parse_dimacs("pxyz cnf 1 1\n1 1 1 0\n"), "malformed DIMACS header 'pxyz cnf 1 1'"),
+    (lambda: parse_dimacs("p_ cnf 1 1\n1 1 1 0\n"), "malformed DIMACS header 'p_ cnf 1 1'"),
     (lambda: assignment_from_set(build_reduction(CnfInstance(1, ((1, 1, 1),))), 1 << 22),
      "vertex set 0x400000 has members outside 0..21"),
-], ids=["non-int-header", "set-outside-graph"])
+], ids=["non-int-header", "long-p-tag", "underscore-p-tag", "set-outside-graph"])
 def test_reduction_inputs_refused(read, message):
     with pytest.raises(InputError, match=re.escape(message)):
         read()
@@ -267,6 +269,31 @@ def test_decide_within_node_budget():
     cnf = random_cnf(random.Random(0), 12, 40)
     out = build_reduction(cnf)
     assert decide_sat_via_redold(out, budget=1000) == satisfiable_bruteforce(cnf)[0]
+
+
+def test_formulas_over_disjoint_variables_decide_as_their_and():
+    # the reduction of two formulas over disjoint variables is the disjoint
+    # union of theirs up to vertex order, so its minimum exceeds its
+    # threshold by the halves' gaps combined: an oracle at N = 9 + 9, twice
+    # what brute force over the graph reaches
+    rng = random.Random(34)
+    for wanted in [(True, True), (True, False), (False, True), (False, False)]:
+        halves = []
+        for sat in wanted:
+            cnf = random_cnf(rng, 9, 40)
+            while satisfiable_bruteforce(cnf)[0] != sat:
+                cnf = random_cnf(rng, 9, 40)
+            halves.append(cnf)
+        gaps = []
+        for cnf in halves:
+            out = build_reduction(cnf)
+            gaps.append(min_set(out.graph, Kind.RED_OLD).value - out.threshold)
+        assert [gap == 0 for gap in gaps] == list(wanted)
+        a, b = halves
+        shifted = tuple(tuple(lit + 9 if lit > 0 else lit - 9 for lit in c) for c in b.clauses)
+        out = build_reduction(CnfInstance(18, a.clauses + shifted))
+        assert decide_sat_via_redold(out) == all(wanted)
+        assert min_set(out.graph, Kind.RED_OLD).value - out.threshold == sum(gaps)
 
 
 def test_single_clause_value():

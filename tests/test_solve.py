@@ -21,6 +21,7 @@ from oldsets.graph import (
 )
 from oldsets.grids import builtin_pattern, verify_pattern
 from oldsets.solve import (
+    SolveResult,
     _can_precede,
     _ruled_out,
     _scan,
@@ -148,6 +149,46 @@ def test_enumeration_matches_bruteforce():
                 counts["forced_out"] += 1
             counts["tied"] += optima is not None and len(optima) > 1
     assert counts["tied"] > 60 and counts["forced_out"] > 30, counts
+
+
+def _gnp_part(rng, kind, feasible):
+    """A seeded G(n, 0.3), n = 8..14, drawn again until its feasibility
+    under ``kind`` is ``feasible``: few such RED:OLD draws are feasible."""
+    while True:
+        g = random_graph(rng, rng.randint(8, 14), 0.3)
+        if feasibility_check(g, kind) == feasible:
+            return g
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_min_set_on_a_disjoint_union_combines_its_parts(kind):
+    # no vertex of one part meets a vertex of the other, so the union's
+    # constraints are its parts' and its optima are the unions of theirs:
+    # an oracle past the sizes brute force reaches, checked in block order
+    # and in one shuffle of the union's vertices
+    rng = random.Random(34)
+    for feasible in [(True, True)] * 6 + [(True, False), (False, True)]:
+        a, b = (_gnp_part(rng, kind, f) for f in feasible)
+        parts = [min_set_bruteforce(h, kind, enumerate_all=True) for h in (a, b)]
+        edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+        block = list(range(a.n + b.n))
+        for order in (block, rng.sample(block, len(block))):
+            g = build_graph(len(order), [(order[u], order[v]) for u, v in edges])
+            first, every = min_set(g, kind), min_set(g, kind, enumerate_all=True)
+            if not all(feasible):
+                assert first == every == SolveResult(None, None, None)
+                continue
+            # each part's optima in the union's vertex order
+            optima = [
+                sorted((mask_of(order[v + shift] for v in vertices_of(s))
+                        for s in part.all_minimum_sets), key=vertices_of)
+                for part, shift in zip(parts, (0, a.n))
+            ]
+            witness = optima[0][0] | optima[1][0]
+            products = sorted((x | y for x in optima[0] for y in optima[1]), key=vertices_of)
+            assert first.value == every.value == parts[0].value + parts[1].value
+            assert first.witness == every.witness == witness
+            assert (first.all_minimum_sets, every.all_minimum_sets) == (None, tuple(products))
 
 
 def test_propagate_g11_triangle_forcing():

@@ -243,3 +243,23 @@ def test_every_parameter_is_read():
                 for a in params if a.arg not in read and a.arg not in ("self", "cls")
             ]
     assert unread == []
+
+
+def test_only_errors_reads_text_digits():
+    # errors.decimal_int is the one reader of an integer given as text: its
+    # ASCII and "_" tests written anywhere else would be a second copy of
+    # the rule, free to drift from the first
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        copies += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "isascii")
+            or (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+                and node.left.value == "_" and isinstance(node.ops[0], (ast.In, ast.NotIn)))
+        ]
+    assert copies == []
