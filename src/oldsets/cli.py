@@ -15,6 +15,7 @@ oracle (a correctness alarm; never expected).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import sys
@@ -38,19 +39,26 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREE = 4
 
+# what opening a path raises where the path names no file
+_MISSING = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
+
 
 def _read_text(spec: str, what: str) -> str:
     """The UTF-8 text of the file ``spec``; a missing file or one that is not
-    UTF-8 is an input error, named as the ``what`` file."""
-    path = Path(spec)
-    if not path.exists():
-        raise InputError(f"{what} file {spec!r} not found")
+    UTF-8 is an input error, named as the ``what`` file.  The file is
+    opened with no check before it.  A path through a file, a symlink loop
+    or a path with a NUL byte (a ValueError) count as missing, as they do
+    for ``Path.exists``."""
     try:
-        return path.read_text(encoding="utf-8")
+        return Path(spec).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(
             f"{what} file {spec!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
+    except (OSError, ValueError) as exc:
+        if isinstance(exc, OSError) and exc.errno not in _MISSING:
+            raise
+        raise InputError(f"{what} file {spec!r} not found") from None
 
 
 def _load_graph(spec: str) -> Graph:

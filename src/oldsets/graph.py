@@ -98,9 +98,18 @@ class Graph:
     @cached_property
     def constraint_masks(self) -> tuple[int, ...]:
         """The masks a detector set must hit k times: N(v) for every v in
-        index order, then N(u) △ N(v) for every meeting pair in
-        :func:`meeting_pairs` order.  Built once per graph."""
-        return self.adj + tuple(self.adj[u] ^ self.adj[v] for u, v in meeting_pairs(self.adj))
+        index order, then N(u) △ N(v) for every meeting pair u < v in
+        lexicographic order (:func:`meeting_pairs`).  Built once per
+        graph, in one loop over each vertex's partners."""
+        adj = self.adj
+        masks = list(adj)
+        for u, above in meeting_pairs(adj):
+            a = adj[u]
+            while above:
+                low = above & -above
+                masks.append(a ^ adj[u + low.bit_length()])
+                above ^= low
+        return tuple(masks)
 
     def label(self, v: int) -> str:
         self.check_vertex(v)
@@ -132,13 +141,16 @@ def check_graph(g: Graph) -> None:
 
 
 def meeting_pairs(masks: Sequence[int], through: int = -1) -> Iterator[tuple[int, int]]:
-    """Pairs u < v with masks[u] & masks[v] & through ≠ 0, in lexicographic
-    order; the default ``through`` (every vertex) keeps all meeting pairs.
+    """For each u in index order, (u, above): the partners v > u with
+    masks[u] & masks[v] & through ≠ 0, bit i of ``above`` standing for
+    v = u + 1 + i.  Read in that order, the pairs (u, v) are lexicographic.
+    The default ``through`` (every vertex) keeps all meeting pairs.
 
     ``masks`` must be symmetric (bit w of masks[u] iff bit u of masks[w]),
     as open neighborhoods N(v) and closed ones N[v] both are.  Then the
     partners of u are the bits above u in the union of masks[w] over w in
-    masks[u] & through.
+    masks[u] & through.  One mask per vertex, not one tuple per pair,
+    keeps the callers' pair loops inline.
     """
     for u, m in enumerate(masks):
         m &= through
@@ -147,12 +159,7 @@ def meeting_pairs(masks: Sequence[int], through: int = -1) -> Iterator[tuple[int
             low = m & -m
             reach |= masks[low.bit_length() - 1]
             m ^= low
-        # bit i of the shifted reach is v = u + 1 + i
-        reach >>= u + 1
-        while reach:
-            low = reach & -reach
-            yield u, u + low.bit_length()
-            reach ^= low
+        yield u, reach >> (u + 1)
 
 
 # The largest vertex count build_graph accepts.  Checked before the

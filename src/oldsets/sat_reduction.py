@@ -200,15 +200,44 @@ def _check_cnf(cnf) -> None:
 
 
 def satisfiable_bruteforce(cnf: CnfInstance) -> tuple[bool, tuple[bool, ...] | None]:
-    """Try all 2^N assignments; returns (satisfiable, first witness or None)."""
+    """Decide the formula over all 2^N assignments at once: (satisfiable,
+    the model with the lowest index, or None).  Assignment a sets variable
+    i + 1 true iff bit i of a is set.
+
+    Each assignment is one bit of a 2^N-bit truth table.  Literal +i's
+    table has bit a set where the assignment makes it true, -i's is its
+    complement, a clause's table is the OR of its literals' (so a repeated
+    literal counts once) and the formula's is the AND of its clauses'.  The
+    N variable tables take 2^N / 8 bytes each, about 48 MiB at the limit
+    N = 24, which is checked before any table is built.
+    """
     _check_cnf(cnf)
-    if cnf.num_vars > _SAT_BRUTEFORCE_MAX_VARS:
+    n = cnf.num_vars
+    if n > _SAT_BRUTEFORCE_MAX_VARS:
         raise InputError(f"SAT brute force is limited to N <= {_SAT_BRUTEFORCE_MAX_VARS}")
-    for bits in range(1 << cnf.num_vars):
-        assignment = tuple(bool(bits >> i & 1) for i in range(cnf.num_vars))
-        if all(_clause_satisfied(c, assignment) for c in cnf.clauses):
-            return True, assignment
-    return False, None
+    size = 1 << n
+    full = (1 << size) - 1
+    # variable i's table: runs of 2^i false then 2^i true assignments,
+    # doubled out to all 2^N
+    tables = []
+    for i in range(n):
+        run = 1 << i
+        t, width = ((1 << run) - 1) << run, 2 * run
+        while width < size:
+            t |= t << width
+            width *= 2
+        tables.append(t)
+    models = full
+    for clause in cnf.clauses:
+        either = 0
+        for lit in clause:
+            t = tables[abs(lit) - 1]
+            either |= t if lit > 0 else full ^ t
+        models &= either
+        if not models:
+            return False, None
+    a = (models & -models).bit_length() - 1
+    return True, tuple(bool(a >> i & 1) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -285,15 +314,20 @@ def _check_output(out) -> None:
 
 
 def decide_sat_via_redold(out: ReductionOutput, budget: int = DEFAULT_BUDGET) -> bool:
-    """Is the reduced formula satisfiable?  Yes iff the reduction graph's
-    minimum RED:OLD set hits the 16N + 3M threshold."""
+    """Is the reduced formula satisfiable?  Yes iff the reduction graph has
+    a RED:OLD set of 16N + 3M vertices, the threshold.
+
+    No RED:OLD set has fewer (the forced set plus a literal per variable),
+    so one of threshold size is a minimum, and the search stops at the
+    first it reaches (``min_set(..., at_most=threshold)``).  A set below
+    the threshold would refute that bound and raises AssertionError.
+    ``assignment_from_set`` decodes such a set into a model.
+    """
     _check_output(out)
-    result = min_set(out.graph, Kind.RED_OLD, budget=budget)
-    if not result.feasible:
-        raise AssertionError("reduction graphs always admit a RED:OLD set")
-    if result.value < out.threshold:
-        raise AssertionError("minimum fell below the forced-set bound")
-    return result.value == out.threshold
+    result = min_set(out.graph, Kind.RED_OLD, budget=budget, at_most=out.threshold)
+    if result.feasible and result.value < out.threshold:
+        raise AssertionError("a RED:OLD set fell below the forced-set bound")
+    return result.feasible
 
 
 def validate_gadget_forcing(out: ReductionOutput) -> bool:

@@ -64,6 +64,13 @@ optimum in sorted order.  A witness-only solve also prunes a tie when no
 set below it can come before the best set so far.  The search is an
 explicit-stack loop, so its depth is not limited by Python's recursion
 limit.
+
+A decision asks only whether some set has at most t vertices
+(``min_set(..., at_most=t)``).  The same pass starts with ``ub = t``, so
+the bound prunes and fixes against t from the root, and it stops at the
+first leaf: that set has at most t vertices, but it need be neither
+minimum nor first in order.  The 3-SAT decision is one such call, with t
+the reduction's threshold, which the root bound already reaches.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, shown
 from .graph import Graph, check_graph, mask_of, vertices_of
 from .verify import Kind, check_kind, verify_kind, verify_set
 
@@ -98,6 +105,11 @@ class SolveResult:
     comparing optima as sorted index tuples.  ``all_minimum_sets`` is the
     complete list of optima, present only when enumeration was requested,
     in that same order.  Sets are bitmasks.
+
+    A decision (``min_set(..., at_most=t)``) claims less: ``witness`` is
+    the first set of at most t vertices the search reached and ``value``
+    its size, which need not be the minimum; both are None when no such
+    set exists.
     """
 
     value: int | None
@@ -219,13 +231,16 @@ def _can_precede(n: int, fout: int, w: int) -> bool:
 
 
 def _optima(
-    g: Graph, k: int, fin: int, fout: int, ub: int, enumerate_all: bool, budget: int
+    g: Graph, k: int, fin: int, fout: int, ub: int, enumerate_all: bool, budget: int,
+    first: bool,
 ) -> tuple[int, list[int], int]:
     """The minimum size, its optima in sorted-tuple order and the nodes
     visited, searching below the fixpoint (fin, fout): all optima with
     ``enumerate_all``, else only the first.  ``ub`` must be the size of
     some known-feasible set; visiting more than ``budget`` nodes raises
-    :class:`BudgetExceededError`.
+    :class:`BudgetExceededError`.  With ``first``, ``ub`` is a size to
+    reach instead: the search returns the first leaf, a set of at most
+    ``ub`` vertices, as the only set, and no set if there is none.
 
     Each visited state takes one ``_scan``.  Where its bound is ``ub``
     and the packing gives it, the state first excludes the vertices that
@@ -262,6 +277,8 @@ def _optima(
             continue
         if v is None:
             size = fin.bit_count()
+            if first:
+                return size, [fin], nodes
             if size < ub:
                 ub, sets = size, [fin]
             elif enumerate_all or not sets:
@@ -284,6 +301,8 @@ def min_set(
     enumerate_all: bool = False,
     budget: int = DEFAULT_BUDGET,
     forced_out: int = 0,
+    *,
+    at_most: int | None = None,
 ) -> SolveResult:
     """Minimum OLD / RED:OLD set, optionally with every optimum enumerated.
 
@@ -292,8 +311,14 @@ def min_set(
     Only an exhausted node budget raises :class:`BudgetExceededError`, and
     only bad input :class:`InputError`: a ``g`` that is not a Graph, a
     ``kind`` that is not a Kind or a ``forced_out`` that is not a vertex
-    set of ``g`` (the root ``propagate`` checks all three), or a
-    ``budget`` that is not an int >= 0.
+    set of ``g`` (the root ``propagate`` checks all three), a ``budget``
+    or an ``at_most`` that is not an int >= 0, or an ``at_most`` with
+    ``enumerate_all``.
+
+    ``at_most`` turns the solve into a decision: is there an acceptable
+    set of at most that many vertices?  The result holds the first such
+    set the search reaches, or is infeasible if there is none; the set is
+    neither promised minimum nor first in order.
 
     The verdict comes from the root ``propagate``: it conflicts exactly when
     some constraint keeps fewer than k vertices outside ``forced_out``, that
@@ -302,16 +327,26 @@ def min_set(
     pairs once.
     """
     if type(budget) is not int or budget < 0:
-        raise InputError(f"budget must be an int >= 0, got {budget!r}")
+        raise InputError(f"budget must be an int >= 0, got {shown(budget)}")
+    if at_most is not None:
+        if type(at_most) is not int or at_most < 0:
+            raise InputError(f"at_most must be an int >= 0, got {shown(at_most)}")
+        if enumerate_all:
+            raise InputError("at_most decides; it cannot enumerate optima")
     fin = propagate(g, kind, 0, forced_out)
     top = g.all_mask() & ~forced_out
     if fin is None:
         if verify_kind(g, top, kind).holds:
             raise AssertionError("propagation conflict on a feasible instance")
         return SolveResult(None, None, None, nodes=0)
+    first = at_most is not None
     value, sets, nodes = _optima(
-        g, kind.fold, fin, forced_out, top.bit_count(), enumerate_all, budget
+        g, kind.fold, fin, forced_out, at_most if first else top.bit_count(),
+        enumerate_all, budget, first,
     )
+    if not sets:
+        # only a decision can end with none: top itself is accepted
+        return SolveResult(None, None, None, nodes=nodes)
     return SolveResult(value, sets[0], tuple(sets) if enumerate_all else None, nodes=nodes)
 
 

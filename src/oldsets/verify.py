@@ -193,10 +193,15 @@ def verify_set(g: Graph, s: int, fold: int) -> VerificationReport:
     rep = _dominated(adj, s, fold, keys)
     if not rep.holds or (keys is not None and _codes_apart(keys, len(adj), s, fold)):
         return rep
-    for u, v in meeting_pairs(adj, s):
-        c = ((adj[u] ^ adj[v]) & s).bit_count()
-        if c < fold:
-            return VerificationReport(False, pair=(u, v), count=c)
+    for u, above in meeting_pairs(adj, s):
+        a = adj[u]
+        while above:
+            low = above & -above
+            v = u + low.bit_length()
+            c = ((a ^ adj[v]) & s).bit_count()
+            if c < fold:
+                return VerificationReport(False, pair=(u, v), count=c)
+            above ^= low
     return _OK
 
 

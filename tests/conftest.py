@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from oldsets.graph import Graph, build_graph, mask_of
+from oldsets.graph import Graph, build_graph, mask_of, meeting_pairs, vertices_of
 from oldsets.sat_reduction import CnfInstance
 
 
@@ -31,6 +31,18 @@ def random_graph_with_twins(
     order = list(range(n + 2 + isolated))
     rng.shuffle(order)
     return build_graph(len(order), [(order[u], order[v]) for u, v in edges])
+
+
+def meeting_pair_list(masks, through: int = -1) -> list[tuple[int, int]]:
+    """The pairs (u, v) that ``meeting_pairs`` names, in its order, read off
+    the one partner mask it yields for each vertex u, in index order: bit i
+    stands for v = u + 1 + i."""
+    pairs, seen = [], []
+    for u, above in meeting_pairs(masks, through):
+        seen.append(u)
+        pairs.extend((u, u + 1 + i) for i in vertices_of(above))
+    assert seen == list(range(len(masks)))
+    return pairs
 
 
 def sparse_set(rng: random.Random, n: int) -> int:

@@ -5,7 +5,8 @@ queries, a per-vertex torus builder, the torus dimensions a pattern is
 cross-checked at (``cross_check_dims``), the kind each builtin pattern is
 named for (``builtin_kind``), a clause enumerator for exhaustive
 desk-scale sweeps, the gadget lemmas checked over every optimum
-(``gadget_lemmas_by_enumeration``) and the paper's set for a truth
+(``gadget_lemmas_by_enumeration``), the SAT oracle one assignment at a
+time (``satisfiable_by_assignments``) and the paper's set for a truth
 assignment (``set_from_assignment``)."""
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 from oldsets.errors import InputError
 from oldsets.graph import Graph, vertices_of
 from oldsets.grids import Lattice, PeriodicPattern, neighbors
-from oldsets.sat_reduction import ReductionOutput
+from oldsets.sat_reduction import CnfInstance, ReductionOutput
 from oldsets.solve import DEFAULT_BUDGET, min_set, propagate
 from oldsets.verify import (
     Kind,
@@ -193,6 +194,17 @@ def gadget_lemmas_by_enumeration(out: ReductionOutput) -> bool:
             if not s & pair:
                 return False
     return common == required
+
+
+def satisfiable_by_assignments(cnf: CnfInstance) -> tuple[bool, tuple[bool, ...] | None]:
+    """(satisfiable, first model or None), trying the 2^N assignments one at
+    a time in index order, assignment a setting variable i + 1 true iff bit
+    i of a is set, and each clause literal by literal."""
+    for bits in range(1 << cnf.num_vars):
+        assignment = tuple(bool(bits >> i & 1) for i in range(cnf.num_vars))
+        if all(any((lit > 0) == assignment[abs(lit) - 1] for lit in c) for c in cnf.clauses):
+            return True, assignment
+    return False, None
 
 
 def set_from_assignment(out: ReductionOutput, assignment: Sequence[bool]) -> int:

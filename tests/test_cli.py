@@ -385,6 +385,22 @@ def test_reduce_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_an_input_path_that_names_no_file_is_not_found(capsys, tmp_path):
+    # each is opened with no check first; what Path.exists reads as missing
+    # is still reported as not found, with exit 2
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(TWO_CLAUSE_DIMACS)
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    for spec in (f"{cnf}/x", str(tmp_path / "missing.cnf"), str(tmp_path / "loop"), "f\0.cnf"):
+        code, rep = run_json(capsys, "reduce", spec)
+        assert (code, rep["error"]) == (2, f"CNF file {spec!r} not found")
+    code, out = run(capsys, "solve", f"{cnf}/x", "--kind", "old")
+    assert (code, out) == (2, f"error: graph file {f'{cnf}/x'!r} not found\n")
+    # a directory is there but is no file: the OSError's own message, exit 2
+    code, rep = run_json(capsys, "reduce", str(tmp_path))
+    assert code == 2 and "Is a directory" in rep["error"]
+
+
 def test_reduce_decide_checks_oracle_limit_before_solving(capsys, tmp_path):
     # the SAT oracle refuses N > 24; the solve must not run first
     rng = random.Random(25)

@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given
 
-from conftest import graphs, random_graph_with_twins
+from conftest import graphs, meeting_pair_list, random_cnf, random_graph_with_twins
 from oldsets.errors import InputError
 from oldsets.fixtures import builtin_graph, g11
 from oldsets.graph import (
@@ -19,13 +19,13 @@ from oldsets.graph import (
     graph_from_text,
     graph_to_json,
     mask_of,
-    meeting_pairs,
     path_graph,
     vertices_of,
 )
 from oldsets.grids import Lattice, PeriodicPattern, build_torus, neighbors
 from oldsets.sat_reduction import CnfInstance, build_reduction
-from oldsets.verify import verify_set
+from oldsets.solve import min_set
+from oldsets.verify import Kind, verify_set
 
 
 def test_p3_construction():
@@ -143,10 +143,12 @@ HUGE = 10**5000  # more digits than int-to-str converts by default
     (lambda: build_reduction(CnfInstance(HUGE, ((1, 2, 3),))), "above the limit of"),
     (lambda: build_reduction(CnfInstance(3, ((1, 2, 3),))).clause_vertex_index(HUGE),
      "out of range for 1 clauses"),
+    (lambda: min_set(path_graph(3), Kind.OLD, budget=-HUGE), "budget must be an int >= 0"),
+    (lambda: min_set(path_graph(3), Kind.OLD, at_most=-HUGE), "at_most must be an int >= 0"),
 ], ids=["n", "negative-n", "endpoint", "edges", "edge-entry", "labels", "vertex-index",
         "label", "torus-width", "torus-height", "period", "period-type", "cell", "cell-type",
         "coordinates", "fold", "literal", "clauses", "clause-type", "clause-length",
-        "reduction-vars", "clause-index"])
+        "reduction-vars", "clause-index", "budget", "at_most"])
 def test_message_about_a_huge_int_is_input_error(call, message):
     # the message names the number without writing its digits, which
     # str() refuses past 4,300, so the refusal stays an InputError
@@ -317,7 +319,7 @@ def test_meeting_pairs_are_the_pairs_with_a_common_neighbor(g):
     expected = [
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] & g.adj[v]
     ]
-    assert list(meeting_pairs(g.adj)) == expected
+    assert meeting_pair_list(g.adj) == expected
 
 
 @given(graphs(max_n=9))
@@ -329,7 +331,7 @@ def test_closed_meeting_pairs_are_the_pairs_within_distance_two(g):
         for v in range(u + 1, g.n)
         if g.adj[u] >> v & 1 or g.adj[u] & g.adj[v]
     ]
-    assert list(meeting_pairs(closed)) == expected
+    assert meeting_pair_list(closed) == expected
 
 
 def test_meeting_pairs_through_is_the_brute_force_filter():
@@ -345,7 +347,7 @@ def test_meeting_pairs_through_is_the_brute_force_filter():
                 for v in range(u + 1, g.n)
                 if masks[u] & masks[v] & through
             ]
-            assert list(meeting_pairs(masks, through)) == expected
+            assert meeting_pair_list(masks, through) == expected
 
 
 def test_index_of_prefers_a_label_over_a_decimal_index():
@@ -360,10 +362,17 @@ def test_index_of_prefers_a_label_over_a_decimal_index():
 
 
 def test_constraint_masks_layout():
+    # the definition, pair by pair: N(v) in index order, then N(u) △ N(v)
+    # for every u < v whose neighborhoods meet, in lexicographic order
     rng = random.Random(5)
-    for _ in range(20):
-        g = random_graph_with_twins(rng, rng.randint(1, 12), 0.3)
-        pairs = list(meeting_pairs(g.adj))
-        assert g.constraint_masks == g.adj + tuple(g.adj[u] ^ g.adj[v] for u, v in pairs)
+    cases = [random_graph_with_twins(rng, rng.randint(1, 12), rng.choice([0.15, 0.3, 0.6]))
+             for _ in range(60)]
+    cases += [build_reduction(random_cnf(rng, n, rng.randint(n, 5 * n))).graph
+              for n in (1, 2, 3, 5)]
+    for g in cases:
+        adj = g.adj
+        separations = tuple(adj[u] ^ adj[v] for u in range(g.n) for v in range(u + 1, g.n)
+                            if adj[u] & adj[v])
+        assert g.constraint_masks == adj + separations
         assert g.constraint_masks is g.constraint_masks  # built once per graph
 

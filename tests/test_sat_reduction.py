@@ -8,7 +8,12 @@ import re
 import pytest
 
 from conftest import random_cnf
-from reference import all_clauses_over, gadget_lemmas_by_enumeration, set_from_assignment
+from reference import (
+    all_clauses_over,
+    gadget_lemmas_by_enumeration,
+    satisfiable_by_assignments,
+    set_from_assignment,
+)
 from oldsets import sat_reduction
 from oldsets.errors import InputError
 from oldsets.graph import build_graph, graph_to_json, vertices_of
@@ -30,7 +35,7 @@ from oldsets.sat_reduction import (
     satisfiable_bruteforce,
     validate_gadget_forcing,
 )
-from oldsets.solve import _scan, min_set, propagate
+from oldsets.solve import DEFAULT_BUDGET, SolveResult, _scan, min_set, propagate
 from oldsets.verify import Kind, verify_set
 
 TWO_CLAUSE_DIMACS = "p cnf 4 2\n1 2 -3 0\n-1 2 -4 0\n"
@@ -138,8 +143,28 @@ def test_satisfiable_bruteforce_examples():
 
 
 def test_satisfiable_bruteforce_guard():
-    with pytest.raises(InputError):
-        satisfiable_bruteforce(CnfInstance(25, ()))
+    # refused before any table is built: at N = 10**6 one would take 2**10**6 bits
+    for n in (25, 10**6):
+        with pytest.raises(InputError, match="limited to N <= 24"):
+            satisfiable_bruteforce(CnfInstance(n, ()))
+
+
+def test_truth_tables_match_the_assignment_loop():
+    # verdict and first model, on seeded formulas that repeat literals and
+    # hold complementary ones, some within one clause
+    rng = random.Random(1212)
+    verdicts = {True: 0, False: 0}
+    for n in range(1, 13):
+        for ratio in (1, 3, 4.26, 6):
+            cnfs = [random_cnf(rng, n, round(ratio * n))]
+            x = rng.randint(1, n)
+            cnfs.append(CnfInstance(n, cnfs[0].clauses + ((x, x, -x), (-x, -x, -x))))
+            cnfs.append(CnfInstance(n, cnfs[0].clauses[:n] + ((x, x, x),)))
+            for cnf in cnfs:
+                got = satisfiable_bruteforce(cnf)
+                assert got == satisfiable_by_assignments(cnf), cnf
+                verdicts[got[0]] += 1
+    assert min(verdicts.values()) > 30, verdicts
 
 
 def test_build_reduction_sizes():
@@ -261,6 +286,73 @@ def test_root_bound_is_the_threshold():
             g = out.graph
             fin = propagate(g, Kind.RED_OLD)
             assert _scan(g.n, 2, g.constraint_masks, fin, 0)[0] == out.threshold
+
+
+def _decide_with_set(monkeypatch, out, budget=DEFAULT_BUDGET):
+    """decide_sat_via_redold's verdict and the result of the one min_set
+    call it makes."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(min_set(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(sat_reduction, "min_set", recording)
+    verdict = decide_sat_via_redold(out, budget=budget)
+    (result,) = results
+    return verdict, result
+
+
+def _certified_model(out, result):
+    """The model the decision's threshold-sized set decodes to, checked
+    clause by clause."""
+    assert result.value == result.witness.bit_count() == out.threshold
+    model = assignment_from_set(out, result.witness)
+    assert all(any((lit > 0) == model[abs(lit) - 1] for lit in c) for c in out.cnf.clauses)
+    return model
+
+
+def test_decision_agrees_with_truth_tables_and_certifies_sat(monkeypatch):
+    # seeded N = 3-16 at clause ratios 3, 4.26 and 5: the verdict is the
+    # oracle's, and every "sat" comes with a set that decodes to a model
+    rng = random.Random(3516)
+    verdicts = {True: 0, False: 0}
+    for n in range(3, 17):
+        for ratio in (3, 4.26, 5):
+            for _ in range(2):
+                cnf = random_cnf(rng, n, round(ratio * n))
+                out = build_reduction(cnf)
+                verdict, result = _decide_with_set(monkeypatch, out)
+                assert verdict == result.feasible == satisfiable_bruteforce(cnf)[0]
+                if verdict:
+                    _certified_model(out, result)
+                verdicts[verdict] += 1
+    assert min(verdicts.values()) > 20, verdicts
+
+
+def test_decision_past_the_oracle_certifies_sat(monkeypatch):
+    # N = 30-40, beyond the truth tables' N <= 24: each decision fits in
+    # 5,000 nodes (the most these draws took was 517), and each "sat"
+    # certifies itself by decoding to a model
+    rng = random.Random(3040)
+    verdicts = {True: 0, False: 0}
+    for n in (30, 35, 40):
+        for ratio in (3, 4.26, 5):
+            out = build_reduction(random_cnf(rng, n, round(ratio * n)))
+            verdict, result = _decide_with_set(monkeypatch, out, budget=5000)
+            if verdict:
+                _certified_model(out, result)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 2, verdicts
+
+
+def test_decision_refuses_a_set_below_the_threshold(monkeypatch):
+    out = build_reduction(parse_dimacs(TWO_CLAUSE_DIMACS))
+    low = out.forced_mask()
+    monkeypatch.setattr(sat_reduction, "min_set",
+                        lambda *args, **kwargs: SolveResult(low.bit_count(), low))
+    with pytest.raises(AssertionError, match="below the forced-set bound"):
+        decide_sat_via_redold(out)
 
 
 def test_decide_within_node_budget():

@@ -1,5 +1,6 @@
 """Solver behavior: oracle agreement, propagation, forced-vertex queries."""
 
+import collections
 import itertools
 import random
 
@@ -70,11 +71,18 @@ C5 = cycle_graph(5)
     (lambda: min_set(C5, Kind.OLD, budget=1.5), "budget"),
     (lambda: min_set(C5, Kind.OLD, budget=-1), "budget"),
     (lambda: min_set(C5, Kind.OLD, budget=True), "budget"),
+    # at_most is a set size, and a decision lists no optima
+    (lambda: min_set(C5, Kind.OLD, at_most=-1), "at_most"),
+    (lambda: min_set(C5, Kind.OLD, at_most=4.0), "at_most"),
+    (lambda: min_set(C5, Kind.OLD, at_most=True), "at_most"),
+    (lambda: min_set(C5, Kind.OLD, at_most="4"), "at_most"),
+    (lambda: min_set(C5, Kind.OLD, enumerate_all=True, at_most=4), "at_most"),
 ], ids=[
     "verify_pattern-kind", "min_set-kind", "propagate-kind", "verify_kind-kind",
     "min_set_bruteforce-kind", "propagate-forced_in", "propagate-forced_out",
     "min_set-negative", "min_set-bool", "min_set-float-budget", "min_set-negative-budget",
-    "min_set-bool-budget",
+    "min_set-bool-budget", "min_set-negative-at_most", "min_set-float-at_most",
+    "min_set-bool-at_most", "min_set-str-at_most", "min_set-enumerate-at_most",
 ])
 def test_library_entry_points_refuse_bad_input(call, match):
     with pytest.raises(InputError, match=match):
@@ -149,6 +157,46 @@ def test_enumeration_matches_bruteforce():
                 counts["forced_out"] += 1
             counts["tied"] += optima is not None and len(optima) > 1
     assert counts["tied"] > 60 and counts["forced_out"] > 30, counts
+
+
+def test_at_most_decides_against_bruteforce():
+    # min_set(..., at_most=t) returns an accepted set of at most t vertices
+    # that avoids forced_out exactly when the minimum of such sets is at
+    # most t, and an infeasible result otherwise; t runs over value - 1,
+    # value, value + 1 and n, and on half of the graphs one or two vertices
+    # are excluded up front
+    rng = random.Random(23)
+    answers = collections.Counter()
+    for i in range(240):
+        g = random_graph(rng, rng.randint(1, 10), rng.choice([0.3, 0.5, 0.7]))
+        forced_out = (1 << rng.randrange(g.n) | 1 << rng.randrange(g.n)) if i % 2 else 0
+        for kind in Kind:
+            if forced_out:
+                value = _optima_avoiding(g, kind, forced_out)[0]
+            else:
+                value = min_set_bruteforce(g, kind).value
+            sizes = {g.n} if value is None else {value - 1, value, value + 1, g.n} - {-1}
+            for t in sorted(sizes):
+                res = min_set(g, kind, forced_out=forced_out, at_most=t)
+                assert res.all_minimum_sets is None
+                if value is not None and value <= t:
+                    assert res.value == res.witness.bit_count() and value <= res.value <= t
+                    assert verify_kind(g, res.witness, kind).holds
+                    assert not res.witness & forced_out
+                else:
+                    assert (res.value, res.witness) == (None, None)
+                # t - value, with every t past value + 1 as 2
+                answers[None if value is None else min(t - value, 2), bool(forced_out)] += 1
+    assert len(answers) == 10 and min(answers.values()) > 20, answers
+
+
+def test_at_most_still_honours_the_budget():
+    g = g11()
+    nodes = min_set(g, Kind.OLD, at_most=6).nodes
+    assert nodes > 1
+    assert min_set(g, Kind.OLD, budget=nodes, at_most=6).value == 6
+    with pytest.raises(BudgetExceededError):
+        min_set(g, Kind.OLD, budget=nodes - 1, at_most=6)
 
 
 def _gnp_part(rng, kind, feasible):
