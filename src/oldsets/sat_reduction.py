@@ -33,13 +33,18 @@ the same way) plus the clause vertex c_j adjacent to t_j_1 only; c_j's
 second dominator must be one of the clause's literal vertices, i.e. a
 satisfied literal.
 
-One rule, ``_literal_vertex``, maps a literal to its vertex: it wires
-every c_j and answers :meth:`ReductionOutput.literal_index`, so the clause
-wiring is stated once.  What the wiring is meant to force is checked on the
-built graph, without search, by :func:`validate_gadget_forcing`: one
-propagation pass for the forced vertices, and each forcing vertex's
-neighbours for the literal choice.  The solver sweeps in the test suite
-check the threshold equivalence.
+Each gadget is stated once, as an adjacency template whose edges
+:func:`~oldsets.graph.build_graph` checks at import.  ``build_reduction``
+shifts N copies of the variable template and M of the clause template
+into place and ORs in each clause's literal edges, so no request re-checks
+an edge the templates wrote.  One rule, ``_literal_vertex``, maps a
+literal to its vertex: it wires every c_j and answers
+:meth:`ReductionOutput.literal_index`, so the clause wiring is stated
+once.  What the wiring is meant to force is checked on the built graph,
+without search, by :func:`validate_gadget_forcing`: one propagation pass
+for the forced vertices, and each forcing vertex's neighbours for the
+literal choice.  The solver sweeps in the test suite check the threshold
+equivalence.
 """
 
 from __future__ import annotations
@@ -75,18 +80,18 @@ _NEG = 1  # not_u_i
 _FRC = 2  # v_i, the vertex whose double domination forces a literal choice
 _ANCHORS = (5, 8, 11, 14, 17)  # third vertex of each pendant triangle
 
-_VAR_EDGES_LOCAL: tuple[tuple[int, int], ...] = tuple(
-    [(3 + 3 * t, 4 + 3 * t) for t in range(5)]
-    + [(3 + 3 * t, 5 + 3 * t) for t in range(5)]
-    + [(4 + 3 * t, 5 + 3 * t) for t in range(5)]
-    + [(_FRC, _POS), (_FRC, _NEG), (_FRC, _ANCHORS[0])]
-    + [(_POS, _ANCHORS[1]), (_POS, _ANCHORS[2])]
-    + [(_NEG, _ANCHORS[3]), (_NEG, _ANCHORS[4])]
-)
+# The variable gadget's adjacency template; build_graph checks its edges
+# once, at import.
+_VAR_ADJ: tuple[int, ...] = build_graph(VAR_GADGET_SIZE, [
+    *((a + 3 * t, b + 3 * t) for t in range(5) for a, b in ((3, 4), (3, 5), (4, 5))),
+    (_FRC, _POS), (_FRC, _NEG), (_FRC, _ANCHORS[0]),
+    (_POS, _ANCHORS[1]), (_POS, _ANCHORS[2]), (_NEG, _ANCHORS[3]), (_NEG, _ANCHORS[4]),
+]).adj
 
 # Local offsets inside a clause gadget: clause vertex first, then triangle.
 _CLS = 0
-_CLAUSE_EDGES_LOCAL: tuple[tuple[int, int], ...] = ((1, 2), (1, 3), (2, 3), (_CLS, 1))
+_CLAUSE_ADJ: tuple[int, ...] = build_graph(
+    CLAUSE_GADGET_SIZE, ((1, 2), (1, 3), (2, 3), (_CLS, 1))).adj
 
 ROLE_POSITIVE = "positive_literal"
 ROLE_NEGATIVE = "negative_literal"
@@ -275,37 +280,38 @@ class ReductionOutput:
 def build_reduction(cnf: CnfInstance) -> ReductionOutput:
     """Construct the reduction graph; linear in its 18N + 4M vertices.
 
-    More than MAX_VERTICES vertices is an InputError, raised before any
-    gadget is built."""
+    The graph is assembled from the two gadget templates, whose edges were
+    checked once at import: N shifted copies of ``_VAR_ADJ``, M of
+    ``_CLAUSE_ADJ``, and each clause vertex's edges to its literal
+    vertices.  More than MAX_VERTICES vertices is an InputError, checked
+    before anything is assembled."""
     _check_cnf(cnf)
     n_vars, n_clauses = cnf.num_vars, cnf.num_clauses
     total = VAR_GADGET_SIZE * n_vars + CLAUSE_GADGET_SIZE * n_clauses
     if total > MAX_VERTICES:
         raise InputError(f"reduction of {shown(n_vars)} vars and {n_clauses} clauses has "
                          f"{shown(total)} vertices, above the limit of {MAX_VERTICES}")
-    edges: list[tuple[int, int]] = []
+    adj: list[int] = []
     labels: list[str] = []
-    roles: list[str] = []
-
     for i in range(n_vars):
         base = VAR_GADGET_SIZE * i
-        edges.extend((base + a, base + b) for a, b in _VAR_EDGES_LOCAL)
+        adj.extend(m << base for m in _VAR_ADJ)
         labels.extend([f"u_{i + 1}", f"not_u_{i + 1}", f"v_{i + 1}"])
         labels.extend(f"g_{i + 1}_{k}" for k in range(1, 16))
-        roles.extend([ROLE_POSITIVE, ROLE_NEGATIVE, ROLE_FORCING] + [ROLE_SHADED] * 15)
-
-    clause_base = VAR_GADGET_SIZE * n_vars
     for j, clause in enumerate(cnf.clauses):
-        base = clause_base + CLAUSE_GADGET_SIZE * j
-        edges.extend((base + a, base + b) for a, b in _CLAUSE_EDGES_LOCAL)
+        base = len(adj)
+        adj.extend(m << base for m in _CLAUSE_ADJ)
         labels.append(f"c_{j + 1}")
         labels.extend(f"t_{j + 1}_{k}" for k in range(1, 4))
-        roles.extend([ROLE_CLAUSE] + [ROLE_TRIANGLE] * 3)
-        # build_graph merges the edges of a repeated literal
-        edges.extend((base + _CLS, _literal_vertex(lit)) for lit in clause)
-
-    graph = build_graph(total, edges, labels)
-    return ReductionOutput(graph, tuple(roles), 16 * n_vars + 3 * n_clauses, cnf)
+        c = base + _CLS
+        for u in map(_literal_vertex, clause):
+            # a repeated literal sets the same two bits again
+            adj[c] |= 1 << u
+            adj[u] |= 1 << c
+    roles = (((ROLE_POSITIVE, ROLE_NEGATIVE, ROLE_FORCING) + (ROLE_SHADED,) * 15) * n_vars
+             + ((ROLE_CLAUSE,) + (ROLE_TRIANGLE,) * 3) * n_clauses)
+    graph = Graph(total, tuple(adj), tuple(labels))
+    return ReductionOutput(graph, roles, 16 * n_vars + 3 * n_clauses, cnf)
 
 
 def _check_output(out) -> None:

@@ -6,8 +6,9 @@ cross-checked at (``cross_check_dims``), the kind each builtin pattern is
 named for (``builtin_kind``), a clause enumerator for exhaustive
 desk-scale sweeps, the gadget lemmas checked over every optimum
 (``gadget_lemmas_by_enumeration``), the SAT oracle one assignment at a
-time (``satisfiable_by_assignments``) and the paper's set for a truth
-assignment (``set_from_assignment``)."""
+time (``satisfiable_by_assignments``), the paper's set for a truth
+assignment (``set_from_assignment``) and the reduction graph stated
+vertex by vertex (``reduction_edges``)."""
 
 from __future__ import annotations
 
@@ -215,3 +216,33 @@ def set_from_assignment(out: ReductionOutput, assignment: Sequence[bool]) -> int
     for i, value in enumerate(assignment):
         s |= 1 << out.literal_index(i + 1 if value else -(i + 1))
     return s
+
+
+def reduction_edges(cnf: CnfInstance) -> tuple[list[str], list[tuple[int, int]]]:
+    """The reduction graph stated from the neighbourhoods in the
+    ``sat_reduction`` docstring, without its tables: (the vertex labels in
+    index order, the edges as index pairs, a repeated literal's edge
+    listed again).
+
+    Variable i's 18 vertices are u_i, not_u_i, v_i, then g_i_1 .. g_i_15,
+    five pendant triangles g_i_{3t+1}, g_i_{3t+2}, g_i_{3t+3} (t = 0..4)
+    whose third vertex is anchor_t.  Clause j's 4 vertices, after every
+    variable's, are c_j, then its triangle t_j_1, t_j_2, t_j_3."""
+    labels: list[str] = []
+    named: list[tuple[str, str]] = []
+    for i in range(1, cnf.num_vars + 1):
+        g = [f"g_{i}_{k}" for k in range(1, 16)]
+        labels += [f"u_{i}", f"not_u_{i}", f"v_{i}"] + g
+        anchor = g[2::3]
+        named += [(f"v_{i}", f"u_{i}"), (f"v_{i}", f"not_u_{i}"), (f"v_{i}", anchor[0]),
+                  (f"u_{i}", anchor[1]), (f"u_{i}", anchor[2]),
+                  (f"not_u_{i}", anchor[3]), (f"not_u_{i}", anchor[4])]
+        for a, b, c in zip(g[0::3], g[1::3], g[2::3]):
+            named += [(a, b), (a, c), (b, c)]
+    for j, clause in enumerate(cnf.clauses, 1):
+        c, t1, t2, t3 = f"c_{j}", f"t_{j}_1", f"t_{j}_2", f"t_{j}_3"
+        labels += [c, t1, t2, t3]
+        named += [(t1, t2), (t1, t3), (t2, t3), (c, t1)]
+        named += [(c, f"u_{lit}" if lit > 0 else f"not_u_{-lit}") for lit in clause]
+    index = {name: v for v, name in enumerate(labels)}
+    return labels, [(index[a], index[b]) for a, b in named]

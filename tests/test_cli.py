@@ -284,6 +284,20 @@ def test_reduce_emit(capsys, tmp_path):
     assert payload["roles"]["c_2"] == "clause"
 
 
+def test_reduce_emit_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    # README's example, run as written there
+    monkeypatch.chdir(tmp_path)
+    Path("f.cnf").write_text(TWO_CLAUSE_DIMACS)
+    code, out = run(capsys, "reduce", "f.cnf", "--emit", "graph.json", "--decide",
+                    "--format", "json")
+    assert code == 0 and out == (
+        '{"command": "reduce", "decide": {"agree": true, "sat_bruteforce": true, '
+        '"sat_via_redold": true}, "emitted": "graph.json", "exit_code": 0, "num_clauses": 2, '
+        '"num_vars": 4, "threshold": 70, "vertices": 80}\n')
+    assert hashlib.sha256(Path("graph.json").read_bytes()).hexdigest() == (
+        "335ab2d1d48d1ef742cb38b258705d95713b2d9724a208e0011637aa9c00d410")
+
+
 def test_reduce_emit_text_line_follows_the_reduction_line(capsys, tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 1 1\n1 1 1 0\n")

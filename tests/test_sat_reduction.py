@@ -11,6 +11,7 @@ from conftest import random_cnf
 from reference import (
     all_clauses_over,
     gadget_lemmas_by_enumeration,
+    reduction_edges,
     satisfiable_by_assignments,
     set_from_assignment,
 )
@@ -176,13 +177,33 @@ def test_build_reduction_sizes():
 
 def test_build_reduction_refuses_an_oversized_instance_before_building(monkeypatch):
     # 18 * 40,000 vertices is far above MAX_VERTICES; the limit is checked
-    # before any gadget list is built, so build_graph is never reached
-    def fail(*args, **kwargs):
-        raise AssertionError("build_graph called for an oversized reduction")
+    # before any gadget is assembled, so neither template is read and no
+    # Graph is made
+    class Untouchable:
+        def __iter__(self):
+            raise AssertionError("a gadget template read for an oversized reduction")
 
-    monkeypatch.setattr(sat_reduction, "build_graph", fail)
+    def fail(*args, **kwargs):
+        raise AssertionError("Graph made for an oversized reduction")
+
+    monkeypatch.setattr(sat_reduction, "_VAR_ADJ", Untouchable())
+    monkeypatch.setattr(sat_reduction, "_CLAUSE_ADJ", Untouchable())
+    monkeypatch.setattr(sat_reduction, "Graph", fail)
     with pytest.raises(InputError, match="above the limit"):
         build_reduction(CnfInstance(40_000, ((1, 2, 3),)))
+
+
+def test_reduction_graph_is_the_stated_construction():
+    # reduction_edges states every neighbourhood from the module docstring,
+    # reading none of the package's tables; repeated and complementary
+    # literals ride along in every formula
+    rng = random.Random(36)
+    for n in range(1, 41):
+        for _ in range(3):
+            cnf = random_cnf(rng, n, rng.randint(0, 5 * n))
+            cnf = CnfInstance(n, cnf.clauses + ((1, 1, 1), (1, -1, min(2, n))))
+            labels, edges = reduction_edges(cnf)
+            assert build_reduction(cnf).graph == build_graph(len(labels), edges, labels)
 
 
 def test_reduction_roles():
