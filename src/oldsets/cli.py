@@ -5,7 +5,9 @@ Subcommands: ``verify`` a detector set, ``solve`` for a minimum set,
 patterns.  ``--format json`` output is schema-stable and byte-deterministic;
 text output is for humans only.  Each ``cmd_*`` returns its report and its
 text lines; :func:`main` writes one of the two, the only output of a run,
-and exits with the report's ``exit_code``.
+and exits with the report's ``exit_code``.  ``grids`` and ``sat_reduction``
+are imported by the commands that use them, so the others start without
+them; each is called through its module attribute (``grids.X(...)``).
 
 Exit codes: 0 success / property holds, 1 property fails, 2 input error,
 3 solver budget exceeded, 4 reduction decision disagrees with the SAT
@@ -20,8 +22,8 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import grids, sat_reduction
 from .errors import BudgetExceededError, InputError, decimal_int, decode_json
 from .fixtures import BUILTIN_GRAPH_NAMES, builtin_graph
 from .graph import Graph, graph_from_text, graph_to_json, mask_of, vertices_of
@@ -33,6 +35,9 @@ from .verify import (
     verify_set,
 )
 
+if TYPE_CHECKING:
+    from . import grids
+
 EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
@@ -41,6 +46,9 @@ EXIT_DISAGREE = 4
 
 # what opening a path raises where the path names no file
 _MISSING = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
+
+# grids.Lattice's values, stated here so that the parser needs no grids
+_LATTICES = ("sq", "hex", "tri", "king")
 
 
 def _read_text(spec: str, what: str) -> str:
@@ -67,8 +75,19 @@ def _load_graph(spec: str) -> Graph:
     return graph_from_text(_read_text(spec, "graph"))
 
 
+def _is_file(spec: str) -> bool:
+    """Path(spec).is_file(), but False for a spec too long to be a file
+    name, such as a long comma list, where the lookup itself fails."""
+    try:
+        return Path(spec).is_file()
+    except OSError as exc:
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        return False
+
+
 def _load_set(spec: str, g: Graph) -> int:
-    if Path(spec).is_file():
+    if _is_file(spec):
         items = decode_json(_read_text(spec, "set"), "set")
         if not isinstance(items, list):
             raise InputError("set JSON must be a list of labels or indices")
@@ -78,6 +97,8 @@ def _load_set(spec: str, g: Graph) -> int:
 
 
 def _load_pattern(spec: str) -> grids.PeriodicPattern:
+    from . import grids
+
     if spec.startswith("builtin:"):
         return grids.builtin_pattern(spec[len("builtin:"):])
     return grids.pattern_from_json(_read_text(spec, "pattern"))
@@ -149,6 +170,8 @@ def cmd_solve(args) -> tuple[dict, list[str]]:
 
 
 def cmd_reduce(args) -> tuple[dict, list[str]]:
+    from . import sat_reduction
+
     cnf = sat_reduction.parse_dimacs(_read_text(args.cnf, "CNF"))
     out = sat_reduction.build_reduction(cnf)
     report: dict = {
@@ -200,6 +223,8 @@ def cmd_reduce(args) -> tuple[dict, list[str]]:
 
 
 def cmd_grid(args) -> tuple[dict, list[str]]:
+    from . import grids
+
     lattice = grids.Lattice(args.lattice)
     pattern = _load_pattern(args.pattern)
     if pattern.lattice is not lattice:
@@ -225,7 +250,7 @@ def cmd_grid(args) -> tuple[dict, list[str]]:
         lines.append(f"  pair {rep.pair[0]},{rep.pair[1]} distinguished {rep.count}")
     if args.density:
         lines.append(f"  density: {pattern.density()}")
-    if args.cross_check:
+    if args.cross_check is not None:
         try:
             w, h = (decimal_int(part) for part in args.cross_check.lower().split("x"))
         except ValueError:
@@ -296,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("grid", help="verify a periodic pattern on an infinite lattice")
-    p.add_argument("lattice", choices=[l.value for l in grids.Lattice])
+    p.add_argument("lattice", choices=_LATTICES)
     p.add_argument("pattern",
                    help="pattern JSON file or builtin:{sq,hex,tri,king}-{old,redold}")
     p.add_argument("--kind", choices=("old", "redold"), required=True)

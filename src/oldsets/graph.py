@@ -9,9 +9,8 @@ verifiers (neighborhood intersections, symmetric differences) is plain
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, decimal_int, decode_json, shown
 
@@ -62,17 +61,21 @@ def vertices_of(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple undirected graph.
+class _GraphRecord(NamedTuple):
+    n: int
+    adj: tuple[int, ...]
+    labels: tuple[str, ...] | None = None
+
+
+class Graph(_GraphRecord):
+    """Immutable simple undirected graph, the named tuple (n, adj, labels).
 
     Invariants (enforced by :func:`build_graph`): no self-loops, no parallel
     edges, symmetric adjacency.
     """
 
-    n: int
-    adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
+    # no __slots__ = (): the cached properties keep their values in the
+    # instance __dict__
 
     def check_vertex(self, v: int) -> None:
         # type(v) is int rejects bool, which isinstance(v, int) would pass

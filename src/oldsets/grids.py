@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError, decode_json, shown
 from .graph import MAX_VERTICES, Graph, vertices_of
@@ -131,27 +131,32 @@ def _period(value, what: str) -> tuple[int, int]:
     return value
 
 
-@dataclass(frozen=True)
-class PeriodicPattern:
-    """A lattice, a rectangular period, and the in-pattern offsets of one
-    fundamental domain.  HEX periods must be even in both directions so that
-    period translations preserve the parity-dependent adjacency."""
-
+class _PatternRecord(NamedTuple):
     lattice: Lattice
     period: tuple[int, int]
     cells: frozenset[Coord]
-    name: str | None = None
+    name: str | None
 
-    def __post_init__(self):
+
+class PeriodicPattern(_PatternRecord):
+    """A lattice, a rectangular period, and the in-pattern offsets of one
+    fundamental domain, an immutable named tuple.  HEX periods must be even
+    in both directions so that period translations preserve the
+    parity-dependent adjacency."""
+
+    __slots__ = ()
+
+    def __new__(cls, lattice: Lattice, period: tuple[int, int], cells: frozenset[Coord],
+                name: str | None = None):
         # one check for the JSON and the library paths; type(...) is int
         # rejects bool, as in _period
-        _check_lattice(self.lattice)
-        px, py = _period(self.period, "period")
-        if self.lattice is Lattice.HEX and (px % 2 or py % 2):
+        _check_lattice(lattice)
+        px, py = _period(period, "period")
+        if lattice is Lattice.HEX and (px % 2 or py % 2):
             raise InputError("HEX patterns need even periods in both directions")
-        if not isinstance(self.cells, frozenset):
-            raise InputError(f"cells must be a frozenset, got {type(self.cells).__name__}")
-        for cell in self.cells:
+        if not isinstance(cells, frozenset):
+            raise InputError(f"cells must be a frozenset, got {type(cells).__name__}")
+        for cell in cells:
             if not (type(cell) is tuple and len(cell) == 2
                     and type(cell[0]) is int and type(cell[1]) is int):
                 raise InputError(f"cells must be pairs of integers, got {shown(cell)}")
@@ -159,8 +164,14 @@ class PeriodicPattern:
             if not (0 <= cx < px and 0 <= cy < py):
                 raise InputError(
                     f"cell ({shown(cx)},{shown(cy)}) outside fundamental domain {px}x{py}")
-        if self.name is not None and not isinstance(self.name, str):
-            raise InputError(f"pattern name must be a string, got {self.name!r}")
+        if name is not None and not isinstance(name, str):
+            raise InputError(f"pattern name must be a string, got {name!r}")
+        return super().__new__(cls, lattice, period, cells, name)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
 
     def density(self) -> Fraction:
         return Fraction(len(self.cells), self.period[0] * self.period[1])

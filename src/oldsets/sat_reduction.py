@@ -49,7 +49,7 @@ equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, decimal_int, shown
 from .graph import MAX_VERTICES, Graph, build_graph, mask_of
@@ -101,23 +101,27 @@ ROLE_CLAUSE = "clause"
 ROLE_TRIANGLE = "triangle"
 
 
-@dataclass(frozen=True)
-class CnfInstance:
-    """A 3-CNF formula: clauses are triples of DIMACS-style signed literals
-    (literal ``+v`` / ``-v`` for 1-based variable v)."""
-
+class _CnfRecord(NamedTuple):
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
+
+class CnfInstance(_CnfRecord):
+    """A 3-CNF formula, an immutable named tuple: clauses are triples of
+    DIMACS-style signed literals (literal ``+v`` / ``-v`` for 1-based
+    variable v)."""
+
+    __slots__ = ()
+
+    def __new__(cls, num_vars: int, clauses: tuple[tuple[int, int, int], ...]):
         # one check for the DIMACS and the library paths; type(...) is int
         # rejects bool and float, which the gadget indexing cannot take
-        if type(self.num_vars) is not int:
-            raise InputError(f"the number of variables must be an int, got {self.num_vars!r}")
-        # tuples all the way down, so the frozen instance can be hashed
-        if not isinstance(self.clauses, tuple):
-            raise InputError(f"clauses must be a tuple of 3-tuples, got {shown(self.clauses)}")
-        for clause in self.clauses:
+        if type(num_vars) is not int:
+            raise InputError(f"the number of variables must be an int, got {num_vars!r}")
+        # tuples all the way down, so the instance can be hashed
+        if not isinstance(clauses, tuple):
+            raise InputError(f"clauses must be a tuple of 3-tuples, got {shown(clauses)}")
+        for clause in clauses:
             if not isinstance(clause, tuple):
                 raise InputError(f"clause {shown(clause)} is not a tuple")
             if len(clause) != 3:
@@ -125,11 +129,17 @@ class CnfInstance:
                     f"clause {' '.join(map(shown, clause))} has {len(clause)} literals; "
                     "this construction is specific to 3-SAT"
                 )
-        if self.num_vars < 1:
+        if num_vars < 1:
             raise InputError("a CNF instance needs at least one variable")
-        for clause in self.clauses:
+        for clause in clauses:
             for lit in clause:
-                _check_literal(lit, self.num_vars)
+                _check_literal(lit, num_vars)
+        return super().__new__(cls, num_vars, clauses)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
 
     @property
     def num_clauses(self) -> int:
@@ -245,9 +255,9 @@ def satisfiable_bruteforce(cnf: CnfInstance) -> tuple[bool, tuple[bool, ...] | N
     return True, tuple(bool(a >> i & 1) for i in range(n))
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
-    """The reduction graph plus the bookkeeping needed to interpret it."""
+class ReductionOutput(NamedTuple):
+    """The reduction graph plus the bookkeeping needed to interpret it, an
+    immutable named tuple."""
 
     graph: Graph
     roles: tuple[str, ...]

@@ -76,8 +76,7 @@ the reduction's threshold, which the root bound already reaches.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InputError, shown
 from .graph import Graph, check_graph, mask_of, vertices_of
@@ -96,9 +95,8 @@ DEFAULT_BUDGET = 10**8
 _BRUTEFORCE_MAX_N = 20
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    """Solver outcome.
+class SolveResult(NamedTuple):
+    """Solver outcome, an immutable named tuple.
 
     ``value`` is None when the instance is infeasible (then so is
     ``witness``).  ``witness`` is the lexicographically smallest optimum,

@@ -34,8 +34,7 @@ on lattice patterns as the same :class:`VerificationReport`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError, shown
 from .graph import Graph, check_graph, meeting_pairs
@@ -76,9 +75,16 @@ def check_kind(kind: Kind) -> None:
 Vertex = int | tuple[int, int]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of a verifier plus a diagnostic witness on failure.
+class _ReportRecord(NamedTuple):
+    holds: bool
+    vertex: Vertex | None
+    pair: tuple[Vertex, Vertex] | None
+    count: int | None
+
+
+class VerificationReport(_ReportRecord):
+    """Outcome of a verifier plus a diagnostic witness on failure, an
+    immutable named tuple.
 
     When ``holds`` is false exactly one of ``vertex`` (an under-dominated
     vertex) or ``pair`` (an under-distinguished pair) is set, together with
@@ -86,14 +92,18 @@ class VerificationReport:
     :func:`grids.verify_pattern`, a lattice coordinate pair (x, y).
     """
 
-    holds: bool
-    vertex: Vertex | None = None
-    pair: tuple[Vertex, Vertex] | None = None
-    count: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.holds and (self.vertex is None) == (self.pair is None):
+    def __new__(cls, holds: bool, vertex: Vertex | None = None,
+                pair: tuple[Vertex, Vertex] | None = None, count: int | None = None):
+        if not holds and (vertex is None) == (pair is None):
             raise ValueError("a failing report names exactly one vertex or one pair")
+        return super().__new__(cls, holds, vertex, pair, count)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the check above
+        return cls(*iterable)
 
 
 _OK = VerificationReport(True)

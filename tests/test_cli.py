@@ -16,7 +16,7 @@ import oldsets
 from oldsets import cli, grids, sat_reduction
 from oldsets.cli import _build_parser, main
 from oldsets.fixtures import builtin_graph
-from oldsets.graph import MAX_VERTICES, graph_to_json, path_graph
+from oldsets.graph import MAX_VERTICES, cycle_graph, graph_to_json, path_graph
 from oldsets.verify import VerificationReport
 
 TWO_CLAUSE_DIMACS = "p cnf 4 2\n1 2 -3 0\n-1 2 -4 0\n"
@@ -108,6 +108,19 @@ def test_verify_set_from_json_file(capsys, tmp_path):
     f.write_text('["v2","v3","v6","v7","v9","v10"]')
     code, rep = run_json(capsys, "verify", "builtin:g11", str(f), "--kind", "old")
     assert code == 0 and rep["holds"]
+
+
+@pytest.mark.parametrize("count, kind, code", [(100, "old", 1), (120, "redold", 0)])
+def test_verify_reads_a_comma_list_too_long_for_a_file_name(capsys, tmp_path, count, kind, code):
+    # 100 indices make a 289-character SET, past the 255-byte file-name
+    # limit, where asking whether such a file exists raises ENAMETOOLONG
+    f = tmp_path / "c120.json"
+    f.write_text(graph_to_json(cycle_graph(120)))
+    spec = ",".join(map(str, range(count)))
+    got, rep = run_json(capsys, "verify", str(f), spec, "--kind", kind)
+    assert (got, rep["holds"]) == (code, code == 0)
+    if code:
+        assert rep["witness"] == {"type": "vertex", "vertex": "101", "count": 0}
 
 
 @pytest.mark.parametrize("text", ['{"a": 1}', '"v2,v3"', "7"])
@@ -544,12 +557,21 @@ def test_grid_cross_check(capsys):
     assert code == 0 and rep["cross_check"]["agree"] is True
 
 
-def test_grid_cross_check_bad_spec(capsys):
+@pytest.mark.parametrize("spec", ["9by9", ""])
+def test_grid_cross_check_bad_spec(capsys, spec):
+    # an empty spec is refused too, not read as no cross-check
     code, rep = run_json(
         capsys, "grid", "king", "builtin:king-redold", "--kind", "redold",
-        "--cross-check", "9by9",
+        "--cross-check", spec,
     )
-    assert code == 2
+    assert (code, rep["error"]) == (2, f"--cross-check expects WxH, got {spec!r}")
+
+
+def test_grid_lattice_choices_are_the_lattices():
+    # the parser states the lattice names itself, so that it needs no grids
+    sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+    lattice = next(a for a in sub.choices["grid"]._actions if a.dest == "lattice")
+    assert list(lattice.choices) == [lat.value for lat in grids.Lattice]
 
 
 def test_json_output_is_byte_deterministic(capsys):
@@ -622,6 +644,28 @@ def test_module_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 6
+
+    # each command imports only the modules it runs; -S keeps out the
+    # modules that site hooks import, which are not the package's
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(TWO_CLAUSE_DIMACS)
+    script = ("import json, sys\nfrom oldsets import cli\n"
+              "cli.main(sys.argv[1:])\nprint(json.dumps(sorted(sys.modules)))\n")
+    loaded = {}
+    for argv in (["solve", "builtin:g11", "--kind", "old"],
+                 ["reduce", str(cnf), "--decide"],
+                 ["grid", "sq", "builtin:sq-old", "--kind", "old"]):
+        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        loaded[argv[0]] = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {m for m in loaded["solve"] if m.split(".")[0] == "oldsets"} == {
+        "oldsets", "oldsets.cli", "oldsets.errors", "oldsets.fixtures", "oldsets.graph",
+        "oldsets.solve", "oldsets.verify"}
+    assert not loaded["solve"] & {"dataclasses", "fractions"}
+    assert "oldsets.sat_reduction" in loaded["reduce"] and "oldsets.grids" not in loaded["reduce"]
+    assert "oldsets.grids" in loaded["grid"] and "oldsets.sat_reduction" not in loaded["grid"]
+    assert all("dataclasses" not in modules for modules in loaded.values())
 
 
 @pytest.mark.parametrize("argv", [

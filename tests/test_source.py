@@ -7,8 +7,10 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 import oldsets
-from oldsets import cli
+from oldsets import cli, graph, grids, sat_reduction, solve, verify
 
 PACKAGE = Path(oldsets.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -98,6 +100,71 @@ def test_every_exported_name_exists():
     assert len(exporting) >= 6
     stale = [f"{m.__name__}.{name}" for m in exporting for name in m.__all__ if not hasattr(m, name)]
     assert stale == []
+
+
+# every name that ``oldsets`` offers, by the submodule that defines it: the
+# names its __init__.py imported from each before it resolved them on first
+# use
+PACKAGE_NAMES = {
+    "errors": ("BudgetExceededError", "InputError"),
+    "fixtures": ("builtin_graph", "g11"),
+    "graph": ("Graph", "build_graph", "complete_graph", "cycle_graph", "graph_from_json",
+              "graph_from_text", "graph_to_json", "mask_of", "path_graph", "vertices_of"),
+    "grids": ("Lattice", "PeriodicPattern", "build_torus", "builtin_pattern", "pattern_from_json",
+              "pattern_to_json", "restrict_pattern_to_torus", "search_patterns", "verify_pattern"),
+    "sat_reduction": ("CnfInstance", "ReductionOutput", "assignment_from_set", "build_reduction",
+                      "decide_sat_via_redold", "parse_dimacs", "satisfiable_bruteforce",
+                      "validate_gadget_forcing"),
+    "solve": ("DEFAULT_BUDGET", "SolveResult", "min_set", "min_set_bruteforce", "propagate"),
+    "verify": ("Kind", "VerificationReport", "is_identifying_code", "is_locating_dominating",
+               "is_old", "is_open_dominating", "is_red_old", "verify_kind", "verify_set"),
+}
+
+
+def test_every_package_name_resolves():
+    # as an attribute, by name and through import *, each the submodule's
+    # own object, and each listed by dir()
+    names = set()
+    for module, group in PACKAGE_NAMES.items():
+        defining = importlib.import_module(f"oldsets.{module}")
+        for name in group:
+            namespace = {}
+            exec(f"from oldsets import {name}", namespace)
+            assert getattr(oldsets, name) is namespace[name] is getattr(defining, name), name
+            names.add(name)
+    star = {}
+    exec("from oldsets import *", star)
+    assert set(star) - {"__builtins__"} == names
+    assert names | {"__version__"} <= set(dir(oldsets))
+    with pytest.raises(AttributeError, match="module 'oldsets' has no attribute 'nonesuch'"):
+        oldsets.nonesuch
+    with pytest.raises(ImportError):
+        exec("from oldsets import nonesuch", {})
+
+
+@pytest.mark.parametrize("make, field, bad, message", [
+    (lambda: graph.build_graph(2, [(0, 1)]), "adj", None, None),
+    (lambda: solve.SolveResult(1, 1), "value", None, None),
+    (lambda: verify.VerificationReport(False, vertex=0, count=0), "holds", {"pair": (0, 1)},
+     "a failing report names exactly one vertex or one pair"),
+    (lambda: grids.PeriodicPattern(grids.Lattice.SQ, (1, 2), frozenset({(0, 0)})), "cells",
+     {"period": (1, 0)}, r"period must be positive, got \(1, 0\)"),
+    (lambda: sat_reduction.CnfInstance(1, ((1, 1, -1),)), "clauses", {"num_vars": 0},
+     "a CNF instance needs at least one variable"),
+    (lambda: sat_reduction.build_reduction(sat_reduction.CnfInstance(1, ((1, 1, 1),))),
+     "threshold", None, None),
+], ids=["Graph", "SolveResult", "VerificationReport", "PeriodicPattern", "CnfInstance",
+        "ReductionOutput"])
+def test_records_are_immutable_values(make, field, bad, message):
+    # two records built alike are equal, hash alike and take no new field
+    # value; one built by _replace is checked as the constructor checks it
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    if bad is not None:
+        with pytest.raises(ValueError, match=message):
+            a._replace(**bad)
 
 
 def test_readme_python_blocks_run():
