@@ -47,7 +47,9 @@ EXIT_DISAGREE = 4
 # what opening a path raises where the path names no file
 _MISSING = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
 
-# grids.Lattice's values, stated here so that the parser needs no grids
+# grids.Lattice's values, stated here so that the parser needs no grids;
+# tests/test_cli.py::test_grid_lattice_choices_are_the_lattices keeps the
+# two in step
 _LATTICES = ("sq", "hex", "tri", "king")
 
 

@@ -75,7 +75,15 @@ class Graph(_GraphRecord):
     """
 
     # no __slots__ = (): the cached properties keep their values in the
-    # instance __dict__
+    # instance __dict__, which they write directly, so every assignment and
+    # deletion through the instance can be refused
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(
+            f"Graph is immutable: cannot assign a {type(value).__name__} value to {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Graph is immutable: cannot delete {name!r}")
 
     def check_vertex(self, v: int) -> None:
         # type(v) is int rejects bool, which isinstance(v, int) would pass

@@ -156,12 +156,17 @@ def test_every_package_name_resolves():
 ], ids=["Graph", "SolveResult", "VerificationReport", "PeriodicPattern", "CnfInstance",
         "ReductionOutput"])
 def test_records_are_immutable_values(make, field, bad, message):
-    # two records built alike are equal, hash alike and take no new field
-    # value; one built by _replace is checked as the constructor checks it
+    # two records built alike are equal, hash alike and take no new value
+    # for a field or for any other attribute, Graph's cached properties
+    # included; one built by _replace is checked as the constructor checks it
     a, b = make(), make()
     assert a is not b and a == b and hash(a) == hash(b)
-    with pytest.raises(AttributeError):
-        setattr(a, field, getattr(b, field))
+    for name in (field, "constraint_masks", "_label_index", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name, "absent") == getattr(b, name, "absent")
     if bad is not None:
         with pytest.raises(ValueError, match=message):
             a._replace(**bad)
